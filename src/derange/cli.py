@@ -1,8 +1,9 @@
 """Command-line front door.
 
 Exit codes: 0 all checks pass, 1 a verification/tolerance failure,
-2 usage error.  Rationals cross the boundary as exact "p/q" strings.
+2 usage or domain error.  Rationals cross the boundary as exact "p/q" strings.
 Seed precedence: --seed flag > DERANGE_SEED env var > 42.
+numpy is imported only by `mc`, the one command that samples.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ import sys
 import time
 from fractions import Fraction
 
-from . import polys, series, stochastic, verify
+from . import polys, series, verify
+from .exact import DerangeDomainError
 from .hankel import verify_hankel
-from .series import Family, FamilySpec, InvalidFamilyParams
+from .series import Family, FamilySpec
 
 FAMILY_NAMES = {f.value: f for f in Family}
 
@@ -32,7 +34,12 @@ def _fraction(text: str) -> Fraction:
 
 def _default_seed() -> int:
     env = os.environ.get("DERANGE_SEED")
-    return int(env) if env else 42
+    if not env:
+        return 42
+    try:
+        return int(env)
+    except ValueError:
+        raise DerangeDomainError(f"DERANGE_SEED is not an integer: {env!r}")
 
 
 def _make_spec(args) -> FamilySpec:
@@ -103,11 +110,7 @@ def _build_report(command: str, cells) -> dict:
 
 
 def cmd_seq(args) -> int:
-    try:
-        spec = _make_spec(args)
-    except InvalidFamilyParams as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = _make_spec(args)
     values = series.egf_values(spec, args.count)
     if args.format == "json":
         obj = {"command": "seq", "family": args.family,
@@ -148,11 +151,7 @@ def cmd_poly(args) -> int:
 
 
 def cmd_hankel(args) -> int:
-    try:
-        spec = _make_spec(args)
-    except InvalidFamilyParams as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = _make_spec(args)
     rep = verify_hankel(spec, args.n)
     cond = "degenerate" if rep.det_condensation is None else str(rep.det_condensation)
     cof = "n/a" if rep.det_cofactor is None else str(rep.det_cofactor)
@@ -183,6 +182,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_mc(args) -> int:
+    from . import stochastic  # numpy, so only the sampling command pays for it
+
     seed = args.seed if args.seed is not None else _default_seed()
     if args.dn:
         if args.n is None or args.x is None:
@@ -279,7 +280,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except DerangeDomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

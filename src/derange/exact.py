@@ -9,7 +9,21 @@ No floating point enters any function in this module.
 from fractions import Fraction
 from math import comb
 
-__all__ = ["Fraction", "rising_factorial", "factorial", "binomial"]
+__all__ = ["Fraction", "DerangeDomainError", "SizeTooLarge", "rising_factorial",
+           "factorial", "binomial"]
+
+
+class DerangeDomainError(ValueError):
+    """An argument outside the domain of a derange function.
+
+    Every exception the package raises inherits this class, so the CLI can
+    report any of them as a usage/domain error (exit 2) and keep exit 1 for
+    a failed identity.
+    """
+
+
+class SizeTooLarge(DerangeDomainError):
+    """An input above the size cap of an enumeration or expansion oracle."""
 
 
 def rising_factorial(r: int, k: int) -> int:
@@ -19,7 +33,7 @@ def rising_factorial(r: int, k: int) -> int:
     closed forms downstream collapse to 0 without special-casing.
     """
     if k < 0:
-        raise ValueError(f"rising_factorial needs k >= 0, got {k}")
+        raise DerangeDomainError(f"rising_factorial needs k >= 0, got {k}")
     out = 1
     for i in range(k):
         out *= r + i
@@ -28,7 +42,7 @@ def rising_factorial(r: int, k: int) -> int:
 
 def factorial(n: int) -> int:
     if n < 0:
-        raise ValueError(f"factorial needs n >= 0, got {n}")
+        raise DerangeDomainError(f"factorial needs n >= 0, got {n}")
     out = 1
     for i in range(2, n + 1):
         out *= i
@@ -38,7 +52,7 @@ def factorial(n: int) -> int:
 def binomial(n: int, k: int) -> int:
     """C(n, k); zero outside 0 <= k <= n."""
     if n < 0:
-        raise ValueError(f"binomial needs n >= 0, got {n}")
+        raise DerangeDomainError(f"binomial needs n >= 0, got {n}")
     if k < 0 or k > n:
         return 0
     return comb(n, k)

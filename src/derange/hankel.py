@@ -4,37 +4,38 @@ Bareiss is the authority (fraction-free, always defined); Dodgson
 condensation mirrors the Sylvester contraction used in the inductive
 determinant proofs and bails out with DegenerateInterior when a divisor
 minor vanishes; Laplace cofactor expansion is the small-size oracle.
+
+Bareiss and condensation both run on integers: `_integer_rows` clears the
+denominators of each row and then divides out the gcd of each column,
+leaving an integer matrix and the rational factor its determinant is
+scaled by. Every division either elimination makes is then exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import List, Optional, Sequence
+from math import gcd, lcm
+from typing import List, Optional, Sequence, Tuple
 
-from .exact import factorial, rising_factorial
+from .exact import DerangeDomainError, SizeTooLarge, factorial, rising_factorial
 from .polys import eval_poly, generalized_D_poly
 from .series import Family, FamilySpec, egf_values
 
 
-class InsufficientTerms(ValueError):
+class InsufficientTerms(DerangeDomainError):
     pass
 
 
-class SizeTooLarge(ValueError):
-    pass
-
-
-class DegenerateInterior(ArithmeticError):
+class DegenerateInterior(DerangeDomainError, ArithmeticError):
     """Condensation hit a zero interior minor; fall back to Bareiss."""
 
 
-class PoleAtOne(ZeroDivisionError):
+class PoleAtOne(DerangeDomainError, ZeroDivisionError):
     pass
 
 
-class NoClosedForm(ValueError):
+class NoClosedForm(DerangeDomainError):
     pass
 
 
@@ -48,17 +49,36 @@ def hankel_matrix(seq: Sequence, n: int) -> Matrix:
     return [[Fraction(seq[i + j]) for j in range(n + 1)] for i in range(n + 1)]
 
 
-def det_bareiss(m: Matrix) -> Fraction:
-    """Exact determinant: clear row denominators, run one-step fraction-free
-    Bareiss elimination over the integers, divide the denominators back."""
-    size = len(m)
+def _integer_rows(m: Matrix) -> Tuple[List[List[int]], Fraction]:
+    """An integer matrix a and a rational scale with det(m) = scale * det(a).
+
+    Each row is multiplied by the lcm of its denominators, then each column
+    is divided by the gcd of its entries (an all-zero column is left as
+    it is). Scaling rows and columns by nonzero factors cannot turn any
+    minor zero or nonzero.
+    """
+    rows = []
     denom = 1
-    a: List[List[int]] = []
     for row in m:
         row = [Fraction(v) for v in row]
         d = lcm(*(v.denominator for v in row)) if row else 1
         denom *= d
-        a.append([int(v * d) for v in row])
+        rows.append([v.numerator * (d // v.denominator) for v in row])
+    numer = 1
+    for j in range(len(rows[0]) if rows else 0):
+        g = gcd(*(row[j] for row in rows))
+        if g > 1:
+            numer *= g
+            for row in rows:
+                row[j] //= g
+    return rows, Fraction(numer, denom)
+
+
+def det_bareiss(m: Matrix) -> Fraction:
+    """Exact determinant: one-step fraction-free Bareiss elimination on
+    the integer matrix of `_integer_rows`, scaled back."""
+    size = len(m)
+    a, scale = _integer_rows(m)
     sign = 1
     prev = 1
     for k in range(size - 1):
@@ -75,14 +95,18 @@ def det_bareiss(m: Matrix) -> Fraction:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
             a[i][k] = 0
         prev = a[k][k]
-    return Fraction(sign * a[size - 1][size - 1], denom)
+    return sign * a[size - 1][size - 1] * scale
 
 
 def det_condensation(m: Matrix) -> Fraction:
-    """Dodgson condensation; raises DegenerateInterior on a zero divisor minor."""
+    """Dodgson condensation on the integer matrix of `_integer_rows`;
+    raises DegenerateInterior on a zero divisor minor.
+
+    Every entry of every stage is a connected minor of that integer
+    matrix, so by the Desnanot-Jacobi identity each division is exact."""
     size = len(m)
-    prev = [[Fraction(1)] * (size + 1) for _ in range(size + 1)]
-    cur = [[Fraction(v) for v in row] for row in m]
+    cur, scale = _integer_rows(m)
+    prev = [[1] * (size + 1) for _ in range(size + 1)]
     while len(cur) > 1:
         k = len(cur)
         nxt = []
@@ -93,10 +117,10 @@ def det_condensation(m: Matrix) -> Fraction:
                 if div == 0:
                     raise DegenerateInterior(f"zero interior minor at ({i},{j})")
                 minor = cur[i][j] * cur[i + 1][j + 1] - cur[i][j + 1] * cur[i + 1][j]
-                row.append(minor / div)
+                row.append(minor // div)
             nxt.append(row)
         prev, cur = cur, nxt
-    return cur[0][0]
+    return cur[0][0] * scale
 
 
 def det_cofactor(m: Matrix) -> Fraction:
@@ -131,7 +155,7 @@ def closed_form_generalized(n: int, r: int, z) -> Fraction:
     """Hankel determinant of order n+1 of the generalized polynomials at z:
     z^{n(n+1)} rising(r,n) Pi rising(r,k-1) k!."""
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise DerangeDomainError("n must be >= 0")
     z = Fraction(z)
     return z ** (n * (n + 1)) * rising_factorial(r, n) * _product_term(n, r)
 
@@ -139,21 +163,21 @@ def closed_form_generalized(n: int, r: int, z) -> Fraction:
 def closed_form_order_d(n: int, r: int) -> int:
     """Hankel determinant of the order-r polynomials: z-independent."""
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise DerangeDomainError("n must be >= 0")
     return rising_factorial(r, n) * _product_term(n, r)
 
 
 def closed_form_cyclic(n: int, r: int) -> int:
     """Hankel determinant of the cyclic derangement counts: r^{n(n+1)} (Pi k!)^2."""
     if n < 0 or r < 1:
-        raise ValueError("need n >= 0, r >= 1")
+        raise DerangeDomainError("need n >= 0, r >= 1")
     return r ** (n * (n + 1)) * closed_form_classic(n)
 
 
 def closed_form_classic(n: int) -> int:
     """(Pi_{k=1}^n k!)^2, shared by det((i+j)!) and det(D_{i+j})."""
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise DerangeDomainError("n must be >= 0")
     p = 1
     for k in range(1, n + 1):
         p *= factorial(k)
@@ -176,7 +200,7 @@ def verify_hankel(spec: FamilySpec, n: int) -> HankelReport:
     the determinant by every applicable algorithm and compare with the
     paper-supplied closed form."""
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise DerangeDomainError("n must be >= 0")
     f = spec.family
     if f is Family.GENERALIZED:
         closed = closed_form_generalized(n, spec.r, spec.x)
@@ -234,7 +258,7 @@ def verify_derivative_hankel(n: int, r: int, z) -> DerivativeHankelReport:
     the (1-z)^{-rn} being what remains of (e^z/(1-z)^r)^n after the e^{nz}
     cancels against the n stripped entry factors."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise DerangeDomainError("n must be >= 1")
     z = Fraction(z)
     if z == 1:
         raise PoleAtOne("z = 1 is a pole")

@@ -7,9 +7,7 @@ every (permutation, coloring) pair of the r-colored wreath model.
 
 from itertools import permutations, product
 
-
-class SizeTooLarge(ValueError):
-    pass
+from .exact import DerangeDomainError, SizeTooLarge
 
 
 def count_derangements_brute(n: int) -> int:
@@ -32,9 +30,9 @@ def count_cyclic_derangements_brute(n: int, r: int) -> int:
     """Count pairs (sigma, coloring c in {0..r-1}^n) with no index i having
     sigma(i) = i and c_i = 0, by full enumeration."""
     if r < 1:
-        raise ValueError("need r >= 1")
+        raise DerangeDomainError("need r >= 1")
     if n < 0:
-        raise ValueError("need n >= 0")
+        raise DerangeDomainError("need n >= 0")
     total = r ** n
     for i in range(2, n + 1):
         total *= i

@@ -4,18 +4,21 @@ Two families live here: the generalized polynomials (coefficient of x^k is
 C(n,k) * rising(r,k)) and their reflections, the order-r derangement
 polynomials.  The cross-order shift recurrences are exposed as a verifier
 rather than a generator; the fixed-order convolution recurrences generate.
+Evaluation and the convolution recurrences run on integer numerators over
+one common denominator and build a Fraction only for each result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb, lcm
 from typing import List, Sequence
 
-from .exact import binomial, factorial, rising_factorial
+from .exact import DerangeDomainError, factorial
 
 
-class DegreeTooHigh(ValueError):
+class DegreeTooHigh(DerangeDomainError):
     pass
 
 
@@ -57,16 +60,18 @@ def _trim(coeffs):
 def generalized_D_poly(n: int, r: int) -> Polynomial:
     """Explicit formula: sum_k C(n,k) rising(r,k) x^k."""
     if n < 0:
-        raise ValueError("n must be >= 0")
-    return Polynomial(tuple(
-        Fraction(binomial(n, k) * rising_factorial(r, k)) for k in range(n + 1)
-    ))
+        raise DerangeDomainError("n must be >= 0")
+    coeffs, rising = [], 1
+    for k in range(n + 1):
+        coeffs.append(comb(n, k) * rising)
+        rising *= r + k
+    return Polynomial(tuple(coeffs))
 
 
 def order_d_poly(n: int, r: int) -> Polynomial:
     """Explicit formula: sum_k C(n,k) rising(r,k) x^{n-k} (reflection partner)."""
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise DerangeDomainError("n must be >= 0")
     return reflect(generalized_D_poly(n, r), n)
 
 
@@ -78,18 +83,25 @@ def reflect(p: Polynomial, n: int) -> Polynomial:
 
 
 def eval_poly(p: Polynomial, x) -> Fraction:
-    """Horner evaluation, exact."""
+    """Exact Horner evaluation on integers: with x = u/q and the
+    coefficients a_k/L over their common denominator L, p(x) is
+    (sum_k a_k u^k q^{m-k}) / (L q^m) for m = len(coeffs) - 1."""
+    if not p.coeffs:
+        return Fraction(0)
     x = Fraction(x)
-    acc = Fraction(0)
+    u, q = x.numerator, x.denominator
+    den = lcm(*(c.denominator for c in p.coeffs))
+    acc, qpow = 0, 1
     for c in reversed(p.coeffs):
-        acc = acc * x + c
-    return acc
+        acc = acc * u + c.numerator * (den // c.denominator) * qpow
+        qpow *= q
+    return Fraction(acc, den * q ** (len(p.coeffs) - 1))
 
 
 def classic_derangement(n: int) -> int:
     """D_n = n! sum_k (-1)^k / k!, computed as an exact integer."""
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise DerangeDomainError("n must be >= 0")
     total = Fraction(0)
     for k in range(n + 1):
         total += Fraction((-1) ** k, factorial(k))
@@ -101,7 +113,7 @@ def classic_derangement(n: int) -> int:
 def cyclic_derangement(n: int, r: int) -> int:
     """d_{n,r} = (-1)^n * generalized poly of order 1 evaluated at -r."""
     if n < 0 or r < 1:
-        raise ValueError("need n >= 0, r >= 1")
+        raise DerangeDomainError("need n >= 0, r >= 1")
     val = (-1) ** n * eval_poly(generalized_D_poly(n, 1), -r)
     assert val.denominator == 1
     return val.numerator
@@ -109,32 +121,40 @@ def cyclic_derangement(n: int, r: int) -> int:
 
 def generate_D_by_convolution(r: int, x, count: int) -> List[Fraction]:
     """Generalized-polynomial values at x by the fixed-order convolution
-    recurrence: D_{n+1} = D_n + r x sum_k C(n,k) D_k x^{n-k} (n-k)!."""
+    recurrence: D_{n+1} = D_n + r x sum_k C(n,k) D_k x^{n-k} (n-k)!.
+
+    With x = p/q and D_n = N_n / q^n this is, on integers,
+    N_{n+1} = q N_n + r p S_n with S_n = sum_k (n!/k!) p^{n-k} N_k.
+    Each weight n!/k! p^{n-k} gains the factor (n+1) p from n to n+1, so
+    S_{n+1} = (n+1) p S_n + N_{n+1} carries the whole sum forward."""
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise DerangeDomainError("count must be >= 1")
     x = Fraction(x)
-    vals = [Fraction(1)]
-    for n in range(count - 1):
-        conv = sum(
-            binomial(n, k) * vals[k] * x ** (n - k) * factorial(n - k)
-            for k in range(n + 1)
-        )
-        vals.append(vals[n] + r * x * conv)
-    return vals
+    return _convolution(r, x.numerator, x.denominator, x.denominator, count)
 
 
 def generate_d_by_convolution(r: int, x, count: int) -> List[Fraction]:
     """Order-r polynomial values at x by the reflected convolution
-    recurrence: d_{n+1} = x d_n + r sum_k C(n,k) d_k (n-k)!."""
+    recurrence: d_{n+1} = x d_n + r sum_k C(n,k) d_k (n-k)!.
+
+    With x = p/q and d_n = M_n / q^n this is, on integers,
+    M_{n+1} = p M_n + r q S_n with S_n = sum_k (n!/k!) q^{n-k} M_k,
+    the D recurrence with p and q exchanged."""
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise DerangeDomainError("count must be >= 1")
     x = Fraction(x)
-    vals = [Fraction(1)]
-    for n in range(count - 1):
-        conv = sum(
-            binomial(n, k) * vals[k] * factorial(n - k) for k in range(n + 1)
-        )
-        vals.append(x * vals[n] + r * conv)
+    return _convolution(r, x.denominator, x.numerator, x.denominator, count)
+
+
+def _convolution(r: int, a: int, b: int, q: int, count: int) -> List[Fraction]:
+    """Values N_n / q^n of N_{n+1} = b N_n + r a S_n, N_0 = 1, where
+    S_n = sum_k (n!/k!) a^{n-k} N_k."""
+    vals, num, conv, denom = [], 1, 1, 1
+    for n in range(count):
+        vals.append(Fraction(num, denom))
+        num = b * num + r * a * conv
+        conv = (n + 1) * a * conv + num
+        denom *= q
     return vals
 
 

@@ -1,9 +1,10 @@
 """Truncated formal power series over Fraction, and the EGF family table.
 
-Every generating function here has the shape e^{cz} * (1-xz)^{-r}, possibly
-with a z^r prefactor, so series division never appears: the 1/(1-xz)^r
-factor is expanded by its closed binomial form (geom_pow) and everything
-else is Cauchy products.
+Every family's EGF is z^s e^{cz} (1-xz)^{-r} for the (c, x, r, s) that
+`_EGF_SHAPE` gives. It is D-finite (Stanley 1980): b_n = n! [z^n]
+e^{cz}(1-xz)^{-r} obeys b_{n+1} = (c + x(n+r)) b_n - c x n b_{n-1}, b_0 = 1,
+which `egf_values` runs on integers. The Cauchy product of `series_exp` and
+`geom_pow` is the independent cross-check that `verify` and the tests use.
 """
 
 from __future__ import annotations
@@ -13,14 +14,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exact import factorial
+from math import lcm, perm
+
+from .exact import DerangeDomainError
 
 
-class OrderMismatch(ValueError):
+class OrderMismatch(DerangeDomainError):
     """Arithmetic between two series of different truncation order."""
 
 
-class InvalidFamilyParams(ValueError):
+class InvalidFamilyParams(DerangeDomainError):
     """Family parameters outside the family's domain (e.g. r=0 r-derangement)."""
 
 
@@ -33,7 +36,7 @@ class TruncatedSeries:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
         if not self.coeffs:
-            raise ValueError("series needs at least the constant coefficient")
+            raise DerangeDomainError("series needs at least the constant coefficient")
 
     @property
     def order(self) -> int:
@@ -60,7 +63,7 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 def series_exp(c, order: int) -> TruncatedSeries:
     """e^{cz} truncated: coeffs[n] = c^n / n!."""
     if order < 0:
-        raise ValueError("order must be >= 0")
+        raise DerangeDomainError("order must be >= 0")
     c = Fraction(c)
     coeffs = [Fraction(1)]
     for n in range(1, order + 1):
@@ -71,9 +74,9 @@ def series_exp(c, order: int) -> TruncatedSeries:
 def geom_pow(x, r: int, order: int) -> TruncatedSeries:
     """1/(1-xz)^r by the binomial expansion: coeffs[k] = r^(rising k) x^k / k!."""
     if order < 0:
-        raise ValueError("order must be >= 0")
+        raise DerangeDomainError("order must be >= 0")
     if r < 0:
-        raise ValueError("r must be >= 0")
+        raise DerangeDomainError("r must be >= 0")
     x = Fraction(x)
     coeffs = [Fraction(1)]
     for k in range(1, order + 1):
@@ -122,39 +125,35 @@ class FamilySpec:
             raise InvalidFamilyParams(f"{self.family.value} takes no x")
 
 
-def _family_series(spec: FamilySpec, order: int) -> TruncatedSeries:
-    """The family's EGF, truncated; z^r prefactors handled by the caller."""
-    f, r, x = spec.family, spec.r, spec.x
-    if f is Family.CLASSIC:
-        return series_mul(series_exp(-1, order), geom_pow(1, 1, order))
-    if f is Family.ORDER_R_NUMBERS:
-        return series_mul(series_exp(-1, order), geom_pow(1, r, order))
-    if f is Family.R_DERANGEMENT_NUMBERS:
-        return series_mul(series_exp(-1, order), geom_pow(1, r + 1, order))
-    if f is Family.R_DERANGEMENT_POLY:
-        return series_mul(series_exp(x, order), geom_pow(1, r + 1, order))
-    if f is Family.ORDER_R_POLY:
-        return series_mul(series_exp(x, order), geom_pow(1, r, order))
-    if f is Family.CYCLIC:
-        return series_mul(series_exp(-1, order), geom_pow(r, 1, order))
-    if f is Family.GENERALIZED:
-        return series_mul(series_exp(1, order), geom_pow(x, r, order))
-    raise InvalidFamilyParams(f"unknown family {f!r}")
+# family -> (r, x) -> (c, x, r, s) of its EGF z^s e^{cz} (1-xz)^{-r}
+_EGF_SHAPE = {
+    Family.CLASSIC: lambda r, x: (-1, 1, 1, 0),
+    Family.ORDER_R_NUMBERS: lambda r, x: (-1, 1, r, 0),
+    Family.R_DERANGEMENT_NUMBERS: lambda r, x: (-1, 1, r + 1, r),
+    Family.R_DERANGEMENT_POLY: lambda r, x: (x, 1, r + 1, r),
+    Family.ORDER_R_POLY: lambda r, x: (x, 1, r, 0),
+    Family.CYCLIC: lambda r, x: (-1, r, 1, 0),
+    Family.GENERALIZED: lambda r, x: (1, x, r, 0),
+}
 
 
 def egf_values(spec: FamilySpec, count: int) -> list:
     """First `count` values a_n = n! [z^n] F(z) of the family's EGF.
 
-    For the r-derangement families the z^r prefactor becomes an index
-    shift, so a_0 .. a_{r-1} are zero.
+    b_n is homogeneous of degree n in (c, x), so with c = c'/d, x = x'/d
+    the numerators B_n = d^n b_n obey the recurrence in the integers c', x'.
+    The z^s prefactor makes a_n = n!/(n-s)! b_{n-s}, and zero for n < s.
     """
     if count < 1:
-        raise ValueError("count must be >= 1")
-    order = count - 1
-    base = _family_series(spec, order)
-    shift = spec.r if spec.family in _R_DERANGEMENT else 0
-    out = []
-    for n in range(count):
-        coeff = base[n - shift] if n >= shift else Fraction(0)
-        out.append(factorial(n) * coeff)
+        raise DerangeDomainError("count must be >= 1")
+    c, x, r, shift = _EGF_SHAPE[spec.family](spec.r, spec.x)
+    c, x = Fraction(c), Fraction(x)
+    d = lcm(c.denominator, x.denominator)
+    c, x = c.numerator * (d // c.denominator), x.numerator * (d // x.denominator)
+    out = [Fraction(0)] * min(shift, count)
+    prev, cur, denom = 0, 1, 1
+    for m in range(count - shift):
+        out.append(Fraction(perm(m + shift, shift) * cur, denom))
+        prev, cur = cur, (c + x * (m + r)) * cur - c * x * m * prev
+        denom *= d
     return out

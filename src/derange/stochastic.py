@@ -14,13 +14,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import binomial, rising_factorial
+from .exact import DerangeDomainError, binomial, rising_factorial
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 
-class OutOfDomain(ValueError):
+class OutOfDomain(DerangeDomainError):
     pass
 
 
@@ -33,7 +33,7 @@ class GammaParams:
 
     def __post_init__(self):
         if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("gamma parameters must be positive")
+            raise DerangeDomainError("gamma parameters must be positive")
 
 
 @dataclass(frozen=True)
@@ -47,14 +47,14 @@ class MomentEstimate:
 def erlang_moment_exact(r: int, k: int) -> int:
     """E[(X_1 + ... + X_r)^k] for iid Exp(1): the rising factorial r^(k)."""
     if r < 1 or k < 0:
-        raise ValueError("need r >= 1, k >= 0")
+        raise DerangeDomainError("need r >= 1, k >= 0")
     return rising_factorial(r, k)
 
 
 def mgf_erlang(r: int, t) -> Fraction:
     """Moment generating function 1/(1-t)^r, exact; domain t < 1."""
     if r < 1:
-        raise ValueError("need r >= 1")
+        raise DerangeDomainError("need r >= 1")
     t = Fraction(t)
     if t >= 1:
         raise OutOfDomain(f"mgf diverges for t >= 1, got {t}")
@@ -106,7 +106,7 @@ def _uniforms(seed: int, count: int, offset: int = 0) -> np.ndarray:
 def sample_erlang(r: int, rng: SplitMix64) -> float:
     """One Erlang(r) draw: sum of r inverse-CDF exponentials -ln(1-U)."""
     if r < 1:
-        raise ValueError("need r >= 1")
+        raise DerangeDomainError("need r >= 1")
     return sum(-math.log1p(-rng.next_float()) for _ in range(r))
 
 
@@ -118,9 +118,9 @@ def _erlang_samples(r: int, samples: int, seed: int) -> np.ndarray:
 def mc_moment(r: int, k: int, samples: int, seed: int) -> MomentEstimate:
     """Sample mean and standard error of Y_r^k."""
     if samples < 2:
-        raise ValueError("need samples >= 2")
+        raise DerangeDomainError("need samples >= 2")
     if k < 0 or k > 8:
-        raise ValueError("k capped at 8 (moment variance blow-up)")
+        raise DerangeDomainError("k capped at 8 (moment variance blow-up)")
     if k == 0:
         return MomentEstimate(1.0, 0.0, samples, seed)
     vals = _erlang_samples(r, samples, seed) ** k
@@ -136,9 +136,9 @@ def mc_generalized_D(n: int, r: int, x, samples: int, seed: int) -> MomentEstima
     """Plug-in estimator of sum_k C(n,k) x^k E[Y_r^k] from one shared sample
     set, with the standard error of the per-draw statistic."""
     if samples < 2:
-        raise ValueError("need samples >= 2")
+        raise DerangeDomainError("need samples >= 2")
     if n < 0 or n > 8:
-        raise ValueError("n capped at 8")
+        raise DerangeDomainError("n capped at 8")
     if n == 0:
         return MomentEstimate(1.0, 0.0, samples, seed)
     xf = float(Fraction(x))

@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from . import exact, hankel, oracle, polys, series
+from .exact import DerangeDomainError
 from .series import Family, FamilySpec
 
 DEFAULT_POINTS = (Fraction(1), Fraction(-1), Fraction(2),
@@ -27,6 +28,12 @@ class Grid:
     points: tuple = DEFAULT_POINTS
     deriv_z: tuple = (Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(2))
     series_order: int = 20
+
+    def __post_init__(self):
+        if min(self.n_max, self.r_max, self.series_order) < 0:
+            raise DerangeDomainError("grid needs n_max, r_max, series_order >= 0")
+        if not self.points or not self.deriv_z:
+            raise DerangeDomainError("grid needs at least one x and one z point")
 
 
 @dataclass
@@ -193,10 +200,11 @@ SUITES = {
 
 
 def run_suite(name: str, grid: Optional[Grid] = None) -> List[Cell]:
+    """Cells of one suite, or of every suite for "all"; a run that checks
+    nothing on the grid is an error, not a pass."""
     grid = grid or Grid()
-    if name == "all":
-        cells = []
-        for fn in SUITES.values():
-            cells.extend(fn(grid))
-        return cells
-    return SUITES[name](grid)
+    fns = SUITES.values() if name == "all" else [SUITES[name]]
+    cells = [cell for fn in fns for cell in fn(grid)]
+    if not cells:
+        raise DerangeDomainError(f"suite {name} has no cells on this grid")
+    return cells

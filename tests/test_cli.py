@@ -67,6 +67,30 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
 
 
+DOMAIN_ERRORS = [
+    ({}, ["seq", "--family", "classic", "--count", "0"]),
+    ({}, ["poly", "--which", "D", "--n", "-1", "--r", "2"]),
+    ({}, ["hankel", "--family", "r-derangement", "--r", "2", "--n", "2"]),
+    ({}, ["mc", "--r", "0", "--k", "2", "--samples", "100"]),
+    ({}, ["mc", "--r", "2", "--k", "2", "--samples", "1"]),
+    ({}, ["verify", "--suite", "derivative-hankel", "--z", "1"]),
+    ({"DERANGE_SEED": "abc"}, ["mc", "--r", "2", "--k", "2", "--samples", "100"]),
+    ({}, ["verify", "--suite", "hankel", "--r", "-1"]),
+]
+
+
+@pytest.mark.parametrize("env,argv", DOMAIN_ERRORS,
+                         ids=[" ".join(a) for _, a in DOMAIN_ERRORS])
+def test_domain_error_exits_2(capsys, monkeypatch, env, argv):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_verify_suite_exit_code(capsys):
     code, out = run(capsys, "verify", "--suite", "reflection", "--nmax", "4")
     assert code == 0

@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from derange.exact import factorial
 from derange.hankel import (
@@ -93,6 +93,49 @@ class TestDeterminantAlgorithms:
             assert det_condensation(m) == ref
         except DegenerateInterior:
             pass  # legitimate signal, Bareiss already cross-checked
+
+
+@st.composite
+def _sparse_matrix(draw):
+    """Square rational matrices up to 6x6 with many zero entries, and
+    sometimes an all-zero column, so that zero interior minors are common."""
+    size = draw(st.integers(1, 6))
+    entry = (st.sampled_from([F(0), F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 5)])
+             | st.fractions(min_value=-5, max_value=5, max_denominator=7))
+    rows = [[draw(entry) for _ in range(size)] for _ in range(size)]
+    zero_col = draw(st.none() | st.integers(0, size - 1))
+    if zero_col is not None:
+        for row in rows:
+            row[zero_col] = F(0)
+    return rows
+
+
+def _has_zero_interior_minor(m):
+    """Whether a connected minor of m without its border rows and columns
+    vanishes: those minors are exactly the divisors of condensation."""
+    inner = [row[1:-1] for row in m[1:-1]]
+    k = len(inner)
+    return any(det_cofactor([row[j:j + s] for row in inner[i:i + s]]) == 0
+               for s in range(1, k + 1)
+               for i in range(k - s + 1) for j in range(k - s + 1))
+
+
+@given(_sparse_matrix())
+@example([[F(1), F(0), F(2)], [F(3), F(0), F(1, 2)], [F(5), F(0), F(7)]])
+@example([[F(1), F(2), F(3)], [F(4), F(5), F(6)], [F(7), F(8), F(9)]])
+@example([[F(2), F(1), F(0), F(1)], [F(1), F(1), F(1), F(0)],
+          [F(0), F(1), F(1), F(1)], [F(1), F(0), F(1), F(3)]])
+@settings(max_examples=150, deadline=None)
+def test_integer_kernels_match_fraction_reference(m):
+    ref = det_cofactor(m)
+    bareiss = det_bareiss(m)
+    assert isinstance(bareiss, F) and bareiss == ref
+    if _has_zero_interior_minor(m):
+        with pytest.raises(DegenerateInterior):
+            det_condensation(m)
+    else:
+        cond = det_condensation(m)
+        assert isinstance(cond, F) and cond == ref
 
 
 class TestClosedForms:

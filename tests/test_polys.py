@@ -1,7 +1,8 @@
 from fractions import Fraction as F
+from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from derange.polys import (
     DegreeTooHigh,
@@ -18,6 +19,15 @@ from derange.polys import (
 )
 
 XS = [F(-1), F(1), F(2), F(1, 2), F(-3, 5)]
+
+
+def _explicit(n, r, x, reflected=False):
+    """sum_k C(n,k) rising(r,k) x^k (x^{n-k} when reflected), in Fractions."""
+    total, rising = F(0), 1
+    for k in range(n + 1):
+        total += comb(n, k) * rising * x ** (n - k if reflected else k)
+        rising *= r + k
+    return total
 
 
 class TestExplicitFormulas:
@@ -77,6 +87,18 @@ class TestEval:
     def test_at_zero(self):
         assert eval_poly(Polynomial((F(7, 3), 5, 9)), 0) == F(7, 3)
 
+    def test_empty_polynomial_is_zero(self):
+        assert eval_poly(Polynomial(()), F(5, 3)) == 0
+        assert eval_poly(Polynomial(()), 0) == 0
+
+    @given(st.lists(st.fractions(max_denominator=12), max_size=9),
+           st.fractions(max_denominator=12))
+    @example([F(1, 2), F(-2, 3), F(5, 7)], F(-3, 4))
+    @example([F(1, 3), 0, 0], F(2, 5))
+    def test_rational_coefficients(self, coeffs, x):
+        expected = sum((c * x ** k for k, c in enumerate(coeffs)), F(0))
+        assert eval_poly(Polynomial(tuple(coeffs)), x) == expected
+
 
 class TestNumberSequences:
     def test_classic_values(self):
@@ -112,13 +134,15 @@ class TestConvolutionGenerators:
         assert generate_d_by_convolution(2, -1, 4) == [1, 1, 3, 11]
 
     def test_matches_explicit_formula(self):
-        for r in range(4):
+        for r in range(5):
             for x in XS:
-                conv_D = generate_D_by_convolution(r, x, 15)
-                conv_d = generate_d_by_convolution(r, x, 15)
-                for n in range(15):
-                    assert conv_D[n] == eval_poly(generalized_D_poly(n, r), x)
-                    assert conv_d[n] == eval_poly(order_d_poly(n, r), x)
+                conv_D = generate_D_by_convolution(r, x, 60)
+                conv_d = generate_d_by_convolution(r, x, 60)
+                for n in range(60):
+                    want_D = _explicit(n, r, x)
+                    want_d = _explicit(n, r, x, reflected=True)
+                    assert conv_D[n] == want_D == eval_poly(generalized_D_poly(n, r), x)
+                    assert conv_d[n] == want_d == eval_poly(order_d_poly(n, r), x)
 
     def test_d_convolution_holds_at_x_zero(self):
         # the reflected recurrence has no stated x != 0 restriction; it does

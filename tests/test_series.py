@@ -98,6 +98,48 @@ class TestEgfValues:
 XS = [F(-1), F(1), F(2), F(1, 2), F(-3, 5)]
 
 
+def _cauchy_egf(spec, count):
+    """n! [z^n] of the family's EGF z^s e^{cz} (1-xz)^{-r} as a Cauchy
+    product of series_exp and geom_pow, the shift s applied by hand."""
+    f, r, x = spec.family, spec.r or 0, spec.x
+    c, base, power, shift = {
+        Family.CLASSIC: (-1, 1, 1, 0),
+        Family.ORDER_R_NUMBERS: (-1, 1, r, 0),
+        Family.R_DERANGEMENT_NUMBERS: (-1, 1, r + 1, r),
+        Family.R_DERANGEMENT_POLY: (x, 1, r + 1, r),
+        Family.ORDER_R_POLY: (x, 1, r, 0),
+        Family.CYCLIC: (-1, r, 1, 0),
+        Family.GENERALIZED: (1, x, r, 0),
+    }[f]
+    order = count - 1
+    prod = series_mul(series_exp(c, order), geom_pow(base, power, order))
+    return [factorial(n) * prod[n - shift] if n >= shift else 0
+            for n in range(count)]
+
+
+def _all_specs():
+    yield FamilySpec(Family.CLASSIC)
+    for r in range(5):
+        yield FamilySpec(Family.ORDER_R_NUMBERS, r)
+        for x in (F(-3, 5), F(1, 2), F(2)):
+            yield FamilySpec(Family.ORDER_R_POLY, r, x)
+            yield FamilySpec(Family.GENERALIZED, r, x)
+        if r >= 1:
+            yield FamilySpec(Family.R_DERANGEMENT_NUMBERS, r)
+            yield FamilySpec(Family.CYCLIC, r)
+            for x in (F(-3, 5), F(1, 2), F(2)):
+                yield FamilySpec(Family.R_DERANGEMENT_POLY, r, x)
+
+
+@pytest.mark.parametrize("spec", list(_all_specs()),
+                         ids=lambda s: f"{s.family.value}-r{s.r}-x{s.x}")
+def test_recurrence_matches_cauchy_product(spec):
+    ref = _cauchy_egf(spec, 60)
+    assert egf_values(spec, 60) == ref
+    for count in (1, 2, 3, 5):
+        assert egf_values(spec, count) == ref[:count]
+
+
 def test_reflection_through_egf():
     # d_n^{(r)}(x) = x^n * D_n^{(r)}(1/x) at the value level
     for r in range(4):
