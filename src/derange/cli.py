@@ -53,8 +53,12 @@ def _make_spec(args) -> FamilySpec:
 
 def _emit(args, text: str) -> None:
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DerangeDomainError(
+                f"cannot write {args.output!r}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -1,14 +1,17 @@
+import functools
+import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from derange.exact import binomial
 from derange.polys import eval_poly, generalized_D_poly
 from derange.stochastic import (
-    GammaParams,
+    _CHUNK,
     OutOfDomain,
     SplitMix64,
-    _erlang_samples,
+    _erlang_blocks,
     _uniforms,
     erlang_moment_exact,
     mc_generalized_D,
@@ -18,14 +21,6 @@ from derange.stochastic import (
 )
 
 SMALL = 20_000  # enough for a 6-sigma sanity check without slowing the suite
-
-
-def test_gamma_params_validation():
-    GammaParams(F(1), F(1))
-    with pytest.raises(ValueError):
-        GammaParams(F(0), F(1))
-    with pytest.raises(ValueError):
-        GammaParams(F(1), F(-2))
 
 
 def test_erlang_moment_exact():
@@ -67,11 +62,54 @@ class TestSplitMix64:
         assert list(_uniforms(7, 40, offset=60)) == list(full[60:])
 
 
+# sample counts on both sides of each block boundary
+BOUNDARY_SAMPLES = [2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3]
+BOUNDARY_R, BOUNDARY_SEED = 3, 42
+
+
+@functools.cache
+def sequential_draws(samples):
+    rng = SplitMix64(BOUNDARY_SEED)
+    return [sample_erlang(BOUNDARY_R, rng) for _ in range(samples)]
+
+
 def test_sample_erlang_matches_vectorized_stream():
-    rng = SplitMix64(42)
-    draws = [sample_erlang(3, rng) for _ in range(50)]
-    vec = _erlang_samples(3, 50, 42)
-    assert np.allclose(draws, vec, rtol=0, atol=1e-12)
+    for samples in BOUNDARY_SAMPLES:
+        blocks = list(_erlang_blocks(BOUNDARY_R, samples, BOUNDARY_SEED))
+        assert [b.size for b in blocks[:-1]] == [_CHUNK] * (len(blocks) - 1)
+        vec = np.concatenate(blocks)
+        assert np.allclose(sequential_draws(samples), vec, rtol=0, atol=1e-12)
+
+
+def two_pass(values):
+    """math.fsum mean and standard error, the reference for the merge."""
+    n = len(values)
+    mean = math.fsum(values) / n
+    m2 = math.fsum((v - mean) ** 2 for v in values)
+    return mean, math.sqrt(m2 / (n - 1) / n)
+
+
+@pytest.mark.parametrize("samples", BOUNDARY_SAMPLES)
+def test_mc_moment_matches_two_pass_reference(samples):
+    k = 4
+    est = mc_moment(BOUNDARY_R, k, samples, BOUNDARY_SEED)
+    mean, stderr = two_pass([y ** k for y in sequential_draws(samples)])
+    assert est.mean == pytest.approx(mean, rel=1e-12, abs=0)
+    assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=0)
+    assert est == mc_moment(BOUNDARY_R, k, samples, BOUNDARY_SEED)
+
+
+@pytest.mark.parametrize("samples", BOUNDARY_SAMPLES)
+def test_mc_generalized_D_matches_two_pass_reference(samples):
+    n, x = 5, F(1, 2)
+    est = mc_generalized_D(n, BOUNDARY_R, x, samples, BOUNDARY_SEED)
+    coeffs = [float(binomial(n, k) * x ** k) for k in range(n + 1)]
+    stat = [math.fsum(c * y ** k for k, c in enumerate(coeffs))
+            for y in sequential_draws(samples)]
+    mean, stderr = two_pass(stat)
+    assert est.mean == pytest.approx(mean, rel=1e-12, abs=0)
+    assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=0)
+    assert est == mc_generalized_D(n, BOUNDARY_R, x, samples, BOUNDARY_SEED)
 
 
 def test_sample_erlang_mean():
