@@ -44,11 +44,8 @@ def _default_seed() -> int:
 
 def _make_spec(args) -> FamilySpec:
     family = FAMILY_NAMES[args.family]
-    x = getattr(args, "x", None)
-    if x is None:
-        x = getattr(args, "z", None)
     r = args.r if family is not Family.CLASSIC else None
-    return FamilySpec(family, r, x)
+    return FamilySpec(family, r, args.x)
 
 
 def _emit(args, text: str) -> None:
@@ -157,13 +154,9 @@ def cmd_poly(args) -> int:
 def cmd_hankel(args) -> int:
     spec = _make_spec(args)
     rep = verify_hankel(spec, args.n)
-    cond = "degenerate" if rep.det_condensation is None else str(rep.det_condensation)
-    cof = "n/a" if rep.det_cofactor is None else str(rep.det_cofactor)
     cell = verify.Cell(
         params={"family": args.family, "n": str(args.n),
-                **({"r": str(spec.r)} if spec.r is not None else {}),
-                **({"z": str(spec.x)} if spec.x is not None else {}),
-                "condensation": cond, "cofactor": cof},
+                **verify.spec_params(spec), **rep.shown_dets()},
         expected=str(rep.closed_form), actual=str(rep.det_bareiss),
         verdict=rep.verdict)
     report = _build_report("hankel", [cell])
@@ -248,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hankel", help="verify one Hankel closed form")
     p.add_argument("--family", choices=sorted(FAMILY_NAMES), required=True)
     p.add_argument("--r", type=int, default=None)
-    p.add_argument("--x", "--z", dest="z", type=_fraction, default=None)
+    p.add_argument("--x", "--z", dest="x", type=_fraction, default=None)
     p.add_argument("--n", type=int, required=True)
     common(p)
     p.set_defaults(fn=cmd_hankel)

@@ -1,14 +1,22 @@
-"""Hankel matrices, three exact determinant algorithms, and the closed forms.
+"""Hankel matrices, four exact determinant algorithms, and the closed forms.
 
-Bareiss is the authority (fraction-free, always defined); Dodgson
-condensation mirrors the Sylvester contraction used in the inductive
-determinant proofs and bails out with DegenerateInterior when a divisor
-minor vanishes; Laplace cofactor expansion is the small-size oracle.
+Bareiss is the authority (fraction-free, always defined). The J-fraction
+route is the independent determinant at every size: the Chebyshev
+algorithm (Gautschi 2004) turns the 2n+1 moments into the Jacobi
+continued-fraction coefficients (b_k, lambda_k) in O(n^2) operations, and
+the determinant is the product of the orthogonal polynomials' norms,
+mu_0^{n+1} Pi lambda_k^{n+1-k} (Flajolet 1980). Dodgson condensation
+(which mirrors the Sylvester contraction of the inductive determinant
+proofs and raises DegenerateInterior when a divisor minor vanishes) and
+Laplace cofactor expansion are small-size oracles, run on matrices up to
+ORACLE_CAP x ORACLE_CAP.
 
 Bareiss and condensation both run on integers: `_integer_rows` clears the
 denominators of each row and then divides out the gcd of each column,
 leaving an integer matrix and the rational factor its determinant is
 scaled by. Every division either elimination makes is then exact.
+Cofactor expansion clears one common denominator of its own and expands
+on integers; the J-fraction route works in Fraction.
 """
 
 from __future__ import annotations
@@ -16,11 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exact import DerangeDomainError, SizeTooLarge, factorial, rising_factorial
 from .polys import eval_poly, generalized_D_poly
-from .series import Family, FamilySpec, egf_values
+from .series import Family, FamilySpec, egf_shape, egf_values
+
+# Largest matrix size the cofactor and condensation oracles run on in
+# verify_hankel; cofactor refuses anything larger.
+ORACLE_CAP = 6
 
 
 class InsufficientTerms(DerangeDomainError):
@@ -124,15 +136,18 @@ def det_condensation(m: Matrix) -> Fraction:
 
 
 def det_cofactor(m: Matrix) -> Fraction:
-    """Laplace expansion along the first row; capped at 6x6."""
+    """Laplace expansion along the first row, on the integer matrix d * m
+    for the lcm d of all denominators; capped at ORACLE_CAP."""
     size = len(m)
-    if size > 6:
-        raise SizeTooLarge(f"cofactor oracle capped at 6, got {size}")
+    if size > ORACLE_CAP:
+        raise SizeTooLarge(f"cofactor oracle capped at {ORACLE_CAP}, got {size}")
+    rows = [[Fraction(v) for v in row] for row in m]
+    d = lcm(*(v.denominator for row in rows for v in row))
 
     def rec(rows):
         if len(rows) == 1:
             return rows[0][0]
-        total = Fraction(0)
+        total = 0
         for j, head in enumerate(rows[0]):
             if head == 0:
                 continue
@@ -140,7 +155,48 @@ def det_cofactor(m: Matrix) -> Fraction:
             total += (-1) ** j * head * rec(sub)
         return total
 
-    return rec([[Fraction(v) for v in row] for row in m])
+    ints = [[v.numerator * (d // v.denominator) for v in row] for row in rows]
+    return Fraction(rec(ints), d ** size)
+
+
+class JFraction(NamedTuple):
+    det: Optional[Fraction]    # None when a leading minor before the last is 0
+    b: Tuple[Fraction, ...]    # b_0, b_1, ...
+    lam: Tuple[Fraction, ...]  # lambda_1, lambda_2, ...
+
+
+def det_jfraction(seq: Sequence, n: int) -> JFraction:
+    """Determinant of the order-(n+1) Hankel matrix of seq[0..2n] by the
+    Chebyshev algorithm, with the J-fraction coefficients it passes through.
+
+    sigma[k][l] = L(pi_k x^l) for the monic orthogonal polynomials pi_k of
+    the moment functional L(x^l) = seq[l] obeys
+    sigma[k][l] = sigma[k-1][l+1] - b_{k-1} sigma[k-1][l]
+                  - lambda_{k-1} sigma[k-2][l],
+    with b_k = sigma[k][k+1]/sigma[k][k] - sigma[k-1][k]/sigma[k-1][k-1]
+    and lambda_k = sigma[k][k]/sigma[k-1][k-1]. sigma[k][k] = H_{k+1}/H_k
+    for the leading minors H, so the determinant is Pi_{k<=n} sigma[k][k].
+    A zero sigma[k][k] with k < n stops the recursion: det is None and the
+    coefficients end at that lambda_k = 0 (b_0..b_{k-1})."""
+    if len(seq) < 2 * n + 1:
+        raise InsufficientTerms(f"need {2 * n + 1} terms, got {len(seq)}")
+    # row k holds sigma[k][k+j], j = 0..2(n-k); row -1 is the unit functional
+    old = [Fraction(1)] + [Fraction(0)] * (2 * n + 2)
+    cur = [Fraction(v) for v in seq[:2 * n + 1]]
+    det, b, lam = cur[0], [], []
+    for k in range(1, n + 1):
+        norm = cur[0]
+        if norm == 0:
+            return JFraction(None, tuple(b), tuple(lam))
+        alpha = cur[1] / norm - old[1] / old[0]
+        beta = norm / old[0]
+        new = [cur[j + 2] - alpha * cur[j + 1] - beta * old[j + 2]
+               for j in range(2 * (n - k) + 1)]
+        b.append(alpha)
+        lam.append(new[0] / norm)
+        det *= new[0]
+        old, cur = cur, new
+    return JFraction(det, tuple(b), tuple(lam))
 
 
 def _product_term(n: int, r: int) -> int:
@@ -184,45 +240,85 @@ def closed_form_classic(n: int) -> int:
     return p * p
 
 
+# family -> (n, spec) -> the paper's Hankel determinant of order n+1
+_CLOSED_FORMS = {
+    Family.GENERALIZED: lambda n, s: closed_form_generalized(n, s.r, s.x),
+    Family.ORDER_R_POLY: lambda n, s: Fraction(closed_form_order_d(n, s.r)),
+    Family.CYCLIC: lambda n, s: Fraction(closed_form_cyclic(n, s.r)),
+    Family.CLASSIC: lambda n, s: Fraction(closed_form_classic(n)),
+}
+
+
+def _closed_form(spec: FamilySpec, n: int) -> Fraction:
+    if spec.family not in _CLOSED_FORMS:
+        raise NoClosedForm(f"no Hankel closed form for family {spec.family.value}")
+    return _CLOSED_FORMS[spec.family](n, spec)
+
+
+def jfraction_closed_form(spec: FamilySpec, n: int) -> Tuple[tuple, tuple]:
+    """b_0..b_{n-1} and lambda_1..lambda_n of a family with a Hankel closed
+    form, read from its EGF shape e^{cz}(1-xz)^{-r}: b_k = c + x(2k + r),
+    lambda_k = x^2 k (k + r - 1). The lambdas stop at the first zero, where
+    the fraction ends, and the b's one index earlier."""
+    if spec.family not in _CLOSED_FORMS:
+        raise NoClosedForm(f"no Hankel closed form for family {spec.family.value}")
+    c, x, r, _ = egf_shape(spec)
+    lam = []
+    for k in range(1, n + 1):
+        lam.append(x * x * k * (k + r - 1))
+        if lam[-1] == 0:
+            break
+    b = tuple(c + x * (2 * k + r) for k in range(len(lam)))
+    return b, tuple(lam)
+
+
 @dataclass
 class HankelReport:
     spec: FamilySpec
     n: int
     det_bareiss: Fraction
-    det_condensation: Optional[Fraction]  # None when condensation degenerated
-    det_cofactor: Optional[Fraction]      # None for matrices larger than 6x6
+    det_jfraction: Optional[Fraction]     # None when a leading minor vanished
+    # the oracles: None above ORACLE_CAP, and condensation also when it
+    # degenerated
+    det_condensation: Optional[Fraction]
+    det_cofactor: Optional[Fraction]
     closed_form: Fraction
     verdict: str  # "pass" | "fail"
+
+    def shown_dets(self) -> Dict[str, str]:
+        """The determinants beside Bareiss as text: the value, "degenerate"
+        when the algorithm ran and degenerated, "n/a" when it did not run."""
+        oracles = self.n + 1 <= ORACLE_CAP
+        dets = (("jfraction", self.det_jfraction, True),
+                ("condensation", self.det_condensation, oracles),
+                ("cofactor", self.det_cofactor, oracles))
+        return {name: "n/a" if not ran else
+                "degenerate" if det is None else str(det)
+                for name, det, ran in dets}
 
 
 def verify_hankel(spec: FamilySpec, n: int) -> HankelReport:
     """Build the order-(n+1) Hankel matrix of the family's values, evaluate
-    the determinant by every applicable algorithm and compare with the
-    paper-supplied closed form."""
+    the determinant by Bareiss, by the J-fraction route and, up to
+    ORACLE_CAP, by condensation and cofactor expansion, and compare every
+    value with the paper-supplied closed form."""
     if n < 0:
         raise DerangeDomainError("n must be >= 0")
-    f = spec.family
-    if f is Family.GENERALIZED:
-        closed = closed_form_generalized(n, spec.r, spec.x)
-    elif f is Family.ORDER_R_POLY:
-        closed = Fraction(closed_form_order_d(n, spec.r))
-    elif f is Family.CYCLIC:
-        closed = Fraction(closed_form_cyclic(n, spec.r))
-    elif f is Family.CLASSIC:
-        closed = Fraction(closed_form_classic(n))
-    else:
-        raise NoClosedForm(f"no Hankel closed form for family {f.value}")
+    closed = _closed_form(spec, n)
     seq = egf_values(spec, 2 * n + 1)
     m = hankel_matrix(seq, n)
     db = det_bareiss(m)
-    try:
-        dc = det_condensation(m)
-    except DegenerateInterior:
-        dc = None
-    dk = det_cofactor(m) if len(m) <= 6 else None
-    values = [v for v in (db, dc, dk) if v is not None]
+    dj = det_jfraction(seq, n).det
+    dc = dk = None
+    if n + 1 <= ORACLE_CAP:
+        dk = det_cofactor(m)
+        try:
+            dc = det_condensation(m)
+        except DegenerateInterior:
+            pass
+    values = [v for v in (db, dj, dc, dk) if v is not None]
     verdict = "pass" if all(v == closed for v in values) else "fail"
-    return HankelReport(spec, n, db, dc, dk, closed, verdict)
+    return HankelReport(spec, n, db, dj, dc, dk, closed, verdict)
 
 
 def factorial_hankel_det(n: int) -> Fraction:

@@ -24,12 +24,14 @@ class DegreeTooHigh(DerangeDomainError):
 
 @dataclass(frozen=True)
 class Polynomial:
-    """coeffs[k] = coefficient of x^k; trailing zeros are ignored by ==."""
+    """coeffs[k] = coefficient of x^k; trailing zeros are ignored by ==.
+    Integer coefficients stay int; every other one becomes a Fraction."""
 
     coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(
+            c if type(c) is int else Fraction(c) for c in self.coeffs))
 
     @property
     def degree(self) -> int:
@@ -46,8 +48,8 @@ class Polynomial:
     def __hash__(self):
         return hash(_trim(self.coeffs))
 
-    def __getitem__(self, k: int) -> Fraction:
-        return self.coeffs[k] if k < len(self.coeffs) else Fraction(0)
+    def __getitem__(self, k: int) -> int | Fraction:
+        return self.coeffs[k] if k < len(self.coeffs) else 0
 
 
 def _trim(coeffs):

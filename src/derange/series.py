@@ -137,6 +137,13 @@ _EGF_SHAPE = {
 }
 
 
+def egf_shape(spec: FamilySpec) -> tuple:
+    """(c, x, r, s) of the family's EGF z^s e^{cz} (1-xz)^{-r}, with c and x
+    as Fractions."""
+    c, x, r, shift = _EGF_SHAPE[spec.family](spec.r, spec.x)
+    return Fraction(c), Fraction(x), r, shift
+
+
 def egf_values(spec: FamilySpec, count: int) -> list:
     """First `count` values a_n = n! [z^n] F(z) of the family's EGF.
 
@@ -146,8 +153,7 @@ def egf_values(spec: FamilySpec, count: int) -> list:
     """
     if count < 1:
         raise DerangeDomainError("count must be >= 1")
-    c, x, r, shift = _EGF_SHAPE[spec.family](spec.r, spec.x)
-    c, x = Fraction(c), Fraction(x)
+    c, x, r, shift = egf_shape(spec)
     d = lcm(c.denominator, x.denominator)
     c, x = c.numerator * (d // c.denominator), x.numerator * (d // x.denominator)
     out = [Fraction(0)] * min(shift, count)

@@ -150,6 +150,8 @@ def mc_moment(r: int, k: int, samples: int, seed: int) -> MomentEstimate:
     """Sample mean and standard error of Y_r^k."""
     if samples < 2:
         raise DerangeDomainError("need samples >= 2")
+    if r < 1:
+        raise DerangeDomainError("need r >= 1")
     if k < 0 or k > 8:
         raise DerangeDomainError("k capped at 8 (moment variance blow-up)")
     if k == 0:
@@ -162,6 +164,8 @@ def mc_generalized_D(n: int, r: int, x, samples: int, seed: int) -> MomentEstima
     set, with the standard error of the per-draw statistic."""
     if samples < 2:
         raise DerangeDomainError("need samples >= 2")
+    if r < 1:
+        raise DerangeDomainError("need r >= 1")
     if n < 0 or n > 8:
         raise DerangeDomainError("n capped at 8")
     if n == 0:

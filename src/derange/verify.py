@@ -104,37 +104,65 @@ def suite_reflection(grid: Grid) -> List[Cell]:
     return cells
 
 
+def spec_params(spec: FamilySpec) -> Dict[str, str]:
+    """The r and x of a family spec, as report parameters, when it has them."""
+    return {k: str(v) for k, v in (("r", spec.r), ("x", spec.x)) if v is not None}
+
+
 def _hankel_cell(spec: FamilySpec, n: int) -> Cell:
     rep = hankel.verify_hankel(spec, n)
-    params = {"family": spec.family.value, "n": n}
-    if spec.r is not None:
-        params["r"] = spec.r
-    if spec.x is not None:
-        params["x"] = spec.x
+    params = {"family": spec.family.value, "n": str(n), **spec_params(spec)}
     actual = str(rep.det_bareiss) if rep.verdict == "pass" else (
-        f"bareiss={rep.det_bareiss} condensation={rep.det_condensation} "
-        f"cofactor={rep.det_cofactor}")
-    return Cell({k: str(v) for k, v in params.items()},
-                str(rep.closed_form), actual,
+        f"bareiss={rep.det_bareiss} jfraction={rep.det_jfraction} "
+        f"condensation={rep.det_condensation} cofactor={rep.det_cofactor}")
+    return Cell(params, str(rep.closed_form), actual,
                 "pass" if rep.verdict == "pass" else "fail")
+
+
+def _closed_form_specs(grid: Grid):
+    """Every family spec of the grid whose Hankel determinant has a closed form."""
+    yield FamilySpec(Family.CLASSIC)
+    for r in range(grid.r_max + 1):
+        for x in grid.points:
+            yield FamilySpec(Family.GENERALIZED, r, x)
+            yield FamilySpec(Family.ORDER_R_POLY, r, x)
+        if r >= 1:
+            yield FamilySpec(Family.CYCLIC, r)
 
 
 def suite_hankel(grid: Grid) -> List[Cell]:
     """Closed-form Hankel determinants for every family that has one, plus
-    the factorial-matrix identity."""
+    the factorial-matrix identity beside the classic family."""
     cells = []
     for n in range(grid.n_max + 1):
-        cells.append(_hankel_cell(FamilySpec(Family.CLASSIC), n))
-        cells.append(_cell(
-            {"family": "factorial", "n": n},
-            Fraction(hankel.closed_form_classic(n)),
-            hankel.factorial_hankel_det(n)))
-        for r in range(grid.r_max + 1):
-            for x in grid.points:
-                cells.append(_hankel_cell(FamilySpec(Family.GENERALIZED, r, x), n))
-                cells.append(_hankel_cell(FamilySpec(Family.ORDER_R_POLY, r, x), n))
-            if r >= 1:
-                cells.append(_hankel_cell(FamilySpec(Family.CYCLIC, r), n))
+        for spec in _closed_form_specs(grid):
+            cells.append(_hankel_cell(spec, n))
+            if spec.family is Family.CLASSIC:
+                cells.append(_cell(
+                    {"family": "factorial", "n": n},
+                    Fraction(hankel.closed_form_classic(n)),
+                    hankel.factorial_hankel_det(n)))
+    return cells
+
+
+def suite_jfraction(grid: Grid) -> List[Cell]:
+    """Each J-fraction coefficient that the Chebyshev algorithm computes from
+    the 2n+1 Hankel moments (n = n_max), against its closed form read from
+    the family's EGF shape; one cell per b_k and per lambda_k, so a failure
+    names the k. A computed fraction that ended too early reads "ended"."""
+    cells = []
+    n = grid.n_max
+    for spec in _closed_form_specs(grid):
+        got = hankel.det_jfraction(series.egf_values(spec, 2 * n + 1), n)
+        want_b, want_lam = hankel.jfraction_closed_form(spec, n)
+        params = {"identity": "jfraction", "family": spec.family.value,
+                  **spec_params(spec)}
+        for name, want, have, first in (("b", want_b, got.b, 0),
+                                        ("lambda", want_lam, got.lam, 1)):
+            for i, value in enumerate(want):
+                actual = have[i] if i < len(have) else "ended"
+                cells.append(_cell({**params, "coefficient": name,
+                                    "k": i + first}, value, actual))
     return cells
 
 
@@ -193,6 +221,7 @@ SUITES = {
     "recurrences": suite_recurrences,
     "reflection": suite_reflection,
     "hankel": suite_hankel,
+    "jfraction": suite_jfraction,
     "derivative-hankel": suite_derivative_hankel,
     "mgf": suite_mgf,
     "oracles": suite_oracles,

@@ -62,6 +62,32 @@ def test_hankel_pass_cases(capsys):
     assert "value=0" in out
 
 
+def _hankel_params(capsys, *argv):
+    code, out = run(capsys, "hankel", *argv, "--format", "json")
+    assert code == 0
+    return json.loads(out)["cells"][0]["params"]
+
+
+def test_hankel_shows_every_determinant(capsys):
+    # the oracles run up to 6x6; the J-fraction route at every size
+    params = _hankel_params(capsys, "--family", "cyclic", "--r", "2", "--n", "5")
+    assert params == {"family": "cyclic", "n": "5", "r": "2",
+                      "jfraction": "1282470362637926400",
+                      "condensation": "1282470362637926400",
+                      "cofactor": "1282470362637926400"}
+    params = _hankel_params(capsys, "--family", "generalized", "--r", "2",
+                            "--z", "1/2", "--n", "6")
+    assert params == {"family": "generalized", "n": "6", "r": "2", "x": "1/2",
+                      "jfraction": "11625271875/16384",
+                      "condensation": "n/a", "cofactor": "n/a"}
+    # r = 0: every moment is 1, so H_2 = 0 and both fast routes degenerate
+    params = _hankel_params(capsys, "--family", "generalized", "--r", "0",
+                            "--x", "1/2", "--n", "3")
+    assert params == {"family": "generalized", "n": "3", "r": "0", "x": "1/2",
+                      "jfraction": "degenerate",
+                      "condensation": "degenerate", "cofactor": "0"}
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["seq", "--family", "nonsense", "--count", "3"]) == 2
     capsys.readouterr()
@@ -81,6 +107,8 @@ DOMAIN_ERRORS = [
     ({}, ["verify", "--suite", "derivative-hankel", "--z", "1"]),
     ({"DERANGE_SEED": "abc"}, ["mc", "--r", "2", "--k", "2", "--samples", "100"]),
     ({}, ["verify", "--suite", "hankel", "--r", "-1"]),
+    ({}, ["mc", "--dn", "--r", "-1", "--n", "2", "--x", "1", "--samples", "100"]),
+    ({}, ["mc", "--dn", "--r", "0", "--n", "2", "--x", "1", "--samples", "100"]),
     ({}, ["seq", "--family", "classic", "--count", "3",
           "--output", "/nonexistent/dir/out.txt"]),
 ]

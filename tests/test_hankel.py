@@ -3,8 +3,11 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from derange import hankel, verify
+from derange.cli import main
 from derange.exact import factorial
 from derange.hankel import (
+    ORACLE_CAP,
     DegenerateInterior,
     InsufficientTerms,
     NoClosedForm,
@@ -17,13 +20,16 @@ from derange.hankel import (
     det_bareiss,
     det_cofactor,
     det_condensation,
+    det_jfraction,
     factorial_hankel_det,
     hankel_matrix,
     reduced_derivative,
     verify_derivative_hankel,
     verify_hankel,
 )
-from derange.series import Family, FamilySpec, TruncatedSeries, series_exp, series_mul
+from derange.series import (
+    Family, FamilySpec, TruncatedSeries, egf_values, series_exp, series_mul,
+)
 
 
 class TestHankelMatrix:
@@ -63,6 +69,8 @@ class TestDeterminantAlgorithms:
 
     def test_2x2_formula(self):
         assert det_cofactor([[F(2), F(3)], [F(5), F(7)]]) == 2 * 7 - 3 * 5
+        det = det_cofactor([[F(1, 2), F(1, 3)], [F(1, 5), F(-1, 7)]])
+        assert isinstance(det, F) and det == F(-1, 14) - F(1, 15)
 
     def test_permutation_matrix_parity(self):
         m = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]  # 3-cycle, even
@@ -138,6 +146,96 @@ def test_integer_kernels_match_fraction_reference(m):
         assert isinstance(cond, F) and cond == ref
 
 
+@st.composite
+def _hankel_sequence(draw):
+    """n and 2n+1 rational moments for an (n+1)x(n+1) Hankel matrix, n <= 5,
+    with many zeros and repeats, so that zero leading minors are common."""
+    n = draw(st.integers(0, 5))
+    entry = (st.sampled_from([F(0), F(0), F(1), F(-1), F(2), F(1, 2)])
+             | st.fractions(min_value=-5, max_value=5, max_denominator=7))
+    return n, [draw(entry) for _ in range(2 * n + 1)]
+
+
+@given(_hankel_sequence())
+@example((0, [F(0)]))
+@example((1, [F(0), F(1), F(0)]))           # H_1 = mu_0 = 0
+@example((3, [F(1)] * 7))                   # H_2 = 0
+@example((2, [F(1), F(0), F(1), F(0), F(1)]))  # H_3 = 0, the last minor
+@settings(max_examples=200, deadline=None)
+def test_jfraction_matches_cofactor(case):
+    n, seq = case
+    m = hankel_matrix(seq, n)
+    got = det_jfraction(seq, n)
+    leading = [det_cofactor([row[:k] for row in m[:k]]) for k in range(1, n + 1)]
+    if 0 in leading:
+        assert got.det is None
+        # the coefficients stop at the first zero minor H_k: lambda_{k-1} = 0
+        k = leading.index(0) + 1
+        assert (len(got.b), len(got.lam)) == (k - 1, k - 1)
+        assert k == 1 or got.lam[-1] == 0
+        return
+    det = det_cofactor(m)
+    assert isinstance(got.det, F) and got.det == det
+    assert (len(got.b), len(got.lam)) == (n, n)
+    flajolet = seq[0] ** (n + 1)
+    for k, lam in enumerate(got.lam, 1):
+        flajolet *= lam ** (n + 1 - k)
+    assert flajolet == det
+
+
+DEPTH_SPECS = {
+    "classic": FamilySpec(Family.CLASSIC),
+    "generalized": FamilySpec(Family.GENERALIZED, 4, F(-11, 13)),
+    "order-r-poly": FamilySpec(Family.ORDER_R_POLY, 4, F(-11, 13)),
+    "cyclic": FamilySpec(Family.CYCLIC, 4),
+}
+
+
+@pytest.mark.parametrize("family", sorted(DEPTH_SPECS))
+def test_jfraction_matches_bareiss_at_depth(family):
+    spec = DEPTH_SPECS[family]
+    seq = egf_values(spec, 65)
+    for n in (0, 1, 2, 5, 11, 20, 32):
+        got = det_jfraction(seq, n)
+        assert got.det == det_bareiss(hankel_matrix(seq, n)), n
+        assert (got.b, got.lam) == hankel.jfraction_closed_form(spec, n), n
+
+
+def test_jfraction_suite_names_the_broken_k(monkeypatch, capsys):
+    real = hankel.jfraction_closed_form
+
+    def mutated(spec, n):  # lambda_3 off by a factor of 2
+        b, lam = real(spec, n)
+        return b, tuple(2 * v if k == 3 else v for k, v in enumerate(lam, 1))
+
+    assert all(c.verdict == "pass" for c in verify.suite_jfraction(verify.Grid()))
+    monkeypatch.setattr(hankel, "jfraction_closed_form", mutated)
+    cells = verify.suite_jfraction(verify.Grid())
+    failed = [c.params for c in cells if c.verdict == "fail"]
+    reaching = [c for c in cells if c.params["coefficient"] == "lambda"
+                and c.params["k"] == "3"]
+    assert failed and len(failed) == len(reaching)
+    assert {(p["coefficient"], p["k"]) for p in failed} == {("lambda", "3")}
+    assert main(["verify", "--suite", "jfraction", "--nmax", "4"]) == 1
+    out = capsys.readouterr().out
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert fails and all("coefficient=lambda k=3 " in line for line in fails)
+
+
+def test_jfraction_suite_fails_a_fraction_that_ends_early(monkeypatch):
+    real = hankel.det_jfraction
+
+    def cut(seq, n):
+        got = real(seq, n)
+        return got._replace(det=None, b=got.b[:2], lam=got.lam[:2])
+
+    monkeypatch.setattr(hankel, "det_jfraction", cut)
+    cells = verify.suite_jfraction(verify.Grid(n_max=4))
+    failed = [c for c in cells if c.verdict == "fail"]
+    assert failed and all(c.actual == "ended" for c in failed)
+    assert {int(c.params["k"]) for c in failed} == {2, 3, 4}
+
+
 class TestClosedForms:
     def test_generalized_base_cases(self):
         assert closed_form_generalized(0, 3, F(7, 2)) == 1
@@ -192,6 +290,24 @@ class TestVerifyHankel:
         rep = verify_hankel(FamilySpec(Family.CLASSIC), 6)
         assert rep.det_cofactor is None
         assert rep.verdict == "pass"
+
+    def test_oracles_run_up_to_the_cap(self):
+        spec = FamilySpec(Family.GENERALIZED, 2, F(-3, 5))
+        rep = verify_hankel(spec, ORACLE_CAP - 1)
+        assert (rep.det_jfraction == rep.det_condensation == rep.det_cofactor
+                == rep.det_bareiss == rep.closed_form)
+        rep = verify_hankel(spec, ORACLE_CAP)
+        assert rep.det_condensation is None and rep.det_cofactor is None
+        assert rep.det_jfraction == rep.det_bareiss == rep.closed_form
+        assert rep.shown_dets() == {"jfraction": str(rep.closed_form),
+                                    "condensation": "n/a", "cofactor": "n/a"}
+
+    def test_a_wrong_jfraction_determinant_fails_the_cell(self, monkeypatch):
+        real = hankel.det_jfraction
+        monkeypatch.setattr(hankel, "det_jfraction",
+                            lambda seq, n: real(seq, n)._replace(det=F(7)))
+        rep = verify_hankel(FamilySpec(Family.CYCLIC, 2), 8)
+        assert rep.verdict == "fail" and rep.det_bareiss == rep.closed_form
 
     def test_no_closed_form(self):
         with pytest.raises(NoClosedForm):

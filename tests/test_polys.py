@@ -79,6 +79,16 @@ class TestReflect:
         assert reflect(reflect(p, n), n) == p
 
 
+def test_integer_coefficients_stay_int():
+    assert all(type(c) is int for c in generalized_D_poly(9, 3).coeffs)
+    assert all(type(c) is int for c in order_d_poly(9, 3).coeffs)
+    p = Polynomial((2, F(1, 2), F(3), 1.5))
+    assert [type(c) for c in p.coeffs] == [int, F, F, F]
+    assert p.coeffs == (2, F(1, 2), 3, F(3, 2))
+    assert p == Polynomial((F(2), F(1, 2), 3, F(3, 2), 0))
+    assert eval_poly(p, F(-2, 3)) == 2 - F(1, 3) + F(4, 3) - F(4, 9)
+
+
 class TestEval:
     def test_horner(self):
         assert eval_poly(Polynomial((1, 2, 2)), 1) == 5

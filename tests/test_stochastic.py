@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from derange.exact import binomial
+from derange.exact import DerangeDomainError, binomial
 from derange.polys import eval_poly, generalized_D_poly
 from derange.stochastic import (
     _CHUNK,
@@ -162,3 +162,17 @@ class TestMcGeneralizedD:
     def test_example_target_value(self):
         # 1 - 6 + 18 - 24 from the coefficients 1, 6, 18, 24
         assert eval_poly(generalized_D_poly(3, 2), -1) == -11
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda r: mc_moment(r, 2, 100, 1),
+    lambda r: mc_moment(r, 0, 100, 1),
+    lambda r: mc_generalized_D(2, r, 1, 100, 1),
+    lambda r: mc_generalized_D(0, r, 1, 100, 1),
+], ids=["moment", "zeroth-moment", "polynomial", "polynomial-n0"])
+@pytest.mark.parametrize("r", [0, -1])
+def test_r_below_one_is_a_domain_error(estimate, r):
+    # an Erlang(r) sum needs r >= 1 draws; with none, Y = 0 and the
+    # estimate would be checked against a target it cannot reach
+    with pytest.raises(DerangeDomainError, match="r >= 1"):
+        estimate(r)
