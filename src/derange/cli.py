@@ -4,6 +4,10 @@ Exit codes: 0 all checks pass, 1 a verification/tolerance failure,
 2 usage or domain error.  Rationals cross the boundary as exact "p/q" strings.
 Seed precedence: --seed flag > DERANGE_SEED env var > 42.
 numpy is imported only by `mc`, the one command that samples.
+`render_report` writes the cell report of `hankel`, `verify` and `mc` and
+returns their exit code; `seq` and `poly` share `_write_values`. Every
+domain error reaches `main` as a DerangeDomainError, and `main` alone
+prints the `error:` line.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from fractions import Fraction
 from . import polys, series, verify
 from .exact import DerangeDomainError
 from .hankel import verify_hankel
-from .series import Family, FamilySpec
+from .series import FAMILY_TABLE, Family, FamilySpec
 
 FAMILY_NAMES = {f.value: f for f in Family}
 
@@ -44,7 +48,7 @@ def _default_seed() -> int:
 
 def _make_spec(args) -> FamilySpec:
     family = FAMILY_NAMES[args.family]
-    r = args.r if family is not Family.CLASSIC else None
+    r = args.r if FAMILY_TABLE[family].min_r is not None else None
     return FamilySpec(family, r, args.x)
 
 
@@ -60,95 +64,88 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _report_text(report: dict) -> str:
+def _report_text(cells, summary: dict) -> str:
     out = io.StringIO()
-    for cell in report["cells"]:
-        params = " ".join(f"{k}={v}" for k, v in cell["params"].items())
-        if cell["verdict"] == "pass":
-            if cell["expected"] == cell["actual"]:
-                out.write(f"pass  {params}  value={cell['actual']}\n")
+    for cell in cells:
+        params = " ".join(f"{k}={v}" for k, v in cell.params.items())
+        if cell.verdict == "pass":
+            if cell.expected == cell.actual:
+                out.write(f"pass  {params}  value={cell.actual}\n")
             else:
-                out.write(f"pass  {params}  estimate={cell['actual']} "
-                          f"target={cell['expected']}\n")
-        elif cell["verdict"] == "skipped":
+                out.write(f"pass  {params}  estimate={cell.actual} "
+                          f"target={cell.expected}\n")
+        elif cell.verdict == "skipped":
             out.write(f"skip  {params}\n")
         else:
-            out.write(f"FAIL  {params}  expected={cell['expected']} "
-                      f"actual={cell['actual']}\n")
-    s = report["summary"]
-    out.write(f"summary: pass={s['pass']} fail={s['fail']} "
-              f"skipped={s['skipped']}\n")
+            out.write(f"FAIL  {params}  expected={cell.expected} "
+                      f"actual={cell.actual}\n")
+    out.write(f"summary: pass={summary['pass']} fail={summary['fail']} "
+              f"skipped={summary['skipped']}\n")
     return out.getvalue()
 
 
-def _report_csv(report: dict) -> str:
+def _report_csv(cells) -> str:
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["params", "expected", "actual", "verdict"])
-    for cell in report["cells"]:
-        params = ";".join(f"{k}={v}" for k, v in cell["params"].items())
-        writer.writerow([params, cell["expected"], cell["actual"],
-                         cell["verdict"]])
+    for cell in cells:
+        params = ";".join(f"{k}={v}" for k, v in cell.params.items())
+        writer.writerow([params, cell.expected, cell.actual, cell.verdict])
     return out.getvalue()
 
 
-def render_report(report: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(report, indent=2) + "\n"
-    if fmt == "csv":
-        return _report_csv(report)
-    return _report_text(report)
-
-
-def _build_report(command: str, cells) -> dict:
+def render_report(args, command: str, cells, **extra) -> int:
+    """Write the report of `cells` in args.format, with the `extra` keys
+    after the summary in JSON; the exit code is 0 when no cell failed."""
     summary = {"pass": 0, "fail": 0, "skipped": 0}
-    out_cells = []
-    for c in cells:
-        summary[c.verdict if c.verdict in summary else "fail"] += 1
-        out_cells.append({"params": c.params, "expected": c.expected,
-                          "actual": c.actual, "verdict": c.verdict})
-    return {"command": command, "cells": out_cells, "summary": summary}
+    for cell in cells:
+        summary[cell.verdict if cell.verdict in summary else "fail"] += 1
+    if args.format == "json":
+        report = {"command": command, "cells": cells, "summary": summary,
+                  **extra}
+        text = json.dumps(report, indent=2, default=vars) + "\n"
+    elif args.format == "csv":
+        text = _report_csv(cells)
+    else:
+        text = _report_text(cells, summary)
+    _emit(args, text)
+    return 0 if summary["fail"] == 0 else 1
+
+
+def _write_values(args, head: dict, columns: tuple, values,
+                  numbered: bool) -> int:
+    """Write a list of exact values in args.format. JSON is `head` with the
+    values under the plural of the value column; CSV has the index and
+    value columns; text has one "index value" line per value when
+    `numbered`, else every value on one line."""
+    values = [str(v) for v in values]
+    if args.format == "json":
+        text = json.dumps({**head, columns[1] + "s": values}, indent=2) + "\n"
+    elif args.format == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out)
+        writer.writerow(columns)
+        writer.writerows(enumerate(values))
+        text = out.getvalue()
+    elif numbered:
+        text = "".join(f"{n} {v}\n" for n, v in enumerate(values))
+    else:
+        text = " ".join(values) + "\n"
+    _emit(args, text)
+    return 0
 
 
 def cmd_seq(args) -> int:
-    spec = _make_spec(args)
-    values = series.egf_values(spec, args.count)
-    if args.format == "json":
-        obj = {"command": "seq", "family": args.family,
-               "values": [str(v) for v in values]}
-        _emit(args, json.dumps(obj, indent=2) + "\n")
-    elif args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(["n", "value"])
-        for n, v in enumerate(values):
-            writer.writerow([n, str(v)])
-        _emit(args, out.getvalue())
-    else:
-        _emit(args, "".join(f"{n} {v}\n" for n, v in enumerate(values)))
-    return 0
+    values = series.egf_values(_make_spec(args), args.count)
+    return _write_values(args, {"command": "seq", "family": args.family},
+                         ("n", "value"), values, numbered=True)
 
 
 def cmd_poly(args) -> int:
-    if args.which == "D":
-        p = polys.generalized_D_poly(args.n, args.r)
-    else:
-        p = polys.order_d_poly(args.n, args.r)
-    coeffs = [str(c) for c in p.coeffs]
-    if args.format == "json":
-        obj = {"command": "poly", "which": args.which, "n": args.n,
-               "r": args.r, "coeffs": coeffs}
-        _emit(args, json.dumps(obj, indent=2) + "\n")
-    elif args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(["k", "coeff"])
-        for k, c in enumerate(coeffs):
-            writer.writerow([k, c])
-        _emit(args, out.getvalue())
-    else:
-        _emit(args, " ".join(coeffs) + "\n")
-    return 0
+    make = polys.generalized_D_poly if args.which == "D" else polys.order_d_poly
+    head = {"command": "poly", "which": args.which, "n": args.n, "r": args.r}
+    return _write_values(args, head, ("k", "coeff"),
+                         make(args.n, args.r).coeffs, numbered=False)
 
 
 def cmd_hankel(args) -> int:
@@ -159,9 +156,7 @@ def cmd_hankel(args) -> int:
                 **verify.spec_params(spec), **rep.shown_dets()},
         expected=str(rep.closed_form), actual=str(rep.det_bareiss),
         verdict=rep.verdict)
-    report = _build_report("hankel", [cell])
-    _emit(args, render_report(report, args.format))
-    return 0 if rep.verdict == "pass" else 1
+    return render_report(args, "hankel", [cell])
 
 
 def cmd_verify(args) -> int:
@@ -172,10 +167,8 @@ def cmd_verify(args) -> int:
         deriv_z=(args.z,) if args.z is not None else verify.Grid.deriv_z)
     start = time.monotonic()
     cells = verify.run_suite(args.suite, grid)
-    report = _build_report(f"verify {args.suite}", cells)
-    report["wall_time_s"] = round(time.monotonic() - start, 3)
-    _emit(args, render_report(report, args.format))
-    return 0 if report["summary"]["fail"] == 0 else 1
+    return render_report(args, f"verify {args.suite}", cells,
+                         wall_time_s=round(time.monotonic() - start, 3))
 
 
 def cmd_mc(args) -> int:
@@ -184,16 +177,14 @@ def cmd_mc(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     if args.dn:
         if args.n is None or args.x is None:
-            print("error: --dn needs --n and --x", file=sys.stderr)
-            return 2
+            raise DerangeDomainError("--dn needs --n and --x")
         est = stochastic.mc_generalized_D(args.n, args.r, args.x,
                                           args.samples, seed)
         target = polys.eval_poly(polys.generalized_D_poly(args.n, args.r),
                                  args.x)
     else:
         if args.k is None:
-            print("error: need --k (or --dn with --n/--x)", file=sys.stderr)
-            return 2
+            raise DerangeDomainError("need --k (or --dn with --n/--x)")
         est = stochastic.mc_moment(args.r, args.k, args.samples, seed)
         target = Fraction(stochastic.erlang_moment_exact(args.r, args.k))
     z = 0.0 if est.stderr == 0 else (est.mean - float(target)) / est.stderr
@@ -206,9 +197,7 @@ def cmd_mc(args) -> int:
                    else {"k": str(args.k)})},
         expected=str(target), actual=repr(est.mean),
         verdict="pass" if ok else "fail")
-    report = _build_report("mc", [cell])
-    _emit(args, render_report(report, args.format))
-    return 0 if ok else 1
+    return render_report(args, "mc", [cell])
 
 
 def build_parser() -> argparse.ArgumentParser:

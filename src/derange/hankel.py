@@ -1,5 +1,14 @@
 """Hankel matrices, four exact determinant algorithms, and the closed forms.
 
+The paper gives one explicit determinant, that of the generalized
+polynomials at z: z^{n(n+1)} Pi_{k=1}^{n} rising(r,k) k!, here
+`closed_form_generalized`. Every family whose EGF is e^{cz}(1-xz)^{-r} has
+it at (r, z = x), because the e^{cz} factor is a binomial transform of the
+moments, which leaves every Hankel determinant as it is: the order-r
+polynomials and numbers at (r, 1), the cyclic counts at (1, r), the classic
+derangements at (1, 1). The r-derangement families carry a z^s prefactor,
+s > 0, and have no closed form.
+
 Bareiss is the authority (fraction-free, always defined). The J-fraction
 route is the independent determinant at every size: the Chebyshev
 algorithm (Gautschi 2004) turns the 2n+1 moments into the Jacobi
@@ -28,7 +37,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exact import DerangeDomainError, SizeTooLarge, factorial, rising_factorial
 from .polys import eval_poly, generalized_D_poly
-from .series import Family, FamilySpec, egf_shape, egf_values
+from .series import FamilySpec, egf_shape, egf_values
 
 # Largest matrix size the cofactor and condensation oracles run on in
 # verify_hankel; cofactor refuses anything larger.
@@ -199,60 +208,49 @@ def det_jfraction(seq: Sequence, n: int) -> JFraction:
     return JFraction(det, tuple(b), tuple(lam))
 
 
-def _product_term(n: int, r: int) -> int:
-    """Pi_{k=1}^{n} rising(r, k-1) * k!, the common tail of the closed forms."""
-    out = 1
-    for k in range(1, n + 1):
-        out *= rising_factorial(r, k - 1) * factorial(k)
-    return out
-
-
 def closed_form_generalized(n: int, r: int, z) -> Fraction:
-    """Hankel determinant of order n+1 of the generalized polynomials at z:
-    z^{n(n+1)} rising(r,n) Pi rising(r,k-1) k!."""
+    """The paper's Hankel determinant of order n+1 of the generalized
+    polynomials at z: z^{n(n+1)} Pi_{k=1}^{n} rising(r,k) k!."""
     if n < 0:
         raise DerangeDomainError("n must be >= 0")
-    z = Fraction(z)
-    return z ** (n * (n + 1)) * rising_factorial(r, n) * _product_term(n, r)
+    out = 1
+    for k in range(1, n + 1):
+        out *= rising_factorial(r, k) * factorial(k)
+    return Fraction(z) ** (n * (n + 1)) * out
 
 
 def closed_form_order_d(n: int, r: int) -> int:
-    """Hankel determinant of the order-r polynomials: z-independent."""
-    if n < 0:
-        raise DerangeDomainError("n must be >= 0")
-    return rising_factorial(r, n) * _product_term(n, r)
+    """Hankel determinant of the order-r polynomials, at every z: the
+    generalized one at z = 1."""
+    return int(closed_form_generalized(n, r, 1))
 
 
 def closed_form_cyclic(n: int, r: int) -> int:
-    """Hankel determinant of the cyclic derangement counts: r^{n(n+1)} (Pi k!)^2."""
+    """Hankel determinant of the cyclic derangement counts: the generalized
+    one at (1, r), r^{n(n+1)} (Pi k!)^2."""
     if n < 0 or r < 1:
         raise DerangeDomainError("need n >= 0, r >= 1")
-    return r ** (n * (n + 1)) * closed_form_classic(n)
+    return int(closed_form_generalized(n, 1, r))
 
 
 def closed_form_classic(n: int) -> int:
-    """(Pi_{k=1}^n k!)^2, shared by det((i+j)!) and det(D_{i+j})."""
-    if n < 0:
-        raise DerangeDomainError("n must be >= 0")
-    p = 1
-    for k in range(1, n + 1):
-        p *= factorial(k)
-    return p * p
+    """(Pi_{k=1}^n k!)^2, shared by det((i+j)!) and det(D_{i+j}): the
+    generalized one at (1, 1)."""
+    return int(closed_form_generalized(n, 1, 1))
 
 
-# family -> (n, spec) -> the paper's Hankel determinant of order n+1
-_CLOSED_FORMS = {
-    Family.GENERALIZED: lambda n, s: closed_form_generalized(n, s.r, s.x),
-    Family.ORDER_R_POLY: lambda n, s: Fraction(closed_form_order_d(n, s.r)),
-    Family.CYCLIC: lambda n, s: Fraction(closed_form_cyclic(n, s.r)),
-    Family.CLASSIC: lambda n, s: Fraction(closed_form_classic(n)),
-}
+def _hankel_shape(spec: FamilySpec) -> Tuple[Fraction, Fraction, int]:
+    """(c, x, r) of the family's EGF e^{cz}(1-xz)^{-r}, or NoClosedForm
+    when the EGF has a z^s prefactor, s > 0."""
+    c, x, r, shift = egf_shape(spec)
+    if shift > 0:
+        raise NoClosedForm(f"no Hankel closed form for family {spec.family.value}")
+    return c, x, r
 
 
 def _closed_form(spec: FamilySpec, n: int) -> Fraction:
-    if spec.family not in _CLOSED_FORMS:
-        raise NoClosedForm(f"no Hankel closed form for family {spec.family.value}")
-    return _CLOSED_FORMS[spec.family](n, spec)
+    _, x, r = _hankel_shape(spec)
+    return closed_form_generalized(n, r, x)
 
 
 def jfraction_closed_form(spec: FamilySpec, n: int) -> Tuple[tuple, tuple]:
@@ -260,9 +258,7 @@ def jfraction_closed_form(spec: FamilySpec, n: int) -> Tuple[tuple, tuple]:
     form, read from its EGF shape e^{cz}(1-xz)^{-r}: b_k = c + x(2k + r),
     lambda_k = x^2 k (k + r - 1). The lambdas stop at the first zero, where
     the fraction ends, and the b's one index earlier."""
-    if spec.family not in _CLOSED_FORMS:
-        raise NoClosedForm(f"no Hankel closed form for family {spec.family.value}")
-    c, x, r, _ = egf_shape(spec)
+    c, x, r = _hankel_shape(spec)
     lam = []
     for k in range(1, n + 1):
         lam.append(x * x * k * (k + r - 1))
@@ -349,7 +345,7 @@ class DerivativeHankelReport:
 
 def verify_derivative_hankel(n: int, r: int, z) -> DerivativeHankelReport:
     """Check the e^z-cancelled derivative Hankel identity for matrix size n:
-    det(g_{i+j-2}(z)) = rising(r, n-1) Pi_{k=1}^{n-1} rising(r,k-1) k!
+    det(g_{i+j-2}(z)) = Pi_{k=1}^{n-1} rising(r,k) k!
                         / ((z-1)^{(n-1)n} (1-z)^{rn}),
     the (1-z)^{-rn} being what remains of (e^z/(1-z)^r)^n after the e^{nz}
     cancels against the n stripped entry factors."""
@@ -360,7 +356,7 @@ def verify_derivative_hankel(n: int, r: int, z) -> DerivativeHankelReport:
         raise PoleAtOne("z = 1 is a pole")
     g = [reduced_derivative(m, r, z) for m in range(2 * n - 1)]
     det = det_bareiss(hankel_matrix(g, n - 1))
-    closed = Fraction(rising_factorial(r, n - 1) * _product_term(n - 1, r))
+    closed = Fraction(closed_form_order_d(n - 1, r))
     closed /= (z - 1) ** ((n - 1) * n) * (1 - z) ** (r * n)
     verdict = "pass" if det == closed else "fail"
     return DerivativeHankelReport(n, r, z, det, closed, verdict)

@@ -1,10 +1,12 @@
 """Truncated formal power series over Fraction, and the EGF family table.
 
-Every family's EGF is z^s e^{cz} (1-xz)^{-r} for the (c, x, r, s) that
-`_EGF_SHAPE` gives. It is D-finite (Stanley 1980): b_n = n! [z^n]
-e^{cz}(1-xz)^{-r} obeys b_{n+1} = (c + x(n+r)) b_n - c x n b_{n-1}, b_0 = 1,
-which `egf_values` runs on integers. The Cauchy product of `series_exp` and
-`geom_pow` is the independent cross-check that `verify` and the tests use.
+Every family's EGF is z^s e^{cz} (1-xz)^{-r}. `FAMILY_TABLE` has one row
+per family: the least r it takes (or none), whether it takes x, and its
+(c, x, r, s); `FamilySpec` checks its parameters against that row. The EGF
+is D-finite (Stanley 1980): b_n = n! [z^n] e^{cz}(1-xz)^{-r} obeys
+b_{n+1} = (c + x(n+r)) b_n - c x n b_{n-1}, b_0 = 1, which `egf_values`
+runs on integers. The Cauchy product of `series_exp` and `geom_pow` is the
+independent cross-check that `verify` and the tests use.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from math import lcm, perm
 
@@ -95,52 +97,51 @@ class Family(enum.Enum):
     GENERALIZED = "generalized"
 
 
-# families whose EGF carries an x (or z) parameter
-_POLY_FAMILIES = {Family.R_DERANGEMENT_POLY, Family.ORDER_R_POLY, Family.GENERALIZED}
-_R_DERANGEMENT = {Family.R_DERANGEMENT_NUMBERS, Family.R_DERANGEMENT_POLY}
+class FamilyRow(NamedTuple):
+    min_r: Optional[int]  # the least r the family takes; None: it takes no r
+    takes_x: bool
+    shape: Callable  # (r, x) -> (c, x, r, s) of its EGF z^s e^{cz} (1-xz)^{-r}
+
+
+FAMILY_TABLE = {
+    Family.CLASSIC: FamilyRow(None, False, lambda r, x: (-1, 1, 1, 0)),
+    Family.ORDER_R_NUMBERS: FamilyRow(0, False, lambda r, x: (-1, 1, r, 0)),
+    Family.R_DERANGEMENT_NUMBERS: FamilyRow(1, False, lambda r, x: (-1, 1, r + 1, r)),
+    Family.R_DERANGEMENT_POLY: FamilyRow(1, True, lambda r, x: (x, 1, r + 1, r)),
+    Family.ORDER_R_POLY: FamilyRow(0, True, lambda r, x: (x, 1, r, 0)),
+    Family.CYCLIC: FamilyRow(1, False, lambda r, x: (-1, r, 1, 0)),
+    Family.GENERALIZED: FamilyRow(0, True, lambda r, x: (1, x, r, 0)),
+}
 
 
 @dataclass(frozen=True)
 class FamilySpec:
+    """A family with its r and x, checked against the family's row of
+    FAMILY_TABLE."""
+
     family: Family
     r: Optional[int] = None
     x: Optional[Fraction] = None
 
     def __post_init__(self):
-        if self.family is Family.CLASSIC:
+        row, name = FAMILY_TABLE[self.family], self.family.value
+        if row.min_r is None:
             if self.r is not None:
-                raise InvalidFamilyParams("classic family takes no r")
-        else:
-            if self.r is None or self.r < 0:
-                raise InvalidFamilyParams(f"{self.family.value} needs r >= 0")
-            if self.family in _R_DERANGEMENT and self.r < 1:
-                raise InvalidFamilyParams(f"{self.family.value} needs r >= 1")
-            if self.family is Family.CYCLIC and self.r < 1:
-                raise InvalidFamilyParams("cyclic family needs r >= 1")
-        if self.family in _POLY_FAMILIES:
+                raise InvalidFamilyParams(f"{name} takes no r")
+        elif self.r is None or self.r < row.min_r:
+            raise InvalidFamilyParams(f"{name} needs r >= {row.min_r}")
+        if row.takes_x:
             if self.x is None:
-                raise InvalidFamilyParams(f"{self.family.value} needs x")
+                raise InvalidFamilyParams(f"{name} needs x")
             object.__setattr__(self, "x", Fraction(self.x))
         elif self.x is not None:
-            raise InvalidFamilyParams(f"{self.family.value} takes no x")
-
-
-# family -> (r, x) -> (c, x, r, s) of its EGF z^s e^{cz} (1-xz)^{-r}
-_EGF_SHAPE = {
-    Family.CLASSIC: lambda r, x: (-1, 1, 1, 0),
-    Family.ORDER_R_NUMBERS: lambda r, x: (-1, 1, r, 0),
-    Family.R_DERANGEMENT_NUMBERS: lambda r, x: (-1, 1, r + 1, r),
-    Family.R_DERANGEMENT_POLY: lambda r, x: (x, 1, r + 1, r),
-    Family.ORDER_R_POLY: lambda r, x: (x, 1, r, 0),
-    Family.CYCLIC: lambda r, x: (-1, r, 1, 0),
-    Family.GENERALIZED: lambda r, x: (1, x, r, 0),
-}
+            raise InvalidFamilyParams(f"{name} takes no x")
 
 
 def egf_shape(spec: FamilySpec) -> tuple:
     """(c, x, r, s) of the family's EGF z^s e^{cz} (1-xz)^{-r}, with c and x
     as Fractions."""
-    c, x, r, shift = _EGF_SHAPE[spec.family](spec.r, spec.x)
+    c, x, r, shift = FAMILY_TABLE[spec.family].shape(spec.r, spec.x)
     return Fraction(c), Fraction(x), r, shift
 
 

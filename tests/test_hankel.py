@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from derange import hankel, verify
 from derange.cli import main
-from derange.exact import factorial
+from derange.exact import factorial, rising_factorial
 from derange.hankel import (
     ORACLE_CAP,
     DegenerateInterior,
@@ -201,6 +201,25 @@ def test_jfraction_matches_bareiss_at_depth(family):
         assert (got.b, got.lam) == hankel.jfraction_closed_form(spec, n), n
 
 
+@pytest.mark.parametrize("r", range(5))
+def test_order_r_numbers_have_the_order_d_closed_form(r):
+    # EGF shape (-1, 1, r, 0): the order-r polynomials at x = -1
+    spec = FamilySpec(Family.ORDER_R_NUMBERS, r)
+    seq = egf_values(spec, 65)
+    for n in [*range(13), 32]:
+        want = closed_form_order_d(n, r)
+        rep = verify_hankel(spec, n)
+        assert rep.verdict == "pass", n
+        assert rep.closed_form == rep.det_bareiss == want, n
+        dets = [rep.det_jfraction]
+        if n + 1 <= ORACLE_CAP:
+            dets += [rep.det_condensation, rep.det_cofactor]
+        for det in dets:  # r = 0 makes H_2 = 0, so two routes degenerate
+            assert det == want or (r == 0 and det is None), n
+        got = det_jfraction(seq, n)
+        assert (got.b, got.lam) == hankel.jfraction_closed_form(spec, n), n
+
+
 def test_jfraction_suite_names_the_broken_k(monkeypatch, capsys):
     real = hankel.jfraction_closed_form
 
@@ -268,6 +287,27 @@ class TestClosedForms:
     def test_cyclic_3x3_matches_matrix(self):
         m = hankel_matrix([1, 1, 5, 29, 233], 2)
         assert det_bareiss(m) == 256
+
+    def test_specialisations_keep_their_products(self):
+        # each closed form as a product of its own, as the paper states it
+        for n in range(11):
+            facts = 1
+            for k in range(1, n + 1):
+                facts *= factorial(k)
+            assert closed_form_classic(n) == facts ** 2
+            assert type(closed_form_classic(n)) is int
+            for r in range(5):
+                tail = rising_factorial(r, n)
+                for k in range(1, n + 1):
+                    tail *= rising_factorial(r, k - 1) * factorial(k)
+                assert closed_form_order_d(n, r) == tail
+                assert type(closed_form_order_d(n, r)) is int
+                assert closed_form_generalized(n, r, F(-3, 5)) == (
+                    F(-3, 5) ** (n * (n + 1)) * tail)
+                if r >= 1:
+                    assert closed_form_cyclic(n, r) == (
+                        r ** (n * (n + 1)) * facts ** 2)
+                    assert type(closed_form_cyclic(n, r)) is int
 
 
 class TestVerifyHankel:

@@ -95,6 +95,32 @@ class TestEgfValues:
             assert all(v.denominator == 1 for v in egf_values(spec, 15))
 
 
+def _domain_allows(family, r, x) -> bool:
+    """The family domains, written out rule by rule."""
+    if family is Family.CLASSIC:
+        r_ok = r is None
+    elif family in (Family.ORDER_R_NUMBERS, Family.ORDER_R_POLY,
+                    Family.GENERALIZED):
+        r_ok = r is not None and r >= 0
+    else:  # r-derangement, r-derangement-poly, cyclic
+        r_ok = r is not None and r >= 1
+    takes_x = family in (Family.R_DERANGEMENT_POLY, Family.ORDER_R_POLY,
+                         Family.GENERALIZED)
+    return r_ok and (x is not None) == takes_x
+
+
+@pytest.mark.parametrize("x", [None, F(1, 2)], ids=["no-x", "x=1/2"])
+@pytest.mark.parametrize("r", [None, -1, 0, 1, 2], ids=lambda r: f"r={r}")
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_family_domain(family, r, x):
+    if _domain_allows(family, r, x):
+        spec = FamilySpec(family, r, x)
+        assert (spec.r, spec.x) == (r, x)
+    else:
+        with pytest.raises(InvalidFamilyParams):
+            FamilySpec(family, r, x)
+
+
 XS = [F(-1), F(1), F(2), F(1, 2), F(-3, 5)]
 
 
