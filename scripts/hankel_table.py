@@ -4,7 +4,8 @@ chosen family, showing all four algorithms side by side. A column reads
 "degenerate" when its algorithm degenerated and "n/a" when it did not run
 (condensation and cofactor run up to ORACLE_CAP x ORACLE_CAP). The family
 gets --r and --x only if it takes them. A domain error, such as a family
-with no closed form, prints one "error:" line and exits 2."""
+with no closed form or an --nmax that leaves no rows, prints one "error:"
+line and exits 2."""
 
 import argparse
 import sys
@@ -16,6 +17,8 @@ from derange.series import FAMILY_TABLE, Family, FamilySpec
 
 
 def table(spec: FamilySpec, nmax: int) -> str:
+    if nmax < 0:
+        raise DerangeDomainError("need nmax >= 0: the table has no rows")
     lines = [f"{'n':>3} {'bareiss':>24} {'jfraction':>24} "
              f"{'condensation':>24} {'cofactor':>24} {'closed form':>24} "
              f"verdict"]

@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import polys, series, verify
 from .exact import DerangeDomainError
 from .hankel import verify_hankel
-from .series import FAMILY_TABLE, Family, FamilySpec
+from .series import Family, FamilySpec
 
 FAMILY_NAMES = {f.value: f for f in Family}
 
@@ -47,9 +47,7 @@ def _default_seed() -> int:
 
 
 def _make_spec(args) -> FamilySpec:
-    family = FAMILY_NAMES[args.family]
-    r = args.r if FAMILY_TABLE[family].min_r is not None else None
-    return FamilySpec(family, r, args.x)
+    return FamilySpec(FAMILY_NAMES[args.family], args.r, args.x)
 
 
 def _emit(args, text: str) -> None:

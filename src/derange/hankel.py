@@ -25,7 +25,9 @@ denominators of each row and then divides out the gcd of each column,
 leaving an integer matrix and the rational factor its determinant is
 scaled by. Every division either elimination makes is then exact.
 Cofactor expansion clears one common denominator of its own and expands
-on integers; the J-fraction route works in Fraction.
+on integers, computing each minor once, bottom-up over the column sets of
+the trailing rows: it makes no division and no pivot, so it shares nothing
+with the eliminations or the J-fraction route, which works in Fraction.
 """
 
 from __future__ import annotations
@@ -146,26 +148,33 @@ def det_condensation(m: Matrix) -> Fraction:
 
 def det_cofactor(m: Matrix) -> Fraction:
     """Laplace expansion along the first row, on the integer matrix d * m
-    for the lcm d of all denominators; capped at ORACLE_CAP."""
+    for the lcm d of all denominators; capped at ORACLE_CAP.
+
+    Each minor is computed once, bottom-up: the minor on the last k rows
+    and a k-set S of columns is the signed sum, along its first row, of
+    entry (size-k, j) times the minor on the last k-1 rows and S - {j}.
+    That is 2^size minors, where a top-down recursion recomputes them in
+    about e * size! calls. It neither divides nor pivots."""
     size = len(m)
     if size > ORACLE_CAP:
         raise SizeTooLarge(f"cofactor oracle capped at {ORACLE_CAP}, got {size}")
     rows = [[Fraction(v) for v in row] for row in m]
     d = lcm(*(v.denominator for row in rows for v in row))
-
-    def rec(rows):
-        if len(rows) == 1:
-            return rows[0][0]
-        total = 0
-        for j, head in enumerate(rows[0]):
-            if head == 0:
-                continue
-            sub = [r[:j] + r[j + 1:] for r in rows[1:]]
-            total += (-1) ** j * head * rec(sub)
-        return total
-
     ints = [[v.numerator * (d // v.denominator) for v in row] for row in rows]
-    return Fraction(rec(ints), d ** size)
+    # minors[S] for the bitmask S of a column set, over the last |S| rows;
+    # S - {j} < S, so ascending order meets every smaller minor first
+    minors = [0] * (1 << size)
+    minors[0] = 1
+    for mask in range(1, 1 << size):
+        row = ints[size - mask.bit_count()]
+        total, sign = 0, 1
+        for j in range(size):
+            if mask >> j & 1:
+                if row[j]:
+                    total += sign * row[j] * minors[mask ^ (1 << j)]
+                sign = -sign
+        minors[mask] = total
+    return Fraction(minors[-1], d ** size)
 
 
 class JFraction(NamedTuple):

@@ -119,6 +119,8 @@ DOMAIN_ERRORS = [
     ({}, ["mc", "--dn", "--r", "0", "--n", "2", "--x", "1", "--samples", "100"]),
     ({}, ["seq", "--family", "classic", "--count", "3",
           "--output", "/nonexistent/dir/out.txt"]),
+    ({}, ["seq", "--family", "classic", "--r", "5", "--count", "3"]),
+    ({}, ["seq", "--family", "classic", "--x", "1", "--count", "3"]),
 ]
 
 
@@ -212,6 +214,15 @@ def test_json_report_roundtrip_byte_stable(capsys):
     parsed = json.loads(out)
     assert parsed["summary"]["fail"] == 0
     assert json.dumps(parsed, indent=2) + "\n" == out
+
+
+def test_oracles_suite_skips_nothing_up_to_n_9(capsys):
+    # the cyclic oracle walks n! permutations for every r, capped at n = 9
+    code, out = run(capsys, "verify", "--suite", "oracles", "--nmax", "9",
+                    "--r", "4", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["summary"] == {"pass": 10 + 4 * 10, "fail": 0,
+                                          "skipped": 0}
 
 
 def test_json_cell_schema(capsys):

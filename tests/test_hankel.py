@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -101,6 +102,57 @@ class TestDeterminantAlgorithms:
             assert det_condensation(m) == ref
         except DegenerateInterior:
             pass  # legitimate signal, Bareiss already cross-checked
+
+
+def _laplace_recursive(rows):
+    """Top-down Laplace expansion along the first row in Fraction,
+    recomputing every minor it meets (about e * size! calls)."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = F(0)
+    for j, head in enumerate(rows[0]):
+        if head == 0:
+            continue
+        sub = [r[:j] + r[j + 1:] for r in rows[1:]]
+        total += (-1) ** j * head * _laplace_recursive(sub)
+    return total
+
+
+def _seeded_matrix(rng, size, kind):
+    """A random rational matrix; "singular" makes the last row a rational
+    combination of the others (a zero entry when size is 1),
+    "zero-row" and "zero-column" zero out one row or column."""
+    m = [[F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(size)]
+         for _ in range(size)]
+    if kind == "singular":
+        if size == 1:
+            m[0][0] = F(0)
+        else:
+            coef = [F(rng.randint(-3, 3), rng.randint(1, 4))
+                    for _ in range(size - 1)]
+            m[-1] = [sum((c * m[i][j] for i, c in enumerate(coef)), F(0))
+                     for j in range(size)]
+    elif kind == "zero-row":
+        m[rng.randrange(size)] = [F(0)] * size
+    elif kind == "zero-column":
+        j = rng.randrange(size)
+        for row in m:
+            row[j] = F(0)
+    return m
+
+
+@pytest.mark.parametrize("kind", ["random", "singular", "zero-row", "zero-column"])
+@pytest.mark.parametrize("size", range(1, ORACLE_CAP + 1))
+def test_cofactor_matches_recursive_laplace(size, kind):
+    rng = random.Random(f"{size}-{kind}")
+    for _ in range(8):
+        m = _seeded_matrix(rng, size, kind)
+        ref = _laplace_recursive(m)
+        if kind != "random":
+            assert ref == 0
+        det = det_cofactor(m)
+        assert isinstance(det, F) and det == ref
+        assert det_bareiss(m) == ref
 
 
 @st.composite

@@ -1,4 +1,4 @@
-import math
+from itertools import permutations, product
 
 import pytest
 
@@ -43,11 +43,32 @@ def test_cyclic_colorless_reduces_to_derangements():
 def test_cyclic_brute_matches_formula():
     for r in range(1, 5):
         for n in range(7):
-            if r ** n * math.factorial(n) > 10 ** 7:
-                continue
             assert count_cyclic_derangements_brute(n, r) == cyclic_derangement(n, r)
 
 
 def test_cyclic_size_cap():
     with pytest.raises(SizeTooLarge):
-        count_cyclic_derangements_brute(9, 5)
+        count_cyclic_derangements_brute(10, 5)
+    assert count_cyclic_derangements_brute(9, 5) == cyclic_derangement(9, 5)
+
+
+def _wreath_count(n, r):
+    """The direct wreath-model count: every (permutation, coloring) pair,
+    r^n n! of them, checked one by one."""
+    count = 0
+    for perm in permutations(range(n)):
+        for colors in product(range(r), repeat=n):
+            fixed = False
+            for i in range(n):
+                if perm[i] == i and colors[i] == 0:
+                    fixed = True
+                    break
+            if not fixed:
+                count += 1
+    return count
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_cyclic_oracle_matches_wreath_enumeration(r):
+    for n in range(7):
+        assert count_cyclic_derangements_brute(n, r) == _wreath_count(n, r)

@@ -26,13 +26,17 @@ def run_script(name, *args):
     return proc
 
 
+def assert_one_error_line(proc):
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("family", [f.value for f in Family])
 def test_hankel_table(family):
     proc = run_script("hankel_table.py", "--family", family, "--nmax", "3")
     if family in NO_CLOSED_FORM:
-        assert proc.returncode == 2 and proc.stdout == ""
-        assert proc.stderr.startswith("error: ")
-        assert proc.stderr.count("\n") == 1
+        assert_one_error_line(proc)
     else:
         assert proc.returncode == 0
         rows = proc.stdout.splitlines()[1:]
@@ -44,6 +48,15 @@ def test_mc_sweep():
                       "--samples", "2000")
     assert proc.returncode == 0
     assert len(proc.stdout.splitlines()) == 1 + 2 * 3
+
+
+@pytest.mark.parametrize("script,args", [
+    ("hankel_table.py", ["--nmax", "-1"]),
+    ("mc_sweep.py", ["--rmax", "0"]),
+    ("mc_sweep.py", ["--kmax", "-1"]),
+])
+def test_empty_table_exits_2(script, args):
+    assert_one_error_line(run_script(script, *args))
 
 
 def test_run_verification():
