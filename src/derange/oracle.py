@@ -18,7 +18,9 @@ from .exact import DerangeDomainError, SizeTooLarge
 
 def count_derangements_brute(n: int) -> int:
     """Count fixed-point-free permutations of range(n) by full enumeration."""
-    if n < 0 or n > 9:
+    if n < 0:
+        raise DerangeDomainError("need n >= 0")
+    if n > 9:
         raise SizeTooLarge(f"enumeration capped at n = 9, got {n}")
     count = 0
     for perm in permutations(range(n)):

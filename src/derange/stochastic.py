@@ -7,8 +7,10 @@ stream so every estimate is a pure function of (seed, samples).
 
 The sampler streams: draws come in blocks of `_CHUNK` samples, each cut
 from its own slice of the stream, and the per-block (count, mean, M2) are
-merged in block order with the Chan-Golub-LeVeque update. Memory is
-O(_CHUNK * r) whatever the sample count.
+merged in block order with the Chan-Golub-LeVeque update. Each estimate
+allocates one workspace, O(_CHUNK * r) memory whatever the sample count,
+and computes every block in place in it, so a yielded block is a view that
+the next block overwrites: copy it to keep it.
 """
 
 from __future__ import annotations
@@ -30,10 +32,6 @@ _GAMMA = 0x9E3779B97F4A7C15
 _CHUNK = 1 << 14
 
 
-class OutOfDomain(DerangeDomainError):
-    pass
-
-
 @dataclass(frozen=True)
 class MomentEstimate:
     mean: float
@@ -47,16 +45,6 @@ def erlang_moment_exact(r: int, k: int) -> int:
     if r < 1 or k < 0:
         raise DerangeDomainError("need r >= 1, k >= 0")
     return rising_factorial(r, k)
-
-
-def mgf_erlang(r: int, t) -> Fraction:
-    """Moment generating function 1/(1-t)^r, exact; domain t < 1."""
-    if r < 1:
-        raise DerangeDomainError("need r >= 1")
-    t = Fraction(t)
-    if t >= 1:
-        raise OutOfDomain(f"mgf diverges for t >= 1, got {t}")
-    return 1 / (1 - t) ** r
 
 
 def _mix64(x: int) -> int:
@@ -89,6 +77,15 @@ class SplitMix64:
         return (self.next_u64() >> 11) * 2.0 ** -53
 
 
+def _mix_inplace(x: np.ndarray, t: np.ndarray) -> None:
+    """_mix64 on every uint64 of x, in place; t is scratch of x's shape."""
+    x ^= np.right_shift(x, np.uint64(30), out=t)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= np.right_shift(x, np.uint64(27), out=t)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= np.right_shift(x, np.uint64(31), out=t)
+
+
 def _uniforms(seed: int, count: int, offset: int = 0) -> np.ndarray:
     """Vectorized slice [offset, offset+count) of the SplitMix64 stream,
     computed in place in one array plus one scratch array."""
@@ -96,11 +93,7 @@ def _uniforms(seed: int, count: int, offset: int = 0) -> np.ndarray:
     x *= np.uint64(_GAMMA)
     x += np.uint64(seed & _MASK)
     t = np.empty_like(x)
-    x ^= np.right_shift(x, np.uint64(30), out=t)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= np.right_shift(x, np.uint64(27), out=t)
-    x *= np.uint64(0x94D049BB133111EB)
-    x ^= np.right_shift(x, np.uint64(31), out=t)
+    _mix_inplace(x, t)
     x >>= np.uint64(11)
     return np.multiply(x, 2.0 ** -53, out=t.view(np.float64))
 
@@ -115,14 +108,35 @@ def sample_erlang(r: int, rng: SplitMix64) -> float:
 def _erlang_blocks(r: int, samples: int, seed: int) -> Iterator[np.ndarray]:
     """Erlang(r) draws in blocks of at most _CHUNK samples. Block j reads
     uniforms [j*_CHUNK*r, ...) of the stream, so the blocks concatenate to
-    the sequential sample_erlang draws."""
+    the sequential sample_erlang draws.
+
+    The workspace is allocated once per call and every block is computed in
+    it in place; each yielded block is a view the next one overwrites. The
+    r exponentials of a draw are summed column by column, sample_erlang's
+    order, which is also numpy's row sum for r < 8."""
+    block = min(_CHUNK, samples)
+    base = np.arange(1, block * r + 1, dtype=np.uint64)
+    base *= np.uint64(_GAMMA)
+    x = np.empty_like(base)
+    t = np.empty_like(base)
+    u = t.view(np.float64)
+    y = np.empty(block)
     for start in range(0, samples, _CHUNK):
         m = min(_CHUNK, samples - start)
-        u = _uniforms(seed, m * r, start * r)
-        np.negative(u, out=u)
-        np.log1p(u, out=u)
-        y = u.reshape(m, r).sum(axis=1)
-        yield np.negative(y, out=y)
+        n = m * r
+        xs, us, ys = x[:n], u[:n], y[:m]
+        # counter i of the stream is seed + i*GAMMA: shift base to this block
+        np.add(base[:n], np.uint64((start * r * _GAMMA + seed) & _MASK), out=xs)
+        _mix_inplace(xs, t[:n])
+        xs >>= np.uint64(11)
+        np.copyto(us, xs.view(np.int64))  # exact: xs < 2^53
+        us *= -2.0 ** -53  # -U, exactly
+        np.log1p(us, out=us)
+        cols = us.reshape(m, r)
+        np.copyto(ys, cols[:, 0])
+        for j in range(1, r):
+            ys += cols[:, j]
+        yield np.negative(ys, out=ys)
 
 
 def _estimate(r: int, samples: int, seed: int,
@@ -144,6 +158,16 @@ def _estimate(r: int, samples: int, seed: int,
         count = total
     return MomentEstimate(mean, math.sqrt(m2 / (count - 1)) / math.sqrt(count),
                           samples, seed)
+
+
+def _horner(coeffs: list[float], y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.polyval(coeffs, y) computed in out: the same operations in the
+    same order, without polyval's temporary arrays."""
+    out.fill(coeffs[0])
+    for c in coeffs[1:]:
+        out *= y
+        out += c
+    return out
 
 
 def mc_moment(r: int, k: int, samples: int, seed: int) -> MomentEstimate:
@@ -172,4 +196,5 @@ def mc_generalized_D(n: int, r: int, x, samples: int, seed: int) -> MomentEstima
         return MomentEstimate(1.0, 0.0, samples, seed)
     x = Fraction(x)
     coeffs = [float(binomial(n, k) * x ** k) for k in range(n, -1, -1)]
-    return _estimate(r, samples, seed, lambda y: np.polyval(coeffs, y))
+    acc = np.empty(min(_CHUNK, samples))
+    return _estimate(r, samples, seed, lambda y: _horner(coeffs, y, acc[:y.size]))

@@ -2,6 +2,7 @@ from itertools import permutations, product
 
 import pytest
 
+from derange.exact import DerangeDomainError
 from derange.oracle import (
     SizeTooLarge,
     count_cyclic_derangements_brute,
@@ -20,6 +21,16 @@ def test_derangement_counts():
 def test_derangement_size_cap():
     with pytest.raises(SizeTooLarge):
         count_derangements_brute(10)
+
+
+@pytest.mark.parametrize("count", [
+    count_derangements_brute,
+    lambda n: count_cyclic_derangements_brute(n, 2),
+], ids=["derangements", "cyclic"])
+def test_negative_n_is_a_domain_error_not_a_size_cap(count):
+    with pytest.raises(DerangeDomainError, match="need n >= 0") as err:
+        count(-1)
+    assert not isinstance(err.value, SizeTooLarge)
 
 
 def test_brute_matches_formula_and_egf():
