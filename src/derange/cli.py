@@ -185,8 +185,7 @@ def cmd_mc(args) -> int:
             raise DerangeDomainError("need --k (or --dn with --n/--x)")
         est = stochastic.mc_moment(args.r, args.k, args.samples, seed)
         target = Fraction(stochastic.erlang_moment_exact(args.r, args.k))
-    z = 0.0 if est.stderr == 0 else (est.mean - float(target)) / est.stderr
-    ok = abs(z) <= 6 and (est.stderr > 0 or est.mean == float(target))
+    z, ok = stochastic.zscore_gate(est, target)
     cell = verify.Cell(
         params={"r": str(args.r), "samples": str(args.samples),
                 "seed": str(seed), "stderr": repr(est.stderr),

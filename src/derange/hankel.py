@@ -9,25 +9,18 @@ polynomials and numbers at (r, 1), the cyclic counts at (1, r), the classic
 derangements at (1, 1). The r-derangement families carry a z^s prefactor,
 s > 0, and have no closed form.
 
-Bareiss is the authority (fraction-free, always defined). The J-fraction
-route is the independent determinant at every size: the Chebyshev
-algorithm (Gautschi 2004) turns the 2n+1 moments into the Jacobi
-continued-fraction coefficients (b_k, lambda_k) in O(n^2) operations, and
-the determinant is the product of the orthogonal polynomials' norms,
-mu_0^{n+1} Pi lambda_k^{n+1-k} (Flajolet 1980). Dodgson condensation
-(which mirrors the Sylvester contraction of the inductive determinant
-proofs and raises DegenerateInterior when a divisor minor vanishes) and
-Laplace cofactor expansion are small-size oracles, run on matrices up to
-ORACLE_CAP x ORACLE_CAP.
-
-Bareiss and condensation both run on integers: `_integer_rows` clears the
-denominators of each row and then divides out the gcd of each column,
-leaving an integer matrix and the rational factor its determinant is
-scaled by. Every division either elimination makes is then exact.
-Cofactor expansion clears one common denominator of its own and expands
-on integers, computing each minor once, bottom-up over the column sets of
-the trailing rows: it makes no division and no pivot, so it shares nothing
-with the eliminations or the J-fraction route, which works in Fraction.
+Bareiss is the authority (fraction-free, always defined), run on the
+integer matrix of `_integer_rows`, whose row denominators and column gcds
+are cleared so that every division is exact. The J-fraction route is the
+independent determinant at every size: the Chebyshev algorithm (Gautschi
+2004) turns the 2n+1 moments into the Jacobi continued-fraction
+coefficients (b_k, lambda_k) in O(n^2) operations, and the determinant is
+the product of the orthogonal polynomials' norms, mu_0^{n+1} Pi
+lambda_k^{n+1-k} (Flajolet 1980). Up to ORACLE_CAP x ORACLE_CAP two oracles
+run beside them: Dodgson condensation, the Desnanot-Jacobi recurrence of the
+paper's inductive proofs run on the moments in O(n^2) integer steps, and
+Laplace cofactor expansion on integers, with no division and no pivot. No
+two routes share a kernel.
 """
 
 from __future__ import annotations
@@ -77,8 +70,7 @@ def _integer_rows(m: Matrix) -> Tuple[List[List[int]], Fraction]:
 
     Each row is multiplied by the lcm of its denominators, then each column
     is divided by the gcd of its entries (an all-zero column is left as
-    it is). Scaling rows and columns by nonzero factors cannot turn any
-    minor zero or nonzero.
+    it is).
     """
     rows = []
     denom = 1
@@ -121,29 +113,30 @@ def det_bareiss(m: Matrix) -> Fraction:
     return sign * a[size - 1][size - 1] * scale
 
 
-def det_condensation(m: Matrix) -> Fraction:
-    """Dodgson condensation on the integer matrix of `_integer_rows`;
-    raises DegenerateInterior on a zero divisor minor.
+def det_condensation(seq: Sequence, n: int) -> Fraction:
+    """Determinant of the order-(n+1) Hankel matrix of seq[0..2n] by Dodgson
+    condensation on the moments; raises DegenerateInterior on a zero divisor.
 
-    Every entry of every stage is a connected minor of that integer
-    matrix, so by the Desnanot-Jacobi identity each division is exact."""
-    size = len(m)
-    cur, scale = _integer_rows(m)
-    prev = [[1] * (size + 1) for _ in range(size + 1)]
-    while len(cur) > 1:
-        k = len(cur)
+    Its connected minors H_k^(m) = det(a_{m+i+j})_{i,j<k} obey
+    H_{k+1}^(m) H_{k-1}^(m+2) = H_k^(m) H_k^(m+2) - (H_k^(m+1))^2 from
+    H_0 = 1, H_1^(m) = a_m; on b = d a, for a common denominator d, every
+    minor is an integer and every division exact."""
+    if len(seq) < 2 * n + 1:
+        raise InsufficientTerms(f"need {2 * n + 1} terms, got {len(seq)}")
+    moments = [Fraction(v) for v in seq[:2 * n + 1]]
+    d = lcm(*(v.denominator for v in moments))
+    # level k holds H_k^(m), m = 0..2(n+1-k)
+    prev = [1] * (2 * n + 3)
+    cur = [v.numerator * (d // v.denominator) for v in moments]
+    for k in range(1, n + 1):
         nxt = []
-        for i in range(k - 1):
-            row = []
-            for j in range(k - 1):
-                div = prev[i + 1][j + 1]
-                if div == 0:
-                    raise DegenerateInterior(f"zero interior minor at ({i},{j})")
-                minor = cur[i][j] * cur[i + 1][j + 1] - cur[i][j + 1] * cur[i + 1][j]
-                row.append(minor // div)
-            nxt.append(row)
+        for m in range(2 * (n - k) + 1):
+            div = prev[m + 2]
+            if div == 0:
+                raise DegenerateInterior(f"zero minor H_{k - 1}^({m + 2})")
+            nxt.append((cur[m] * cur[m + 2] - cur[m + 1] ** 2) // div)
         prev, cur = cur, nxt
-    return cur[0][0] * scale
+    return Fraction(cur[0], d ** (n + 1))
 
 
 def det_cofactor(m: Matrix) -> Fraction:
@@ -318,7 +311,7 @@ def verify_hankel(spec: FamilySpec, n: int) -> HankelReport:
     if n + 1 <= ORACLE_CAP:
         dk = det_cofactor(m)
         try:
-            dc = det_condensation(m)
+            dc = det_condensation(seq, n)
         except DegenerateInterior:
             pass
     values = [v for v in (db, dj, dc, dk) if v is not None]

@@ -47,6 +47,14 @@ def erlang_moment_exact(r: int, k: int) -> int:
     return rising_factorial(r, k)
 
 
+def zscore_gate(est: MomentEstimate, target) -> tuple[float, bool]:
+    """The z-score of an estimate against its exact target, and whether it
+    is within 6 standard errors; a zero stderr passes only on the target."""
+    target = float(target)
+    z = 0.0 if est.stderr == 0 else (est.mean - target) / est.stderr
+    return z, abs(z) <= 6 and (est.stderr > 0 or est.mean == target)
+
+
 def _mix64(x: int) -> int:
     x &= _MASK
     x ^= x >> 30

@@ -17,6 +17,7 @@ from .series import Family, FamilySpec
 
 DEFAULT_POINTS = (Fraction(1), Fraction(-1), Fraction(2),
                   Fraction(1, 2), Fraction(-3, 5))
+SERIES_ORDER = 20
 
 
 @dataclass(frozen=True)
@@ -27,11 +28,10 @@ class Grid:
     r_max: int = 3
     points: tuple = DEFAULT_POINTS
     deriv_z: tuple = (Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(2))
-    series_order: int = 20
 
     def __post_init__(self):
-        if min(self.n_max, self.r_max, self.series_order) < 0:
-            raise DerangeDomainError("grid needs n_max, r_max, series_order >= 0")
+        if min(self.n_max, self.r_max) < 0:
+            raise DerangeDomainError("grid needs n_max, r_max >= 0")
         if not self.points or not self.deriv_z:
             raise DerangeDomainError("grid needs at least one x and one z point")
 
@@ -112,11 +112,10 @@ def spec_params(spec: FamilySpec) -> Dict[str, str]:
 def _hankel_cell(spec: FamilySpec, n: int) -> Cell:
     rep = hankel.verify_hankel(spec, n)
     params = {"family": spec.family.value, "n": str(n), **spec_params(spec)}
-    actual = str(rep.det_bareiss) if rep.verdict == "pass" else (
-        f"bareiss={rep.det_bareiss} jfraction={rep.det_jfraction} "
-        f"condensation={rep.det_condensation} cofactor={rep.det_cofactor}")
-    return Cell(params, str(rep.closed_form), actual,
-                "pass" if rep.verdict == "pass" else "fail")
+    actual = str(rep.det_bareiss) if rep.verdict == "pass" else " ".join(
+        f"{name}={det}" for name, det in
+        {"bareiss": rep.det_bareiss, **rep.shown_dets()}.items())
+    return Cell(params, str(rep.closed_form), actual, rep.verdict)
 
 
 def _closed_form_specs(grid: Grid):
@@ -183,12 +182,11 @@ def suite_mgf(grid: Grid) -> List[Cell]:
     """Series form of the moment representation: n! [z^n] e^z/(1-xz)^r
     equals the generalized polynomial value, coefficient by coefficient."""
     cells = []
-    order = grid.series_order
     for r in range(grid.r_max + 1):
         for x in grid.points:
-            prod = series.series_mul(series.series_exp(1, order),
-                                     series.geom_pow(x, r, order))
-            for n in range(order + 1):
+            prod = series.series_mul(series.series_exp(1, SERIES_ORDER),
+                                     series.geom_pow(x, r, SERIES_ORDER))
+            for n in range(SERIES_ORDER + 1):
                 lhs = exact.factorial(n) * prod[n]
                 rhs = polys.eval_poly(polys.generalized_D_poly(n, r), x)
                 cells.append(_cell(

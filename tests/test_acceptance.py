@@ -100,7 +100,7 @@ def test_criterion_05_generalized_hankel():
                 closed = closed_form_generalized(n, r, z)
                 assert det_bareiss(m) == closed, (n, r, z)
                 try:
-                    assert det_condensation(m) == closed
+                    assert det_condensation(seq, n) == closed
                 except DegenerateInterior:
                     pass
                 if n <= 5:
@@ -157,7 +157,7 @@ def test_criterion_09_derivative_hankel():
 
 
 def test_criterion_10_moment_series_identity():
-    grid = verify.Grid(r_max=5, series_order=20)
+    grid = verify.Grid(r_max=5)
     cells = verify.suite_mgf(grid)
     assert all(c.verdict == "pass" for c in cells)
     report(10, f"e^z/(1-xz)^r EGF identity coefficient-wise, {len(cells)} cells")
@@ -168,14 +168,13 @@ def test_criterion_11_stochastic_layer():
         for k in range(7):
             est = mc_moment(r, k, 10 ** 6, 42)
             target = stochastic.erlang_moment_exact(r, k)
-            assert abs(est.mean - target) <= 6 * est.stderr or est.stderr == 0
+            assert stochastic.zscore_gate(est, target)[1], (r, k)
     for n in range(5):
         for r in (1, 2, 3):
             for x in (F(1), F(-1), F(1, 2)):
                 est = mc_generalized_D(n, r, x, 10 ** 6, 42)
-                target = float(eval_poly(generalized_D_poly(n, r), x))
-                assert abs(est.mean - target) <= 6 * est.stderr or \
-                    est.stderr == 0
+                target = eval_poly(generalized_D_poly(n, r), x)
+                assert stochastic.zscore_gate(est, target)[1], (n, r, x)
     report(11, "seed-42 Monte Carlo within 6 stderr on every grid cell")
 
 

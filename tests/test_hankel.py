@@ -48,6 +48,8 @@ class TestHankelMatrix:
     def test_insufficient_terms(self):
         with pytest.raises(InsufficientTerms):
             hankel_matrix([1, 2, 3], 2)
+        with pytest.raises(InsufficientTerms):
+            det_condensation([1, 2, 3], 2)
 
 
 def _rational_matrix(size):
@@ -65,7 +67,7 @@ class TestDeterminantAlgorithms:
     def test_classic_hankel_by_hand(self):
         m = [[1, 0, 1], [0, 1, 2], [1, 2, 9]]
         assert det_bareiss(m) == 4
-        assert det_condensation(m) == 4
+        assert det_condensation([1, 0, 1, 2, 9], 2) == 4
         assert det_cofactor(m) == 4
 
     def test_2x2_formula(self):
@@ -81,10 +83,13 @@ class TestDeterminantAlgorithms:
         assert det_cofactor(m) == -1
 
     def test_condensation_degenerate_interior(self):
-        # interior entry m[1][1] = 0 is the divisor of the second contraction
-        m = [[F(0), F(1), F(0)], [F(1), F(0), F(0)], [F(0), F(0), F(1)]]
+        # interior entry m[1][1] = a_2 = 0 is the divisor of the second
+        # contraction
+        seq = [F(0), F(1), F(0), F(0), F(1)]
         with pytest.raises(DegenerateInterior):
-            det_condensation(m)
+            det_condensation(seq, 2)
+        m = hankel_matrix(seq, 2)
+        assert m == [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
         assert det_bareiss(m) == -1
 
     def test_cofactor_size_cap(self):
@@ -98,10 +103,50 @@ class TestDeterminantAlgorithms:
         m = [[F(v) for v in row] for row in rows]
         ref = det_cofactor(m)
         assert det_bareiss(m) == ref
+        seq, n = _border_sequence(m), len(m) - 1
         try:
-            assert det_condensation(m) == ref
+            assert det_condensation(seq, n) == det_cofactor(hankel_matrix(seq, n))
         except DegenerateInterior:
-            pass  # legitimate signal, Bareiss already cross-checked
+            pass  # legitimate signal: a zero interior minor of the Hankel matrix
+
+
+def _border_sequence(m):
+    """The 2 size - 1 moments of the Hankel matrix with m's first row and
+    last column."""
+    return list(m[0]) + [row[-1] for row in m[1:]]
+
+
+def _matrix_condensation(m):
+    """Dodgson condensation of a general matrix, in Fraction: the reference
+    for det_condensation, which runs the same recurrence on a Hankel
+    matrix's moments. Each stage holds the connected minors of one size;
+    entry (i, j) of the next is the 2 x 2 determinant of neighbours divided
+    by entry (i+1, j+1) of the stage before. None when such a divisor is
+    zero."""
+    size = len(m)
+    cur = [[F(v) for v in row] for row in m]
+    prev = [[F(1)] * (size + 1) for _ in range(size + 1)]
+    while len(cur) > 1:
+        k = len(cur)
+        nxt = []
+        for i in range(k - 1):
+            row = []
+            for j in range(k - 1):
+                div = prev[i + 1][j + 1]
+                if div == 0:
+                    return None
+                minor = cur[i][j] * cur[i + 1][j + 1] - cur[i][j + 1] * cur[i + 1][j]
+                row.append(minor / div)
+            nxt.append(row)
+        prev, cur = cur, nxt
+    return cur[0][0]
+
+
+def _condensation_or_none(seq, n):
+    try:
+        return det_condensation(seq, n)
+    except DegenerateInterior:
+        return None
 
 
 def _laplace_recursive(rows):
@@ -190,12 +235,14 @@ def test_integer_kernels_match_fraction_reference(m):
     ref = det_cofactor(m)
     bareiss = det_bareiss(m)
     assert isinstance(bareiss, F) and bareiss == ref
-    if _has_zero_interior_minor(m):
+    seq, n = _border_sequence(m), len(m) - 1
+    h = hankel_matrix(seq, n)
+    if _has_zero_interior_minor(h):
         with pytest.raises(DegenerateInterior):
-            det_condensation(m)
+            det_condensation(seq, n)
     else:
-        cond = det_condensation(m)
-        assert isinstance(cond, F) and cond == ref
+        cond = det_condensation(seq, n)
+        assert isinstance(cond, F) and cond == det_cofactor(h)
 
 
 @st.composite
@@ -233,6 +280,38 @@ def test_jfraction_matches_cofactor(case):
     for k, lam in enumerate(got.lam, 1):
         flajolet *= lam ** (n + 1 - k)
     assert flajolet == det
+
+
+@given(_hankel_sequence())
+@example((2, [F(0), F(1), F(0), F(0), F(1)]))  # H_1^(2) = 0 divides
+@example((3, [F(1)] * 7))                       # H_2^(m) = 0 divides
+@example((2, [F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(1, 11)]))
+@settings(max_examples=200, deadline=None)
+def test_condensation_matches_matrix_reference(case):
+    n, seq = case
+    got = _condensation_or_none(seq, n)
+    assert got == _matrix_condensation(hankel_matrix(seq, n))
+    assert got is None or isinstance(got, F)
+
+
+def test_condensation_on_the_default_grid():
+    """Every call verify_hankel makes on the default grid: condensation
+    equals the matrix reference, value and degeneracy, and degenerates
+    exactly on the r = 0 polynomial cells with n >= 3, where H_2 = 0."""
+    calls, degenerate = 0, set()
+    for n in range(ORACLE_CAP):
+        for spec in verify._closed_form_specs(verify.Grid()):
+            seq = egf_values(spec, 2 * n + 1)
+            got = _condensation_or_none(seq, n)
+            assert got == _matrix_condensation(hankel_matrix(seq, n)), (spec, n)
+            assert got in (None, hankel._closed_form(spec, n))
+            calls += 1
+            if got is None:
+                degenerate.add((spec, n))
+    assert calls == 264 and len(degenerate) == 30
+    assert {(spec.family, spec.r) for spec, n in degenerate} == {
+        (Family.GENERALIZED, 0), (Family.ORDER_R_POLY, 0)}
+    assert {n for spec, n in degenerate} == {3, 4, 5}
 
 
 DEPTH_SPECS = {
@@ -400,6 +479,20 @@ class TestVerifyHankel:
                             lambda seq, n: real(seq, n)._replace(det=F(7)))
         rep = verify_hankel(FamilySpec(Family.CYCLIC, 2), 8)
         assert rep.verdict == "fail" and rep.det_bareiss == rep.closed_form
+
+    def test_a_failed_cell_says_which_oracles_ran(self, monkeypatch):
+        real = hankel.det_jfraction
+        monkeypatch.setattr(hankel, "det_jfraction",
+                            lambda seq, n: real(seq, n)._replace(det=F(7)))
+        cell = verify._hankel_cell(FamilySpec(Family.CYCLIC, 2), 6)
+        assert cell.verdict == "fail"
+        assert cell.actual == (f"bareiss={cell.expected} jfraction=7 "
+                               "condensation=n/a cofactor=n/a")
+        # r = 0: H_2 = 0, so condensation degenerates and cofactor reads 0
+        cell = verify._hankel_cell(FamilySpec(Family.GENERALIZED, 0, F(2)), 3)
+        assert cell.verdict == "fail"
+        assert cell.actual == ("bareiss=0 jfraction=7 "
+                               "condensation=degenerate cofactor=0")
 
     def test_no_closed_form(self):
         with pytest.raises(NoClosedForm):

@@ -1,9 +1,11 @@
 """Each script under scripts/ runs in a fresh process with small arguments
 and ends with its exit code, never a traceback."""
 
+import importlib.util
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -48,6 +50,33 @@ def test_mc_sweep():
                       "--samples", "2000")
     assert proc.returncode == 0
     assert len(proc.stdout.splitlines()) == 1 + 2 * 3
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(
+        name.removesuffix(".py"), ROOT / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_mc_sweep_fails_rows_outside_the_gate(monkeypatch, capsys):
+    sweep = load_script("mc_sweep.py")
+    real = sweep.mc_moment
+
+    def far_off(r, k, samples, seed):  # every k >= 1 row 100 stderr off
+        est = real(r, k, samples, seed)
+        mean = sweep.erlang_moment_exact(r, k) + 100 * est.stderr
+        return est if k == 0 else replace(est, mean=mean)
+
+    argv = ["--rmax", "2", "--kmax", "1", "--samples", "2000"]
+    assert sweep.main(argv) == 0
+    assert capsys.readouterr().err == ""
+    monkeypatch.setattr(sweep, "mc_moment", far_off)
+    assert sweep.main(argv) == 1
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 1 + 2 * 2
+    assert captured.err == "FAIL r=1 k=1 z=100.00\nFAIL r=2 k=1 z=100.00\n"
 
 
 @pytest.mark.parametrize("script,args", [

@@ -9,6 +9,7 @@ from derange.exact import DerangeDomainError, binomial
 from derange.polys import eval_poly, generalized_D_poly
 from derange.stochastic import (
     _CHUNK,
+    MomentEstimate,
     SplitMix64,
     _erlang_blocks,
     _horner,
@@ -17,6 +18,7 @@ from derange.stochastic import (
     mc_generalized_D,
     mc_moment,
     sample_erlang,
+    zscore_gate,
 )
 
 SMALL = 20_000  # enough for a 6-sigma sanity check without slowing the suite
@@ -276,7 +278,7 @@ class TestMcMoment:
     @pytest.mark.parametrize("r,k", [(1, 2), (2, 3), (3, 1), (5, 4)])
     def test_hits_exact_moment(self, r, k):
         est = mc_moment(r, k, SMALL, 42)
-        assert abs(est.mean - erlang_moment_exact(r, k)) <= 6 * est.stderr
+        assert zscore_gate(est, erlang_moment_exact(r, k))[1]
 
     def test_k_cap(self):
         with pytest.raises(ValueError):
@@ -296,12 +298,21 @@ class TestMcGeneralizedD:
     @pytest.mark.parametrize("n,r,x", [(2, 1, F(1)), (3, 2, F(-1)), (4, 3, F(1, 2))])
     def test_hits_polynomial_value(self, n, r, x):
         est = mc_generalized_D(n, r, x, SMALL, 42)
-        target = float(eval_poly(generalized_D_poly(n, r), x))
-        assert abs(est.mean - target) <= 6 * est.stderr
+        assert zscore_gate(est, eval_poly(generalized_D_poly(n, r), x))[1]
 
     def test_example_target_value(self):
         # 1 - 6 + 18 - 24 from the coefficients 1, 6, 18, 24
         assert eval_poly(generalized_D_poly(3, 2), -1) == -11
+
+
+@pytest.mark.parametrize("mean,stderr,target,want", [
+    (2.5, 0.25, 1, (6.0, True)),              # on the 6-sigma edge
+    (2.5, 0.125, F(1), (12.0, False)),        # outside it
+    (1.0, 0.0, 1, (0.0, True)),               # exact, no spread
+    (1.0, 0.0, F(3, 2), (0.0, False)),        # no spread, off target
+])
+def test_zscore_gate(mean, stderr, target, want):
+    assert zscore_gate(MomentEstimate(mean, stderr, 100, 42), target) == want
 
 
 @pytest.mark.parametrize("estimate", [
