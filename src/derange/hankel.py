@@ -9,25 +9,29 @@ polynomials and numbers at (r, 1), the cyclic counts at (1, r), the classic
 derangements at (1, 1). The r-derangement families carry a z^s prefactor,
 s > 0, and have no closed form.
 
-Bareiss is the authority (fraction-free, always defined), run on the
-integer matrix of `_integer_rows`, whose row denominators and column gcds
-are cleared so that every division is exact. The J-fraction route is the
-independent determinant at every size: the Chebyshev algorithm (Gautschi
-2004) turns the 2n+1 moments into the Jacobi continued-fraction
-coefficients (b_k, lambda_k) in O(n^2) operations, and the determinant is
-the product of the orthogonal polynomials' norms, mu_0^{n+1} Pi
-lambda_k^{n+1-k} (Flajolet 1980). Up to ORACLE_CAP x ORACLE_CAP two oracles
-run beside them: Dodgson condensation, the Desnanot-Jacobi recurrence of the
-paper's inductive proofs run on the moments in O(n^2) integer steps, and
-Laplace cofactor expansion on integers, with no division and no pivot. No
-two routes share a kernel.
+Bareiss is the authority (fraction-free, always defined). It reads the
+moments and builds the symmetric integer matrix s_i s_j a_{i+j} / g, with
+s_i the lcm of the denominators of a_i..a_{i+n} and g the gcd of all
+entries, so every division is exact. Each elimination stage of a symmetric
+matrix is symmetric, so only the upper triangle is eliminated; a zero
+pivot copies it into the lower triangle once, and elimination goes on with
+row swaps as on a general matrix. The J-fraction route is the independent
+determinant at every size: the Chebyshev algorithm (Gautschi 2004) turns
+the 2n+1 moments into the Jacobi continued-fraction coefficients
+(b_k, lambda_k) in O(n^2) operations, each row held as integers over one
+denominator, and the determinant is the product of the orthogonal
+polynomials' norms, mu_0^{n+1} Pi lambda_k^{n+1-k} (Flajolet 1980). Up to
+ORACLE_CAP x ORACLE_CAP two oracles run beside them: Dodgson condensation,
+the Desnanot-Jacobi recurrence of the paper's inductive proofs run on the
+moments in O(n^2) integer steps, and Laplace cofactor expansion on
+integers, with no division and no pivot. No two routes share a kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exact import DerangeDomainError, SizeTooLarge, factorial, rising_factorial
@@ -65,39 +69,38 @@ def hankel_matrix(seq: Sequence, n: int) -> Matrix:
     return [[Fraction(seq[i + j]) for j in range(n + 1)] for i in range(n + 1)]
 
 
-def _integer_rows(m: Matrix) -> Tuple[List[List[int]], Fraction]:
-    """An integer matrix a and a rational scale with det(m) = scale * det(a).
+def det_bareiss(seq: Sequence, n: int) -> Fraction:
+    """Determinant of the order-(n+1) Hankel matrix of seq[0..2n] by
+    one-step fraction-free Bareiss elimination on a symmetric integer matrix.
 
-    Each row is multiplied by the lcm of its denominators, then each column
-    is divided by the gcd of its entries (an all-zero column is left as
-    it is).
-    """
-    rows = []
-    denom = 1
-    for row in m:
-        row = [Fraction(v) for v in row]
-        d = lcm(*(v.denominator for v in row)) if row else 1
-        denom *= d
-        rows.append([v.numerator * (d // v.denominator) for v in row])
-    numer = 1
-    for j in range(len(rows[0]) if rows else 0):
-        g = gcd(*(row[j] for row in rows))
-        if g > 1:
-            numer *= g
-            for row in rows:
-                row[j] //= g
-    return rows, Fraction(numer, denom)
-
-
-def det_bareiss(m: Matrix) -> Fraction:
-    """Exact determinant: one-step fraction-free Bareiss elimination on
-    the integer matrix of `_integer_rows`, scaled back."""
-    size = len(m)
-    a, scale = _integer_rows(m)
-    sign = 1
-    prev = 1
+    Entry (i, j) is s_i s_j a_{i+j} / g, for s_i the lcm of the
+    denominators of a_i..a_{i+n} and g the gcd of all entries, so the
+    determinant is det * g^{n+1} / Pi s_i^2. Every Bareiss stage of a
+    symmetric matrix is symmetric, so only entries with j >= i are
+    eliminated, and a[i][k] is read as a[k][i]. A zero pivot copies the
+    upper triangle into the lower one once; elimination then goes on as on
+    a general matrix, with row swaps."""
+    if len(seq) < 2 * n + 1:
+        raise InsufficientTerms(f"need {2 * n + 1} terms, got {len(seq)}")
+    moments = [Fraction(v) for v in seq[:2 * n + 1]]
+    size = n + 1
+    dens = [v.denominator for v in moments]
+    s = [lcm(*dens[i:i + size]) for i in range(size)]
+    a = [[s[i] * s[j] * moments[i + j].numerator // dens[i + j]
+          for j in range(size)] for i in range(size)]
+    g = gcd(*(gcd(*row) for row in a))
+    if g == 0:
+        return Fraction(0)
+    if g > 1:
+        a = [[v // g for v in row] for row in a]
+    sign, prev, sym = 1, 1, True
     for k in range(size - 1):
         if a[k][k] == 0:
+            if sym:  # the lower triangle is stale
+                for i in range(k + 1, size):
+                    for j in range(k, i):
+                        a[i][j] = a[j][i]
+                sym = False
             for i in range(k + 1, size):
                 if a[i][k] != 0:
                     a[k], a[i] = a[i], a[k]
@@ -105,12 +108,14 @@ def det_bareiss(m: Matrix) -> Fraction:
                     break
             else:
                 return Fraction(0)
+        rk, akk = a[k], a[k][k]
         for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[size - 1][size - 1] * scale
+            ri = a[i]
+            lo, aik = (i, rk[i]) if sym else (k + 1, ri[k])
+            ri[lo:] = [(v * akk - aik * w) // prev
+                       for v, w in zip(ri[lo:], rk[lo:])]
+        prev = akk
+    return Fraction(sign * a[-1][-1] * g ** size, prod(s) ** 2)
 
 
 def det_condensation(seq: Sequence, n: int) -> Fraction:
@@ -191,22 +196,32 @@ def det_jfraction(seq: Sequence, n: int) -> JFraction:
     coefficients end at that lambda_k = 0 (b_0..b_{k-1})."""
     if len(seq) < 2 * n + 1:
         raise InsufficientTerms(f"need {2 * n + 1} terms, got {len(seq)}")
-    # row k holds sigma[k][k+j], j = 0..2(n-k); row -1 is the unit functional
-    old = [Fraction(1)] + [Fraction(0)] * (2 * n + 2)
-    cur = [Fraction(v) for v in seq[:2 * n + 1]]
-    det, b, lam = cur[0], [], []
+    # row k holds sigma[k][k+j] as integers over one denominator,
+    # j = 0..2(n-k); row -1 is the unit functional, whose denominator
+    # cancels from every step
+    moments = [Fraction(v) for v in seq[:2 * n + 1]]
+    cur_den = lcm(*(v.denominator for v in moments))
+    cur = [v.numerator * (cur_den // v.denominator) for v in moments]
+    old = [1] + [0] * (2 * n + 2)
+    det, b, lam = Fraction(cur[0], cur_den), [], []
     for k in range(1, n + 1):
-        norm = cur[0]
-        if norm == 0:
+        c0, o0 = cur[0], old[0]
+        if c0 == 0:
             return JFraction(None, tuple(b), tuple(lam))
-        alpha = cur[1] / norm - old[1] / old[0]
-        beta = norm / old[0]
-        new = [cur[j + 2] - alpha * cur[j + 1] - beta * old[j + 2]
+        # alpha = q/p and beta old[j+2] = t old[j+2] / (p cur_den) on the
+        # numerators, so p cur_den sigma[k][k+j] is new[j]
+        p, q, t = c0 * o0, cur[1] * o0 - old[1] * c0, c0 * c0
+        new = [p * cur[j + 2] - q * cur[j + 1] - t * old[j + 2]
                for j in range(2 * (n - k) + 1)]
-        b.append(alpha)
-        lam.append(new[0] / norm)
-        det *= new[0]
-        old, cur = cur, new
+        new_den = p * cur_den
+        g = gcd(new_den, *new)
+        if g > 1:
+            new = [v // g for v in new]
+            new_den //= g
+        b.append(Fraction(q, p))
+        lam.append(Fraction(new[0] * cur_den, new_den * c0))
+        det *= Fraction(new[0], new_den)
+        old, cur, cur_den = cur, new, new_den
     return JFraction(det, tuple(b), tuple(lam))
 
 
@@ -296,20 +311,19 @@ class HankelReport:
 
 
 def verify_hankel(spec: FamilySpec, n: int) -> HankelReport:
-    """Build the order-(n+1) Hankel matrix of the family's values, evaluate
-    the determinant by Bareiss, by the J-fraction route and, up to
-    ORACLE_CAP, by condensation and cofactor expansion, and compare every
-    value with the paper-supplied closed form."""
+    """Evaluate the order-(n+1) Hankel determinant of the family's values
+    by Bareiss, by the J-fraction route and, up to ORACLE_CAP, by
+    condensation and cofactor expansion, and compare every value with the
+    paper-supplied closed form. Only cofactor reads the matrix itself."""
     if n < 0:
         raise DerangeDomainError("n must be >= 0")
     closed = _closed_form(spec, n)
     seq = egf_values(spec, 2 * n + 1)
-    m = hankel_matrix(seq, n)
-    db = det_bareiss(m)
+    db = det_bareiss(seq, n)
     dj = det_jfraction(seq, n).det
     dc = dk = None
     if n + 1 <= ORACLE_CAP:
-        dk = det_cofactor(m)
+        dk = det_cofactor(hankel_matrix(seq, n))
         try:
             dc = det_condensation(seq, n)
         except DegenerateInterior:
@@ -321,8 +335,7 @@ def verify_hankel(spec: FamilySpec, n: int) -> HankelReport:
 
 def factorial_hankel_det(n: int) -> Fraction:
     """Bareiss determinant of the (i+j)! Hankel matrix of order n+1."""
-    seq = [factorial(k) for k in range(2 * n + 1)]
-    return det_bareiss(hankel_matrix(seq, n))
+    return det_bareiss([factorial(k) for k in range(2 * n + 1)], n)
 
 
 def reduced_derivative(n: int, r: int, z) -> Fraction:
@@ -357,7 +370,7 @@ def verify_derivative_hankel(n: int, r: int, z) -> DerivativeHankelReport:
     if z == 1:
         raise PoleAtOne("z = 1 is a pole")
     g = [reduced_derivative(m, r, z) for m in range(2 * n - 1)]
-    det = det_bareiss(hankel_matrix(g, n - 1))
+    det = det_bareiss(g, n - 1)
     closed = Fraction(closed_form_order_d(n - 1, r))
     closed /= (z - 1) ** ((n - 1) * n) * (1 - z) ** (r * n)
     verdict = "pass" if det == closed else "fail"

@@ -1,7 +1,8 @@
 """Dense polynomials over Fraction and the derangement-polynomial formulas.
 
 Two families live here: the generalized polynomials (coefficient of x^k is
-C(n,k) * rising(r,k)) and their reflections, the order-r derangement
+C(n,k) * rising(r,k), each one the previous times the ratio
+(n-k)(r+k)/(k+1)) and their reflections, the order-r derangement
 polynomials.  The cross-order shift recurrences are exposed as a verifier
 rather than a generator; the fixed-order convolution recurrences generate.
 Evaluation and the convolution recurrences run on integer numerators over
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 from typing import List, Sequence
 
 from .exact import DerangeDomainError, factorial
@@ -60,13 +61,16 @@ def _trim(coeffs):
 
 
 def generalized_D_poly(n: int, r: int) -> Polynomial:
-    """Explicit formula: sum_k C(n,k) rising(r,k) x^k."""
+    """Explicit formula: sum_k C(n,k) rising(r,k) x^k.
+
+    The coefficients c_k = C(n,k) rising(r,k) obey the ratio recurrence
+    c_{k+1} = c_k (n-k)(r+k) / (k+1) from c_0 = 1, and since c_{k+1} is
+    an integer the division is exact."""
     if n < 0:
         raise DerangeDomainError("n must be >= 0")
-    coeffs, rising = [], 1
-    for k in range(n + 1):
-        coeffs.append(comb(n, k) * rising)
-        rising *= r + k
+    coeffs = [1]
+    for k in range(n):
+        coeffs.append(coeffs[-1] * (n - k) * (r + k) // (k + 1))
     return Polynomial(tuple(coeffs))
 
 

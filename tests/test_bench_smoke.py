@@ -28,13 +28,19 @@ TINY = {
 }
 
 
+# deep-exact above ORACLE_CAP, where verify_hankel builds no matrix
+PAST_ORACLES = {
+    "deep-exact-n8": lambda: BENCH.DeepExact(seed=5, terms=21, hankel_n=8),
+}
+
+
 def test_every_workload_is_covered():
     assert set(TINY) == set(BENCH.WORKLOADS)
 
 
-@pytest.mark.parametrize("name", sorted(TINY))
+@pytest.mark.parametrize("name", sorted(TINY) + sorted(PAST_ORACLES))
 def test_one_checked_pass(name):
-    workload = TINY[name]()
+    workload = {**TINY, **PAST_ORACLES}[name]()
     workload.load()
     workload.prepare()
     tally = BENCH.Tally()

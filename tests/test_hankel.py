@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -42,14 +43,57 @@ class TestHankelMatrix:
         assert m == [[1, 1, 5], [1, 5, 29], [5, 29, 233]]
 
     def test_constant_sequence_is_singular(self):
-        m = hankel_matrix([F(3)] * 7, 3)
-        assert det_bareiss(m) == 0
+        assert det_bareiss([F(3)] * 7, 3) == 0
 
     def test_insufficient_terms(self):
-        with pytest.raises(InsufficientTerms):
-            hankel_matrix([1, 2, 3], 2)
-        with pytest.raises(InsufficientTerms):
-            det_condensation([1, 2, 3], 2)
+        for route in (hankel_matrix, det_bareiss, det_condensation,
+                      det_jfraction):
+            with pytest.raises(InsufficientTerms):
+                route([1, 2, 3], 2)
+
+
+def _integer_rows(m):
+    """An integer matrix a and a rational scale with det(m) = scale * det(a):
+    each row times the lcm of its denominators, then each column divided
+    by the gcd of its entries (an all-zero column is left as it is)."""
+    rows, denom = [], 1
+    for row in m:
+        row = [F(v) for v in row]
+        d = lcm(*(v.denominator for v in row))
+        denom *= d
+        rows.append([v.numerator * (d // v.denominator) for v in row])
+    numer = 1
+    for j in range(len(rows[0])):
+        g = gcd(*(row[j] for row in rows))
+        if g > 1:
+            numer *= g
+            for row in rows:
+                row[j] //= g
+    return rows, F(numer, denom)
+
+
+def _matrix_bareiss(m):
+    """One-step fraction-free Bareiss elimination of a general matrix, with
+    row swaps on a zero pivot: the reference for det_bareiss, which runs
+    the same elimination on the symmetric matrix of a Hankel sequence."""
+    size = len(m)
+    a, scale = _integer_rows(m)
+    sign, prev = 1, 1
+    for k in range(size - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, size):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return F(0)
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[size - 1][size - 1] * scale
 
 
 def _rational_matrix(size):
@@ -62,11 +106,11 @@ class TestDeterminantAlgorithms:
     def test_identity(self):
         for size in (1, 2, 4, 7):
             m = [[F(int(i == j)) for j in range(size)] for i in range(size)]
-            assert det_bareiss(m) == 1
+            assert _matrix_bareiss(m) == 1
 
     def test_classic_hankel_by_hand(self):
         m = [[1, 0, 1], [0, 1, 2], [1, 2, 9]]
-        assert det_bareiss(m) == 4
+        assert det_bareiss([1, 0, 1, 2, 9], 2) == 4
         assert det_condensation([1, 0, 1, 2, 9], 2) == 4
         assert det_cofactor(m) == 4
 
@@ -77,10 +121,11 @@ class TestDeterminantAlgorithms:
 
     def test_permutation_matrix_parity(self):
         m = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]  # 3-cycle, even
-        assert det_bareiss(m) == 1
+        assert _matrix_bareiss(m) == 1
         m = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]  # transposition, odd
-        assert det_bareiss(m) == -1
+        assert _matrix_bareiss(m) == -1
         assert det_cofactor(m) == -1
+        assert det_bareiss([0, 1, 0, 0, 1], 2) == -1  # the same, as Hankel
 
     def test_condensation_degenerate_interior(self):
         # interior entry m[1][1] = a_2 = 0 is the divisor of the second
@@ -90,7 +135,7 @@ class TestDeterminantAlgorithms:
             det_condensation(seq, 2)
         m = hankel_matrix(seq, 2)
         assert m == [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
-        assert det_bareiss(m) == -1
+        assert det_bareiss(seq, 2) == -1
 
     def test_cofactor_size_cap(self):
         m = [[F(1)] * 7 for _ in range(7)]
@@ -102,7 +147,7 @@ class TestDeterminantAlgorithms:
     def test_three_way_agreement(self, rows):
         m = [[F(v) for v in row] for row in rows]
         ref = det_cofactor(m)
-        assert det_bareiss(m) == ref
+        assert _matrix_bareiss(m) == ref
         seq, n = _border_sequence(m), len(m) - 1
         try:
             assert det_condensation(seq, n) == det_cofactor(hankel_matrix(seq, n))
@@ -197,7 +242,7 @@ def test_cofactor_matches_recursive_laplace(size, kind):
             assert ref == 0
         det = det_cofactor(m)
         assert isinstance(det, F) and det == ref
-        assert det_bareiss(m) == ref
+        assert _matrix_bareiss(m) == ref
 
 
 @st.composite
@@ -233,10 +278,11 @@ def _has_zero_interior_minor(m):
 @settings(max_examples=150, deadline=None)
 def test_integer_kernels_match_fraction_reference(m):
     ref = det_cofactor(m)
-    bareiss = det_bareiss(m)
-    assert isinstance(bareiss, F) and bareiss == ref
+    assert _matrix_bareiss(m) == ref
     seq, n = _border_sequence(m), len(m) - 1
     h = hankel_matrix(seq, n)
+    bareiss = det_bareiss(seq, n)
+    assert isinstance(bareiss, F) and bareiss == det_cofactor(h)
     if _has_zero_interior_minor(h):
         with pytest.raises(DegenerateInterior):
             det_condensation(seq, n)
@@ -280,6 +326,57 @@ def test_jfraction_matches_cofactor(case):
     for k, lam in enumerate(got.lam, 1):
         flajolet *= lam ** (n + 1 - k)
     assert flajolet == det
+
+
+@given(_hankel_sequence())
+@example((2, [F(0), F(1), F(0), F(0), F(1)]))  # zero pivot at k = 0
+@example((2, [F(1), F(1), F(1), F(2), F(5)]))  # at k = 1: copy, then swap
+@example((3, [F(1), F(2), F(4), F(8), F(17), F(1, 3), F(-2)]))  # at k = 1, n = 3
+@example((4, [F(2), F(1), F(1, 2), F(-1), F(3), F(0), F(7), F(1), F(-5)]))
+@example((3, [F(0)] * 7))                           # all zero
+@example((3, [F(0), F(0), F(0), F(0), F(0), F(0), F(1)]))  # no pivot in column 0
+@settings(max_examples=300, deadline=None)
+def test_bareiss_matches_general_reference(case):
+    n, seq = case
+    got = det_bareiss(seq, n)
+    assert isinstance(got, F)
+    assert got == _matrix_bareiss(hankel_matrix(seq, n))
+
+
+def _fraction_chebyshev(seq, n):
+    """The Chebyshev algorithm in Fraction, row by row: the reference for
+    det_jfraction, which holds each row as integers over one denominator."""
+    old = [F(1)] + [F(0)] * (2 * n + 2)
+    cur = [F(v) for v in seq[:2 * n + 1]]
+    det, b, lam = cur[0], [], []
+    for k in range(1, n + 1):
+        norm = cur[0]
+        if norm == 0:
+            return None, tuple(b), tuple(lam)
+        alpha = cur[1] / norm - old[1] / old[0]
+        beta = norm / old[0]
+        new = [cur[j + 2] - alpha * cur[j + 1] - beta * old[j + 2]
+               for j in range(2 * (n - k) + 1)]
+        b.append(alpha)
+        lam.append(new[0] / norm)
+        det *= new[0]
+        old, cur = cur, new
+    return det, tuple(b), tuple(lam)
+
+
+@given(_hankel_sequence())
+@example((0, [F(0)]))
+@example((1, [F(0), F(1), F(0)]))                 # ends at k = 1
+@example((3, [F(1)] * 7))                         # ends at k = 2
+@example((4, [F(1), F(1), F(1), F(2), F(5), F(1, 3), F(0), F(2), F(9)]))
+@example((5, [F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(1, 11), F(1, 13),
+              F(-1, 17), F(2, 19), F(3, 23), F(5, 29), F(-7, 31)]))
+@settings(max_examples=300, deadline=None)
+def test_jfraction_matches_fraction_reference(case):
+    n, seq = case
+    got = det_jfraction(seq, n)
+    assert tuple(got) == _fraction_chebyshev(seq, n)
+    assert all(isinstance(v, F) for v in (*got.b, *got.lam))
 
 
 @given(_hankel_sequence())
@@ -328,7 +425,7 @@ def test_jfraction_matches_bareiss_at_depth(family):
     seq = egf_values(spec, 65)
     for n in (0, 1, 2, 5, 11, 20, 32):
         got = det_jfraction(seq, n)
-        assert got.det == det_bareiss(hankel_matrix(seq, n)), n
+        assert got.det == det_bareiss(seq, n), n
         assert (got.b, got.lam) == hankel.jfraction_closed_form(spec, n), n
 
 
@@ -416,8 +513,7 @@ class TestClosedForms:
         assert closed_form_classic(3) == (1 * 2 * 6) ** 2
 
     def test_cyclic_3x3_matches_matrix(self):
-        m = hankel_matrix([1, 1, 5, 29, 233], 2)
-        assert det_bareiss(m) == 256
+        assert det_bareiss([1, 1, 5, 29, 233], 2) == 256
 
     def test_specialisations_keep_their_products(self):
         # each closed form as a product of its own, as the paper states it
@@ -461,6 +557,16 @@ class TestVerifyHankel:
         rep = verify_hankel(FamilySpec(Family.CLASSIC), 6)
         assert rep.det_cofactor is None
         assert rep.verdict == "pass"
+
+    def test_no_matrix_is_built_above_the_cap(self, monkeypatch):
+        def refuse(seq, n):
+            raise AssertionError("hankel_matrix called")
+
+        monkeypatch.setattr(hankel, "hankel_matrix", refuse)
+        rep = verify_hankel(FamilySpec(Family.GENERALIZED, 2, F(-3, 5)), ORACLE_CAP)
+        assert rep.verdict == "pass" and rep.det_cofactor is None
+        with pytest.raises(AssertionError):
+            verify_hankel(FamilySpec(Family.CLASSIC), ORACLE_CAP - 1)
 
     def test_oracles_run_up_to_the_cap(self):
         spec = FamilySpec(Family.GENERALIZED, 2, F(-3, 5))

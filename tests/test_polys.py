@@ -4,6 +4,7 @@ from math import comb
 import pytest
 from hypothesis import example, given, strategies as st
 
+from derange.exact import rising_factorial
 from derange.polys import (
     DegreeTooHigh,
     Polynomial,
@@ -79,6 +80,15 @@ class TestReflect:
         assert reflect(reflect(p, n), n) == p
 
 
+def test_ratio_built_coefficients_match_comb_times_rising():
+    for n in range(61):
+        for r in range(6):
+            coeffs = generalized_D_poly(n, r).coeffs
+            assert coeffs == tuple(comb(n, k) * rising_factorial(r, k)
+                                   for k in range(n + 1)), (n, r)
+            assert all(type(c) is int for c in coeffs)
+
+
 def test_integer_coefficients_stay_int():
     assert all(type(c) is int for c in generalized_D_poly(9, 3).coeffs)
     assert all(type(c) is int for c in order_d_poly(9, 3).coeffs)
@@ -108,6 +118,20 @@ class TestEval:
     def test_rational_coefficients(self, coeffs, x):
         expected = sum((c * x ** k for k, c in enumerate(coeffs)), F(0))
         assert eval_poly(Polynomial(tuple(coeffs)), x) == expected
+
+    @given(st.lists(st.integers(-10 ** 30, 10 ** 30)
+                    | st.fractions(max_denominator=12), max_size=12),
+           st.fractions(max_denominator=30))
+    @example([3, -7, 0, 11], F(-11, 13))
+    @example([0, 0, 5], F(0))
+    @example([4, F(1, 3), -2], F(5, 2))
+    def test_int_and_fraction_coefficients_match_fraction_horner(self, coeffs, x):
+        p = Polynomial(tuple(coeffs))
+        expected = F(0)
+        for c in reversed(p.coeffs):
+            expected = expected * x + F(c)
+        got = eval_poly(p, x)
+        assert isinstance(got, F) and got == expected
 
 
 class TestNumberSequences:
