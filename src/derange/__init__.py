@@ -3,7 +3,6 @@ determinants, and the Erlang moment representation."""
 
 from .exact import binomial, factorial, rising_factorial
 from .polys import (
-    Polynomial,
     classic_derangement,
     cyclic_derangement,
     eval_poly,
@@ -11,16 +10,15 @@ from .polys import (
     generate_D_by_convolution,
     generate_d_by_convolution,
     order_d_poly,
-    reflect,
 )
-from .series import Family, FamilySpec, TruncatedSeries, egf_values
+from .series import Family, FamilySpec, egf_values
 
 __all__ = [
     "binomial", "factorial", "rising_factorial",
-    "Polynomial", "classic_derangement", "cyclic_derangement", "eval_poly",
+    "classic_derangement", "cyclic_derangement", "eval_poly",
     "generalized_D_poly", "generate_D_by_convolution",
-    "generate_d_by_convolution", "order_d_poly", "reflect",
-    "Family", "FamilySpec", "TruncatedSeries", "egf_values",
+    "generate_d_by_convolution", "order_d_poly",
+    "Family", "FamilySpec", "egf_values",
 ]
 
 __version__ = "0.1.0"

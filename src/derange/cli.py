@@ -140,10 +140,15 @@ def cmd_seq(args) -> int:
 
 
 def cmd_poly(args) -> int:
-    make = polys.generalized_D_poly if args.which == "D" else polys.order_d_poly
+    family, make = ((Family.GENERALIZED, polys.generalized_D_poly)
+                    if args.which == "D" else
+                    (Family.ORDER_R_POLY, polys.order_d_poly))
+    min_r = series.FAMILY_TABLE[family].min_r
+    if args.r < min_r:
+        raise DerangeDomainError(f"{family.value} needs r >= {min_r}")
     head = {"command": "poly", "which": args.which, "n": args.n, "r": args.r}
-    return _write_values(args, head, ("k", "coeff"),
-                         make(args.n, args.r).coeffs, numbered=False)
+    return _write_values(args, head, ("k", "coeff"), make(args.n, args.r),
+                         numbered=False)
 
 
 def cmd_hankel(args) -> int:

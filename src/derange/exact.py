@@ -16,9 +16,12 @@ __all__ = ["Fraction", "DerangeDomainError", "SizeTooLarge", "rising_factorial",
 class DerangeDomainError(ValueError):
     """An argument outside the domain of a derange function.
 
-    Every exception the package raises inherits this class, so the CLI can
-    report any of them as a usage/domain error (exit 2) and keep exit 1 for
-    a failed identity.
+    The package raises no other exception, so the CLI can report any of
+    them as a usage/domain error (exit 2) and keep exit 1 for a failed
+    identity. Two subclasses remain, each caught by type in the package and
+    counted by name in the benchmark's tracing: SizeTooLarge, which
+    `verify` turns into a skipped oracle cell, and hankel.DegenerateInterior,
+    which `verify_hankel` shows as a degenerate condensation.
     """
 
 

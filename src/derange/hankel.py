@@ -43,30 +43,26 @@ from .series import FamilySpec, egf_shape, egf_values
 ORACLE_CAP = 6
 
 
-class InsufficientTerms(DerangeDomainError):
-    pass
-
-
 class DegenerateInterior(DerangeDomainError, ArithmeticError):
-    """Condensation hit a zero interior minor; fall back to Bareiss."""
-
-
-class PoleAtOne(DerangeDomainError, ZeroDivisionError):
-    pass
-
-
-class NoClosedForm(DerangeDomainError):
-    pass
+    """Condensation hit a zero interior minor; verify_hankel shows the
+    condensation value as "degenerate"."""
 
 
 Matrix = List[List[Fraction]]
 
 
+def _moments(seq: Sequence, n: int) -> List[Fraction]:
+    """seq[0..2n] as Fractions: the moments an order-(n+1) Hankel matrix
+    reads."""
+    if len(seq) < 2 * n + 1:
+        raise DerangeDomainError(f"need {2 * n + 1} terms, got {len(seq)}")
+    return [Fraction(v) for v in seq[:2 * n + 1]]
+
+
 def hankel_matrix(seq: Sequence, n: int) -> Matrix:
     """(n+1) x (n+1) matrix with entry (i, j) = seq[i+j]."""
-    if len(seq) < 2 * n + 1:
-        raise InsufficientTerms(f"need {2 * n + 1} terms, got {len(seq)}")
-    return [[Fraction(seq[i + j]) for j in range(n + 1)] for i in range(n + 1)]
+    moments = _moments(seq, n)
+    return [[moments[i + j] for j in range(n + 1)] for i in range(n + 1)]
 
 
 def det_bareiss(seq: Sequence, n: int) -> Fraction:
@@ -80,9 +76,7 @@ def det_bareiss(seq: Sequence, n: int) -> Fraction:
     eliminated, and a[i][k] is read as a[k][i]. A zero pivot copies the
     upper triangle into the lower one once; elimination then goes on as on
     a general matrix, with row swaps."""
-    if len(seq) < 2 * n + 1:
-        raise InsufficientTerms(f"need {2 * n + 1} terms, got {len(seq)}")
-    moments = [Fraction(v) for v in seq[:2 * n + 1]]
+    moments = _moments(seq, n)
     size = n + 1
     dens = [v.denominator for v in moments]
     s = [lcm(*dens[i:i + size]) for i in range(size)]
@@ -126,9 +120,7 @@ def det_condensation(seq: Sequence, n: int) -> Fraction:
     H_{k+1}^(m) H_{k-1}^(m+2) = H_k^(m) H_k^(m+2) - (H_k^(m+1))^2 from
     H_0 = 1, H_1^(m) = a_m; on b = d a, for a common denominator d, every
     minor is an integer and every division exact."""
-    if len(seq) < 2 * n + 1:
-        raise InsufficientTerms(f"need {2 * n + 1} terms, got {len(seq)}")
-    moments = [Fraction(v) for v in seq[:2 * n + 1]]
+    moments = _moments(seq, n)
     d = lcm(*(v.denominator for v in moments))
     # level k holds H_k^(m), m = 0..2(n+1-k)
     prev = [1] * (2 * n + 3)
@@ -194,12 +186,10 @@ def det_jfraction(seq: Sequence, n: int) -> JFraction:
     for the leading minors H, so the determinant is Pi_{k<=n} sigma[k][k].
     A zero sigma[k][k] with k < n stops the recursion: det is None and the
     coefficients end at that lambda_k = 0 (b_0..b_{k-1})."""
-    if len(seq) < 2 * n + 1:
-        raise InsufficientTerms(f"need {2 * n + 1} terms, got {len(seq)}")
     # row k holds sigma[k][k+j] as integers over one denominator,
     # j = 0..2(n-k); row -1 is the unit functional, whose denominator
     # cancels from every step
-    moments = [Fraction(v) for v in seq[:2 * n + 1]]
+    moments = _moments(seq, n)
     cur_den = lcm(*(v.denominator for v in moments))
     cur = [v.numerator * (cur_den // v.denominator) for v in moments]
     old = [1] + [0] * (2 * n + 2)
@@ -257,11 +247,12 @@ def closed_form_classic(n: int) -> int:
 
 
 def _hankel_shape(spec: FamilySpec) -> Tuple[Fraction, Fraction, int]:
-    """(c, x, r) of the family's EGF e^{cz}(1-xz)^{-r}, or NoClosedForm
+    """(c, x, r) of the family's EGF e^{cz}(1-xz)^{-r}; a DerangeDomainError
     when the EGF has a z^s prefactor, s > 0."""
     c, x, r, shift = egf_shape(spec)
     if shift > 0:
-        raise NoClosedForm(f"no Hankel closed form for family {spec.family.value}")
+        raise DerangeDomainError(
+            f"no Hankel closed form for family {spec.family.value}")
     return c, x, r
 
 
@@ -343,7 +334,7 @@ def reduced_derivative(n: int, r: int, z) -> Fraction:
     transcendental factor as D_n^{(r)}(1/(1-z)) / (1-z)^r."""
     z = Fraction(z)
     if z == 1:
-        raise PoleAtOne("z = 1 is a pole")
+        raise DerangeDomainError("z = 1 is a pole")
     t = 1 / (1 - z)
     return eval_poly(generalized_D_poly(n, r), t) * t ** r
 
@@ -367,8 +358,6 @@ def verify_derivative_hankel(n: int, r: int, z) -> DerivativeHankelReport:
     if n < 1:
         raise DerangeDomainError("n must be >= 1")
     z = Fraction(z)
-    if z == 1:
-        raise PoleAtOne("z = 1 is a pole")
     g = [reduced_derivative(m, r, z) for m in range(2 * n - 1)]
     det = det_bareiss(g, n - 1)
     closed = Fraction(closed_form_order_d(n - 1, r))

@@ -1,12 +1,14 @@
-"""Dense polynomials over Fraction and the derangement-polynomial formulas.
+"""The derangement polynomials as coefficient tuples, and their recurrences.
 
-Two families live here: the generalized polynomials (coefficient of x^k is
+A polynomial is the tuple of its coefficients, low to high. Two families
+live here: the generalized polynomials (coefficient of x^k is
 C(n,k) * rising(r,k), each one the previous times the ratio
-(n-k)(r+k)/(k+1)) and their reflections, the order-r derangement
-polynomials.  The cross-order shift recurrences are exposed as a verifier
-rather than a generator; the fixed-order convolution recurrences generate.
-Evaluation and the convolution recurrences run on integer numerators over
-one common denominator and build a Fraction only for each result.
+(n-k)(r+k)/(k+1)) and their reflections x^n D_n(1/x), the order-r
+derangement polynomials, whose tuples are the same integers reversed.
+The cross-order shift recurrences are exposed as a verifier rather than a
+generator; the fixed-order convolution recurrences generate. Evaluation
+and the convolution recurrences run on integer numerators over one common
+denominator and build a Fraction only for each result.
 """
 
 from __future__ import annotations
@@ -19,49 +21,9 @@ from typing import List, Sequence
 from .exact import DerangeDomainError, factorial
 
 
-class DegreeTooHigh(DerangeDomainError):
-    pass
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """coeffs[k] = coefficient of x^k; trailing zeros are ignored by ==.
-    Integer coefficients stay int; every other one becomes a Fraction."""
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(
-            c if type(c) is int else Fraction(c) for c in self.coeffs))
-
-    @property
-    def degree(self) -> int:
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            if self.coeffs[k] != 0:
-                return k
-        return 0
-
-    def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return _trim(self.coeffs) == _trim(other.coeffs)
-
-    def __hash__(self):
-        return hash(_trim(self.coeffs))
-
-    def __getitem__(self, k: int) -> int | Fraction:
-        return self.coeffs[k] if k < len(self.coeffs) else 0
-
-
-def _trim(coeffs):
-    n = len(coeffs)
-    while n > 0 and coeffs[n - 1] == 0:
-        n -= 1
-    return tuple(coeffs[:n])
-
-
-def generalized_D_poly(n: int, r: int) -> Polynomial:
-    """Explicit formula: sum_k C(n,k) rising(r,k) x^k.
+def generalized_D_poly(n: int, r: int) -> tuple:
+    """Explicit formula: sum_k C(n,k) rising(r,k) x^k, as its int
+    coefficients.
 
     The coefficients c_k = C(n,k) rising(r,k) obey the ratio recurrence
     c_{k+1} = c_k (n-k)(r+k) / (k+1) from c_0 = 1, and since c_{k+1} is
@@ -71,37 +33,30 @@ def generalized_D_poly(n: int, r: int) -> Polynomial:
     coeffs = [1]
     for k in range(n):
         coeffs.append(coeffs[-1] * (n - k) * (r + k) // (k + 1))
-    return Polynomial(tuple(coeffs))
+    return tuple(coeffs)
 
 
-def order_d_poly(n: int, r: int) -> Polynomial:
-    """Explicit formula: sum_k C(n,k) rising(r,k) x^{n-k} (reflection partner)."""
-    if n < 0:
-        raise DerangeDomainError("n must be >= 0")
-    return reflect(generalized_D_poly(n, r), n)
+def order_d_poly(n: int, r: int) -> tuple:
+    """Explicit formula: sum_k C(n,k) rising(r,k) x^{n-k}, the coefficients
+    of generalized_D_poly(n, r) reversed."""
+    return generalized_D_poly(n, r)[::-1]
 
 
-def reflect(p: Polynomial, n: int) -> Polynomial:
-    """Coefficient reversal x^n p(1/x); requires deg(p) <= n."""
-    if p.degree > n:
-        raise DegreeTooHigh(f"degree {p.degree} > {n}")
-    return Polynomial(tuple(p[n - k] for k in range(n + 1)))
-
-
-def eval_poly(p: Polynomial, x) -> Fraction:
-    """Exact Horner evaluation on integers: with x = u/q and the
-    coefficients a_k/L over their common denominator L, p(x) is
-    (sum_k a_k u^k q^{m-k}) / (L q^m) for m = len(coeffs) - 1."""
-    if not p.coeffs:
+def eval_poly(coeffs: Sequence, x) -> Fraction:
+    """Exact Horner evaluation of int/Fraction coefficients, low to high, on
+    integers: with x = u/q and the coefficients a_k/L over their common
+    denominator L, the value is (sum_k a_k u^k q^{m-k}) / (L q^m) for
+    m = len(coeffs) - 1."""
+    if not coeffs:
         return Fraction(0)
     x = Fraction(x)
     u, q = x.numerator, x.denominator
-    den = lcm(*(c.denominator for c in p.coeffs))
+    den = lcm(*(c.denominator for c in coeffs))
     acc, qpow = 0, 1
-    for c in reversed(p.coeffs):
+    for c in reversed(coeffs):
         acc = acc * u + c.numerator * (den // c.denominator) * qpow
         qpow *= q
-    return Fraction(acc, den * q ** (len(p.coeffs) - 1))
+    return Fraction(acc, den * q ** (len(coeffs) - 1))
 
 
 def classic_derangement(n: int) -> int:

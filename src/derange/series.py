@@ -1,4 +1,4 @@
-"""Truncated formal power series over Fraction, and the EGF family table.
+"""Truncated power series as Fraction tuples, and the EGF family table.
 
 Every family's EGF is z^s e^{cz} (1-xz)^{-r}. `FAMILY_TABLE` has one row
 per family: the least r it takes (or none), whether it takes x, and its
@@ -21,48 +21,22 @@ from math import lcm, perm
 from .exact import DerangeDomainError
 
 
-class OrderMismatch(DerangeDomainError):
-    """Arithmetic between two series of different truncation order."""
-
-
-class InvalidFamilyParams(DerangeDomainError):
-    """Family parameters outside the family's domain (e.g. r=0 r-derangement)."""
-
-
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Coefficients of a power series in z, coeffs[n] = [z^n], up to a fixed order."""
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
-        if not self.coeffs:
-            raise DerangeDomainError("series needs at least the constant coefficient")
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, n: int) -> Fraction:
-        return self.coeffs[n]
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated at the common order."""
-    if a.order != b.order:
-        raise OrderMismatch(f"order {a.order} vs {b.order}")
-    n = a.order
-    out = [Fraction(0)] * (n + 1)
-    for i, ai in enumerate(a.coeffs):
+def series_mul(a: tuple, b: tuple) -> tuple:
+    """Cauchy product of two coefficient tuples of one length, truncated
+    at that length."""
+    if len(a) != len(b):
+        raise DerangeDomainError(f"order {len(a) - 1} vs {len(b) - 1}")
+    n = len(a)
+    out = [Fraction(0)] * n
+    for i, ai in enumerate(a):
         if ai == 0:
             continue
-        for j in range(n + 1 - i):
-            out[i + j] += ai * b.coeffs[j]
-    return TruncatedSeries(tuple(out))
+        for j in range(n - i):
+            out[i + j] += ai * b[j]
+    return tuple(out)
 
 
-def series_exp(c, order: int) -> TruncatedSeries:
+def series_exp(c, order: int) -> tuple:
     """e^{cz} truncated: coeffs[n] = c^n / n!."""
     if order < 0:
         raise DerangeDomainError("order must be >= 0")
@@ -70,10 +44,10 @@ def series_exp(c, order: int) -> TruncatedSeries:
     coeffs = [Fraction(1)]
     for n in range(1, order + 1):
         coeffs.append(coeffs[-1] * c / n)
-    return TruncatedSeries(tuple(coeffs))
+    return tuple(coeffs)
 
 
-def geom_pow(x, r: int, order: int) -> TruncatedSeries:
+def geom_pow(x, r: int, order: int) -> tuple:
     """1/(1-xz)^r by the binomial expansion: coeffs[k] = r^(rising k) x^k / k!."""
     if order < 0:
         raise DerangeDomainError("order must be >= 0")
@@ -84,7 +58,7 @@ def geom_pow(x, r: int, order: int) -> TruncatedSeries:
     for k in range(1, order + 1):
         # ratio of consecutive terms: (r+k-1) * x / k
         coeffs.append(coeffs[-1] * (r + k - 1) * x / k)
-    return TruncatedSeries(tuple(coeffs))
+    return tuple(coeffs)
 
 
 class Family(enum.Enum):
@@ -127,15 +101,15 @@ class FamilySpec:
         row, name = FAMILY_TABLE[self.family], self.family.value
         if row.min_r is None:
             if self.r is not None:
-                raise InvalidFamilyParams(f"{name} takes no r")
+                raise DerangeDomainError(f"{name} takes no r")
         elif self.r is None or self.r < row.min_r:
-            raise InvalidFamilyParams(f"{name} needs r >= {row.min_r}")
+            raise DerangeDomainError(f"{name} needs r >= {row.min_r}")
         if row.takes_x:
             if self.x is None:
-                raise InvalidFamilyParams(f"{name} needs x")
+                raise DerangeDomainError(f"{name} needs x")
             object.__setattr__(self, "x", Fraction(self.x))
         elif self.x is not None:
-            raise InvalidFamilyParams(f"{name} takes no x")
+            raise DerangeDomainError(f"{name} takes no x")
 
 
 def egf_shape(spec: FamilySpec) -> tuple:

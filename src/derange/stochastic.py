@@ -16,6 +16,7 @@ the next block overwrites: copy it to keep it.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import DerangeDomainError, binomial, rising_factorial
+from .polys import eval_poly, generalized_D_poly
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -147,6 +149,7 @@ def _erlang_blocks(r: int, samples: int, seed: int) -> Iterator[np.ndarray]:
         yield np.negative(ys, out=ys)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the m2 check below reports it
 def _estimate(r: int, samples: int, seed: int,
               statistic: Callable[[np.ndarray], np.ndarray]) -> MomentEstimate:
     """Mean and standard error of statistic(Y_r), one block at a time: each
@@ -164,6 +167,9 @@ def _estimate(r: int, samples: int, seed: int,
         mean += delta * b_count / total
         m2 += b_m2 + delta * delta * count * b_count / total
         count = total
+    if not math.isfinite(m2):  # an overflow anywhere leaves inf or nan here
+        raise DerangeDomainError(
+            f"the estimate from {samples} samples overflows a float")
     return MomentEstimate(mean, math.sqrt(m2 / (count - 1)) / math.sqrt(count),
                           samples, seed)
 
@@ -203,6 +209,12 @@ def mc_generalized_D(n: int, r: int, x, samples: int, seed: int) -> MomentEstima
     if n == 0:
         return MomentEstimate(1.0, 0.0, samples, seed)
     x = Fraction(x)
+    # the statistic (1 + xY)^n has mean D_n(x) and mean square D_2n(x), and
+    # the estimate sums `samples` squares in floats: refuse what overflows
+    if eval_poly(generalized_D_poly(2 * n, r), x) * samples > sys.float_info.max:
+        raise DerangeDomainError(
+            f"D_{n}({x}) at r = {r} is out of float range for "
+            f"{samples} samples")
     coeffs = [float(binomial(n, k) * x ** k) for k in range(n, -1, -1)]
     acc = np.empty(min(_CHUNK, samples))
     return _estimate(r, samples, seed, lambda y: _horner(coeffs, y, acc[:y.size]))

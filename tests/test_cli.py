@@ -121,6 +121,14 @@ DOMAIN_ERRORS = [
           "--output", "/nonexistent/dir/out.txt"]),
     ({}, ["seq", "--family", "classic", "--r", "5", "--count", "3"]),
     ({}, ["seq", "--family", "classic", "--x", "1", "--count", "3"]),
+    ({}, ["poly", "--which", "D", "--n", "3", "--r", "-2"]),
+    ({}, ["poly", "--which", "d", "--n", "3", "--r", "-1"]),
+    ({}, ["mc", "--dn", "--n", "2", "--r", "1", "--x", "1e400",
+          "--samples", "100"]),
+    ({}, ["mc", "--dn", "--n", "8", "--r", "1", "--x", "1e38",
+          "--samples", "100"]),
+    ({}, ["mc", "--dn", "--n", "8", "--r", "1", "--x", "1e30",
+          "--samples", "100"]),
 ]
 
 

@@ -3,13 +3,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from derange.exact import factorial
+from derange.exact import DerangeDomainError, factorial
 from derange.series import (
     Family,
     FamilySpec,
-    InvalidFamilyParams,
-    OrderMismatch,
-    TruncatedSeries,
     egf_values,
     geom_pow,
     series_exp,
@@ -18,36 +15,36 @@ from derange.series import (
 
 
 def S(*coeffs):
-    return TruncatedSeries(tuple(F(c) for c in coeffs))
+    return tuple(F(c) for c in coeffs)
 
 
 class TestSeriesMul:
     def test_difference_of_squares(self):
-        assert series_mul(S(1, 1, 0), S(1, -1, 0)).coeffs == (1, 0, -1)
+        assert series_mul(S(1, 1, 0), S(1, -1, 0)) == (1, 0, -1)
 
     def test_zero_absorbs(self):
         a = S(3, F(1, 2), -2, 7)
-        assert series_mul(a, S(0, 0, 0, 0)).coeffs == (0, 0, 0, 0)
+        assert series_mul(a, S(0, 0, 0, 0)) == (0, 0, 0, 0)
 
     def test_exp_times_exp_minus(self):
         prod = series_mul(series_exp(1, 6), series_exp(-1, 6))
-        assert prod.coeffs == (1, 0, 0, 0, 0, 0, 0)
+        assert prod == (1, 0, 0, 0, 0, 0, 0)
 
     def test_order_mismatch(self):
-        with pytest.raises(OrderMismatch):
+        with pytest.raises(DerangeDomainError, match=r"^order 1 vs 2$"):
             series_mul(S(1, 2), S(1, 2, 3))
 
 
 def test_series_exp():
-    assert series_exp(0, 3).coeffs == (1, 0, 0, 0)
-    assert series_exp(-1, 4).coeffs == (1, -1, F(1, 2), F(-1, 6), F(1, 24))
-    assert series_exp(F(1, 2), 2).coeffs == (1, F(1, 2), F(1, 8))
+    assert series_exp(0, 3) == (1, 0, 0, 0)
+    assert series_exp(-1, 4) == (1, -1, F(1, 2), F(-1, 6), F(1, 24))
+    assert series_exp(F(1, 2), 2) == (1, F(1, 2), F(1, 8))
 
 
 def test_geom_pow():
-    assert geom_pow(F(7, 3), 0, 4).coeffs == (1, 0, 0, 0, 0)
-    assert geom_pow(1, 1, 3).coeffs == (1, 1, 1, 1)
-    assert geom_pow(2, 2, 2).coeffs == (1, 4, 12)
+    assert geom_pow(F(7, 3), 0, 4) == (1, 0, 0, 0, 0)
+    assert geom_pow(1, 1, 3) == (1, 1, 1, 1)
+    assert geom_pow(2, 2, 2) == (1, 4, 12)
 
 
 class TestEgfValues:
@@ -69,11 +66,12 @@ class TestEgfValues:
             egf_values(FamilySpec(Family.CLASSIC), 0)
 
     def test_r_derangement_needs_positive_r(self):
-        with pytest.raises(InvalidFamilyParams):
+        with pytest.raises(DerangeDomainError,
+                           match=r"^r-derangement needs r >= 1$"):
             FamilySpec(Family.R_DERANGEMENT_NUMBERS, 0)
 
     def test_poly_family_needs_x(self):
-        with pytest.raises(InvalidFamilyParams):
+        with pytest.raises(DerangeDomainError, match=r"^generalized needs x$"):
             FamilySpec(Family.GENERALIZED, 2)
 
     def test_r_derangement_leading_zeros(self):
@@ -95,29 +93,40 @@ class TestEgfValues:
             assert all(v.denominator == 1 for v in egf_values(spec, 15))
 
 
-def _domain_allows(family, r, x) -> bool:
-    """The family domains, written out rule by rule."""
+def _domain_error(family, r, x):
+    """The family domains, written out rule by rule: the message of the
+    first rule (r before x) that (r, x) breaks, or None."""
+    name = family.value
     if family is Family.CLASSIC:
-        r_ok = r is None
+        least = None
     elif family in (Family.ORDER_R_NUMBERS, Family.ORDER_R_POLY,
                     Family.GENERALIZED):
-        r_ok = r is not None and r >= 0
+        least = 0
     else:  # r-derangement, r-derangement-poly, cyclic
-        r_ok = r is not None and r >= 1
+        least = 1
     takes_x = family in (Family.R_DERANGEMENT_POLY, Family.ORDER_R_POLY,
                          Family.GENERALIZED)
-    return r_ok and (x is not None) == takes_x
+    if least is None and r is not None:
+        return f"{name} takes no r"
+    if least is not None and (r is None or r < least):
+        return f"{name} needs r >= {least}"
+    if takes_x and x is None:
+        return f"{name} needs x"
+    if not takes_x and x is not None:
+        return f"{name} takes no x"
+    return None
 
 
 @pytest.mark.parametrize("x", [None, F(1, 2)], ids=["no-x", "x=1/2"])
 @pytest.mark.parametrize("r", [None, -1, 0, 1, 2], ids=lambda r: f"r={r}")
 @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
 def test_family_domain(family, r, x):
-    if _domain_allows(family, r, x):
+    message = _domain_error(family, r, x)
+    if message is None:
         spec = FamilySpec(family, r, x)
         assert (spec.r, spec.x) == (r, x)
     else:
-        with pytest.raises(InvalidFamilyParams):
+        with pytest.raises(DerangeDomainError, match=f"^{message}$"):
             FamilySpec(family, r, x)
 
 

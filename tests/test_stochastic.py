@@ -304,6 +304,15 @@ class TestMcGeneralizedD:
         # 1 - 6 + 18 - 24 from the coefficients 1, 6, 18, 24
         assert eval_poly(generalized_D_poly(3, 2), -1) == -11
 
+    def test_overflow_in_the_draws_is_a_domain_error(self):
+        # just inside the exact range check, the heavy tail of Y^16 makes
+        # a sum of squares overflow for this seed (stderr would be inf, and
+        # the gate would pass it with z = 0)
+        x = F(1761493309092524544)
+        assert mc_generalized_D(8, 1, x, 1000, 0).stderr < math.inf
+        with pytest.raises(DerangeDomainError, match="overflows a float"):
+            mc_generalized_D(8, 1, x, 1000, 76)
+
 
 @pytest.mark.parametrize("mean,stderr,target,want", [
     (2.5, 0.25, 1, (6.0, True)),              # on the 6-sigma edge
