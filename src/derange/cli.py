@@ -3,7 +3,9 @@
 Exit codes: 0 all checks pass, 1 a verification/tolerance failure,
 2 usage or domain error.  Rationals cross the boundary as exact "p/q" strings.
 Seed precedence: --seed flag > DERANGE_SEED env var > 42.
-numpy is imported only by `mc`, the one command that samples.
+Each command imports only what it runs: `seq` and `poly` import neither
+`verify` nor `hankel`, numpy comes only with `mc`, the one command that
+samples, and json and csv only with a report in those formats.
 `render_report` writes the cell report of `hankel`, `verify` and `mc` and
 returns their exit code; `seq` and `poly` share `_write_values`. Every
 domain error reaches `main` as a DerangeDomainError, and `main` alone
@@ -13,20 +15,28 @@ prints the `error:` line.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import os
 import sys
 import time
 from fractions import Fraction
 
-from . import polys, series, verify
+from . import polys, series
 from .exact import DerangeDomainError
-from .hankel import verify_hankel
 from .series import Family, FamilySpec
 
 FAMILY_NAMES = {f.value: f for f in Family}
+# the keys of verify.SUITES, sorted, so that parsing argv needs no verify
+SUITE_NAMES = ("derivative-hankel", "hankel", "jfraction", "mgf", "oracles",
+               "recurrences", "reflection")
+
+
+def __getattr__(name: str):
+    # `cli.verify_hankel` is still hankel.verify_hankel, imported on first use
+    if name == "verify_hankel":
+        from .hankel import verify_hankel
+        return verify_hankel
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _fraction(text: str) -> Fraction:
@@ -83,6 +93,8 @@ def _report_text(cells, summary: dict) -> str:
 
 
 def _report_csv(cells) -> str:
+    import csv
+
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["params", "expected", "actual", "verdict"])
@@ -99,6 +111,8 @@ def render_report(args, command: str, cells, **extra) -> int:
     for cell in cells:
         summary[cell.verdict if cell.verdict in summary else "fail"] += 1
     if args.format == "json":
+        import json
+
         report = {"command": command, "cells": cells, "summary": summary,
                   **extra}
         text = json.dumps(report, indent=2, default=vars) + "\n"
@@ -118,8 +132,12 @@ def _write_values(args, head: dict, columns: tuple, values,
     `numbered`, else every value on one line."""
     values = [str(v) for v in values]
     if args.format == "json":
+        import json
+
         text = json.dumps({**head, columns[1] + "s": values}, indent=2) + "\n"
     elif args.format == "csv":
+        import csv
+
         out = io.StringIO()
         writer = csv.writer(out)
         writer.writerow(columns)
@@ -152,8 +170,10 @@ def cmd_poly(args) -> int:
 
 
 def cmd_hankel(args) -> int:
+    from . import hankel, verify
+
     spec = _make_spec(args)
-    rep = verify_hankel(spec, args.n)
+    rep = hankel.verify_hankel(spec, args.n)
     cell = verify.Cell(
         params={"family": args.family, "n": str(args.n),
                 **verify.spec_params(spec), **rep.shown_dets()},
@@ -163,6 +183,8 @@ def cmd_hankel(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     grid = verify.Grid(
         n_max=args.nmax if args.nmax is not None else verify.Grid.n_max,
         r_max=args.r if args.r is not None else verify.Grid.r_max,
@@ -175,7 +197,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    from . import stochastic  # numpy, so only the sampling command pays for it
+    from . import stochastic, verify
 
     seed = args.seed if args.seed is not None else _default_seed()
     if args.dn:
@@ -239,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True,
-                   choices=sorted(verify.SUITES) + ["all"])
+                   choices=SUITE_NAMES + ("all",))
     p.add_argument("--nmax", type=int, default=None)
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--x", type=_fraction, default=None)

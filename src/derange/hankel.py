@@ -29,7 +29,6 @@ integers, with no division and no pivot. No two routes share a kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -53,10 +52,11 @@ Matrix = List[List[Fraction]]
 
 def _moments(seq: Sequence, n: int) -> List[Fraction]:
     """seq[0..2n] as Fractions: the moments an order-(n+1) Hankel matrix
-    reads."""
+    reads. A Fraction is passed through as it is."""
     if len(seq) < 2 * n + 1:
         raise DerangeDomainError(f"need {2 * n + 1} terms, got {len(seq)}")
-    return [Fraction(v) for v in seq[:2 * n + 1]]
+    return [v if isinstance(v, Fraction) else Fraction(v)
+            for v in seq[:2 * n + 1]]
 
 
 def hankel_matrix(seq: Sequence, n: int) -> Matrix:
@@ -276,8 +276,7 @@ def jfraction_closed_form(spec: FamilySpec, n: int) -> Tuple[tuple, tuple]:
     return b, tuple(lam)
 
 
-@dataclass
-class HankelReport:
+class HankelReport(NamedTuple):
     spec: FamilySpec
     n: int
     det_bareiss: Fraction
@@ -339,8 +338,7 @@ def reduced_derivative(n: int, r: int, z) -> Fraction:
     return eval_poly(generalized_D_poly(n, r), t) * t ** r
 
 
-@dataclass
-class DerivativeHankelReport:
+class DerivativeHankelReport(NamedTuple):
     n: int
     r: int
     z: Fraction

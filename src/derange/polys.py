@@ -13,7 +13,6 @@ denominator and build a Fraction only for each result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import List, Sequence
@@ -119,12 +118,12 @@ def _convolution(r: int, a: int, b: int, q: int, count: int) -> List[Fraction]:
     return vals
 
 
-@dataclass
 class IdentityReport:
     """Outcome of an exact identity sweep; failures carry the offending cell."""
 
-    checked: int = 0
-    failures: list = field(default_factory=list)
+    def __init__(self):
+        self.checked = 0
+        self.failures = []
 
     @property
     def ok(self) -> bool:

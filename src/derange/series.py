@@ -12,7 +12,6 @@ independent cross-check that `verify` and the tests use.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
@@ -23,17 +22,17 @@ from .exact import DerangeDomainError
 
 def series_mul(a: tuple, b: tuple) -> tuple:
     """Cauchy product of two coefficient tuples of one length, truncated
-    at that length."""
+    at that length, on the integer numerators of a and b over their lcm
+    denominators; one Fraction per output coefficient."""
     if len(a) != len(b):
         raise DerangeDomainError(f"order {len(a) - 1} vs {len(b) - 1}")
-    n = len(a)
-    out = [Fraction(0)] * n
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j in range(n - i):
-            out[i + j] += ai * b[j]
-    return tuple(out)
+    da = lcm(*(v.denominator for v in a))
+    db = lcm(*(v.denominator for v in b))
+    ia = [v.numerator * (da // v.denominator) for v in a]
+    ib = [v.numerator * (db // v.denominator) for v in b]
+    den = da * db
+    return tuple(Fraction(sum(ia[i] * ib[k - i] for i in range(k + 1)), den)
+                 for k in range(len(a)))
 
 
 def series_exp(c, order: int) -> tuple:
@@ -88,28 +87,40 @@ FAMILY_TABLE = {
 }
 
 
-@dataclass(frozen=True)
 class FamilySpec:
     """A family with its r and x, checked against the family's row of
-    FAMILY_TABLE."""
+    FAMILY_TABLE; x is held as a Fraction. Specs with the same family, r and
+    x are equal and hash alike."""
 
-    family: Family
-    r: Optional[int] = None
-    x: Optional[Fraction] = None
+    __slots__ = ("family", "r", "x")
 
-    def __post_init__(self):
-        row, name = FAMILY_TABLE[self.family], self.family.value
+    def __init__(self, family: Family, r: Optional[int] = None,
+                 x: Optional[Fraction] = None):
+        row, name = FAMILY_TABLE[family], family.value
         if row.min_r is None:
-            if self.r is not None:
+            if r is not None:
                 raise DerangeDomainError(f"{name} takes no r")
-        elif self.r is None or self.r < row.min_r:
+        elif r is None or r < row.min_r:
             raise DerangeDomainError(f"{name} needs r >= {row.min_r}")
         if row.takes_x:
-            if self.x is None:
+            if x is None:
                 raise DerangeDomainError(f"{name} needs x")
-            object.__setattr__(self, "x", Fraction(self.x))
-        elif self.x is not None:
+            x = Fraction(x)
+        elif x is not None:
             raise DerangeDomainError(f"{name} takes no x")
+        self.family, self.r, self.x = family, r, x
+
+    def __eq__(self, other):
+        if type(other) is not FamilySpec:
+            return NotImplemented
+        return ((self.family, self.r, self.x)
+                == (other.family, other.r, other.x))
+
+    def __hash__(self):
+        return hash((self.family, self.r, self.x))
+
+    def __repr__(self):
+        return f"FamilySpec(family={self.family!r}, r={self.r!r}, x={self.x!r})"
 
 
 def egf_shape(spec: FamilySpec) -> tuple:

@@ -7,7 +7,6 @@ a "fail" cell, never an exception.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional
 
@@ -20,28 +19,34 @@ DEFAULT_POINTS = (Fraction(1), Fraction(-1), Fraction(2),
 SERIES_ORDER = 20
 
 
-@dataclass(frozen=True)
 class Grid:
     """Default desk-scale grid; every suite reads the slice it needs."""
 
-    n_max: int = 6
-    r_max: int = 3
-    points: tuple = DEFAULT_POINTS
-    deriv_z: tuple = (Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(2))
+    n_max = 6
+    r_max = 3
+    points = DEFAULT_POINTS
+    deriv_z = (Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(2))
 
-    def __post_init__(self):
-        if min(self.n_max, self.r_max) < 0:
+    def __init__(self, n_max: int = n_max, r_max: int = r_max,
+                 points: tuple = points, deriv_z: tuple = deriv_z):
+        if min(n_max, r_max) < 0:
             raise DerangeDomainError("grid needs n_max, r_max >= 0")
-        if not self.points or not self.deriv_z:
+        if not points or not deriv_z:
             raise DerangeDomainError("grid needs at least one x and one z point")
+        self.n_max, self.r_max = n_max, r_max
+        self.points, self.deriv_z = points, deriv_z
 
 
-@dataclass
 class Cell:
-    params: Dict[str, str]
-    expected: str
-    actual: str
-    verdict: str  # "pass" | "fail" | "skipped"
+    """One comparison of a report; its attributes, in this order, are its
+    JSON object."""
+
+    def __init__(self, params: Dict[str, str], expected: str, actual: str,
+                 verdict: str):
+        self.params = params
+        self.expected = expected
+        self.actual = actual
+        self.verdict = verdict  # "pass" | "fail" | "skipped"
 
 
 def _cell(params, expected, actual) -> Cell:

@@ -3,13 +3,20 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from derange.cli import build_parser, main
+from derange import verify
+from derange.cli import SUITE_NAMES, build_parser, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -420,3 +427,37 @@ def test_output_file_has_the_stdout_bytes(tmp_path, capsys, argv, fmt):
     with open(target, newline="") as fh:
         written = fh.read()
     assert WALL_TIME.sub("", written) == WALL_TIME.sub("", out)
+
+
+# what the text-format commands that verify nothing must not import
+NOT_IMPORTED = {"dataclasses", "inspect", "derange.hankel", "derange.oracle",
+                "derange.verify", "json", "csv"}
+
+
+@pytest.mark.parametrize("argv", [
+    "seq --family classic --count 5",
+    "poly --which D --n 4 --r 2",
+])
+def test_commands_import_only_what_they_run(argv):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "derange.cli", *argv.split()],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0 and proc.stdout
+    imported = {line.rsplit("|", 1)[1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "derange.series" in imported  # the probe sees the package
+    assert not imported & NOT_IMPORTED
+
+
+def test_suite_choices_are_the_verify_suites():
+    assert SUITE_NAMES == tuple(sorted(verify.SUITES))
+
+
+def test_cli_still_names_verify_hankel():
+    from derange import cli, hankel
+    assert cli.verify_hankel is hankel.verify_hankel
+    with pytest.raises(AttributeError):
+        cli.no_such_name

@@ -12,6 +12,21 @@ from derange.polys import classic_derangement, cyclic_derangement
 from derange.series import Family, FamilySpec, egf_values
 
 
+def _full_walk(n):
+    """The reference walk: every permutation of range(n), each tested for a
+    fixed point."""
+    count = 0
+    for perm in permutations(range(n)):
+        fixed = False
+        for i in range(n):
+            if perm[i] == i:
+                fixed = True
+                break
+        if not fixed:
+            count += 1
+    return count
+
+
 def test_derangement_counts():
     assert count_derangements_brute(0) == 1
     assert count_derangements_brute(4) == 9
@@ -39,6 +54,12 @@ def test_brute_matches_formula_and_egf():
         brute = count_derangements_brute(n)
         assert brute == classic_derangement(n)
         assert brute == egf[n]
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_pruned_walk_matches_full_walk(n):
+    # n <= 4 runs the tail alone, n >= 5 places n - 4 values before it
+    assert count_derangements_brute(n) == _full_walk(n) == classic_derangement(n)
 
 
 def test_cyclic_small_cases():

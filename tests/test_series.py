@@ -34,6 +34,18 @@ class TestSeriesMul:
         with pytest.raises(DerangeDomainError, match=r"^order 1 vs 2$"):
             series_mul(S(1, 2), S(1, 2, 3))
 
+    @given(st.integers(0, 12).flatmap(lambda n: st.tuples(
+        *[st.lists(st.fractions(-20, 20, max_denominator=30),
+                   min_size=n, max_size=n)] * 2)))
+    def test_matches_fraction_cauchy_product(self, pair):
+        # the product term by term in Fraction is the reference
+        a, b = map(tuple, pair)
+        want = tuple(sum((a[i] * b[k - i] for i in range(k + 1)), F(0))
+                     for k in range(len(a)))
+        got = series_mul(a, b)
+        assert got == want
+        assert all(type(v) is F for v in got)
+
 
 def test_series_exp():
     assert series_exp(0, 3) == (1, 0, 0, 0)
@@ -128,6 +140,17 @@ def test_family_domain(family, r, x):
     else:
         with pytest.raises(DerangeDomainError, match=f"^{message}$"):
             FamilySpec(family, r, x)
+
+
+def test_family_spec_is_a_value():
+    spec = FamilySpec(Family.GENERALIZED, 2, 1)
+    same = FamilySpec(Family.GENERALIZED, 2, F(1))
+    assert spec == same and hash(spec) == hash(same)
+    assert spec != FamilySpec(Family.GENERALIZED, 3, F(1))
+    assert spec != FamilySpec(Family.ORDER_R_POLY, 2, F(1))
+    assert spec != (Family.GENERALIZED, 2, F(1))
+    assert repr(spec) == ("FamilySpec(family=<Family.GENERALIZED: "
+                          "'generalized'>, r=2, x=Fraction(1, 1))")
 
 
 XS = [F(-1), F(1), F(2), F(1, 2), F(-3, 5)]
