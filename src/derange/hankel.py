@@ -4,9 +4,10 @@ The paper gives one explicit determinant, that of the generalized
 polynomials at z: z^{n(n+1)} Pi_{k=1}^{n} rising(r,k) k!, here
 `closed_form_generalized`. Every family whose EGF is e^{cz}(1-xz)^{-r} has
 it at (r, z = x), because the e^{cz} factor is a binomial transform of the
-moments, which leaves every Hankel determinant as it is: the order-r
+moments, which leaves every Hankel determinant as it is; `closed_form`
+reads that (r, x) from the family's row of FAMILY_TABLE (the order-r
 polynomials and numbers at (r, 1), the cyclic counts at (1, r), the classic
-derangements at (1, 1). The r-derangement families carry a z^s prefactor,
+derangements at (1, 1)). The r-derangement families carry a z^s prefactor,
 s > 0, and have no closed form.
 
 Bareiss is the authority (fraction-free, always defined). It reads the
@@ -226,26 +227,6 @@ def closed_form_generalized(n: int, r: int, z) -> Fraction:
     return Fraction(z) ** (n * (n + 1)) * out
 
 
-def closed_form_order_d(n: int, r: int) -> int:
-    """Hankel determinant of the order-r polynomials, at every z: the
-    generalized one at z = 1."""
-    return int(closed_form_generalized(n, r, 1))
-
-
-def closed_form_cyclic(n: int, r: int) -> int:
-    """Hankel determinant of the cyclic derangement counts: the generalized
-    one at (1, r), r^{n(n+1)} (Pi k!)^2."""
-    if n < 0 or r < 1:
-        raise DerangeDomainError("need n >= 0, r >= 1")
-    return int(closed_form_generalized(n, 1, r))
-
-
-def closed_form_classic(n: int) -> int:
-    """(Pi_{k=1}^n k!)^2, shared by det((i+j)!) and det(D_{i+j}): the
-    generalized one at (1, 1)."""
-    return int(closed_form_generalized(n, 1, 1))
-
-
 def _hankel_shape(spec: FamilySpec) -> Tuple[Fraction, Fraction, int]:
     """(c, x, r) of the family's EGF e^{cz}(1-xz)^{-r}; a DerangeDomainError
     when the EGF has a z^s prefactor, s > 0."""
@@ -256,7 +237,9 @@ def _hankel_shape(spec: FamilySpec) -> Tuple[Fraction, Fraction, int]:
     return c, x, r
 
 
-def _closed_form(spec: FamilySpec, n: int) -> Fraction:
+def closed_form(spec: FamilySpec, n: int) -> Fraction:
+    """The order-(n+1) Hankel determinant of a family whose EGF is
+    e^{cz}(1-xz)^{-r}: the generalized one at (r, x), whatever c is."""
     _, x, r = _hankel_shape(spec)
     return closed_form_generalized(n, r, x)
 
@@ -307,7 +290,7 @@ def verify_hankel(spec: FamilySpec, n: int) -> HankelReport:
     paper-supplied closed form. Only cofactor reads the matrix itself."""
     if n < 0:
         raise DerangeDomainError("n must be >= 0")
-    closed = _closed_form(spec, n)
+    closed = closed_form(spec, n)
     seq = egf_values(spec, 2 * n + 1)
     db = det_bareiss(seq, n)
     dj = det_jfraction(seq, n).det
@@ -338,27 +321,18 @@ def reduced_derivative(n: int, r: int, z) -> Fraction:
     return eval_poly(generalized_D_poly(n, r), t) * t ** r
 
 
-class DerivativeHankelReport(NamedTuple):
-    n: int
-    r: int
-    z: Fraction
-    det: Fraction
-    closed_form: Fraction
-    verdict: str
-
-
-def verify_derivative_hankel(n: int, r: int, z) -> DerivativeHankelReport:
-    """Check the e^z-cancelled derivative Hankel identity for matrix size n:
-    det(g_{i+j-2}(z)) = Pi_{k=1}^{n-1} rising(r,k) k!
-                        / ((z-1)^{(n-1)n} (1-z)^{rn}),
-    the (1-z)^{-rn} being what remains of (e^z/(1-z)^r)^n after the e^{nz}
+def verify_derivative_hankel(n: int, r: int, z) -> Tuple[Fraction, Fraction]:
+    """The e^z-cancelled derivative Hankel identity for matrix size n, as
+    (det(g_{i+j-2}(z)) by Bareiss, its closed form). The g_m are the
+    generalized polynomials at t = 1/(1-z) times t^r, so the determinant is
+    the generalized one at (n-1, r, t) times t^{rn}: the paper's
+    Pi_{k=1}^{n-1} rising(r,k) k! / ((z-1)^{(n-1)n} (1-z)^{rn}), the
+    (1-z)^{-rn} being what remains of (e^z/(1-z)^r)^n after the e^{nz}
     cancels against the n stripped entry factors."""
     if n < 1:
         raise DerangeDomainError("n must be >= 1")
     z = Fraction(z)
     g = [reduced_derivative(m, r, z) for m in range(2 * n - 1)]
-    det = det_bareiss(g, n - 1)
-    closed = Fraction(closed_form_order_d(n - 1, r))
-    closed /= (z - 1) ** ((n - 1) * n) * (1 - z) ** (r * n)
-    verdict = "pass" if det == closed else "fail"
-    return DerivativeHankelReport(n, r, z, det, closed, verdict)
+    t = 1 / (1 - z)
+    closed = closed_form_generalized(n - 1, r, t) * t ** (r * n)
+    return det_bareiss(g, n - 1), closed

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from .exact import DerangeDomainError, factorial
 
@@ -118,24 +118,14 @@ def _convolution(r: int, a: int, b: int, q: int, count: int) -> List[Fraction]:
     return vals
 
 
-class IdentityReport:
-    """Outcome of an exact identity sweep; failures carry the offending cell."""
-
-    def __init__(self):
-        self.checked = 0
-        self.failures = []
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def verify_shift_recurrences(n_max: int, r_max: int, xs: Sequence) -> IdentityReport:
+def verify_shift_recurrences(n_max: int, r_max: int,
+                             xs: Sequence) -> Tuple[int, list]:
     """Check the cross-order recurrences
     D_{n+1}^{(r)} = D_n^{(r)} + r x D_n^{(r+1)}  and
     d_{n+1}^{(r)} = x d_n^{(r)} + r d_n^{(r+1)}
-    over the full (n, r, x) grid, exactly."""
-    report = IdentityReport()
+    over the full (n, r, x) grid, exactly: (checks made, the failed cells
+    as (identity, n, r, x, lhs, rhs))."""
+    checked, failures = 0, []
     xs = [Fraction(x) for x in xs]
     for r in range(r_max + 1):
         for n in range(n_max + 1):
@@ -146,13 +136,13 @@ def verify_shift_recurrences(n_max: int, r_max: int, xs: Sequence) -> IdentityRe
             dn_up = order_d_poly(n, r + 1)
             dn1 = order_d_poly(n + 1, r)
             for x in xs:
-                report.checked += 2
+                checked += 2
                 lhs = eval_poly(Dn1, x)
                 rhs = eval_poly(Dn, x) + r * x * eval_poly(Dn_up, x)
                 if lhs != rhs:
-                    report.failures.append(("D-shift", n, r, x, lhs, rhs))
+                    failures.append(("D-shift", n, r, x, lhs, rhs))
                 lhs = eval_poly(dn1, x)
                 rhs = x * eval_poly(dn, x) + r * eval_poly(dn_up, x)
                 if lhs != rhs:
-                    report.failures.append(("d-shift", n, r, x, lhs, rhs))
-    return report
+                    failures.append(("d-shift", n, r, x, lhs, rhs))
+    return checked, failures

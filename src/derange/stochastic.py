@@ -3,7 +3,10 @@
 The sum of r independent Exp(1) draws has k-th moment rising(r, k); the
 Monte Carlo layer estimates it and the moment-expansion reconstruction of
 the generalized polynomials, against a counter-based SplitMix64 uniform
-stream so every estimate is a pure function of (seed, samples).
+stream so every estimate is a pure function of (seed, samples): uniform i,
+from i = 1, is the top 53 bits of the SplitMix64 finalizer of
+seed + i * _GAMMA (mod 2^64), times 2^-53. `_erlang_blocks` is the one
+implementation of that stream.
 
 The sampler streams: draws come in blocks of `_CHUNK` samples, each cut
 from its own slice of the stream, and the per-block (count, mean, M2) are
@@ -57,38 +60,9 @@ def zscore_gate(est: MomentEstimate, target) -> tuple[float, bool]:
     return z, abs(z) <= 6 and (est.stderr > 0 or est.mean == target)
 
 
-def _mix64(x: int) -> int:
-    x &= _MASK
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _MASK
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _MASK
-    x ^= x >> 31
-    return x
-
-
-class SplitMix64:
-    """Counter-based SplitMix64: output i is mix(seed + (i+1)*golden_gamma).
-
-    Counter addressing makes the sequential stream and the vectorized
-    stream bit-identical.
-    """
-
-    def __init__(self, seed: int):
-        self.seed = seed & _MASK
-        self.counter = 0
-
-    def next_u64(self) -> int:
-        self.counter += 1
-        return _mix64(self.seed + self.counter * _GAMMA)
-
-    def next_float(self) -> float:
-        # 53 random bits in [0, 1)
-        return (self.next_u64() >> 11) * 2.0 ** -53
-
-
 def _mix_inplace(x: np.ndarray, t: np.ndarray) -> None:
-    """_mix64 on every uint64 of x, in place; t is scratch of x's shape."""
+    """The SplitMix64 finalizer on every uint64 of x, in place; t is scratch
+    of x's shape."""
     x ^= np.right_shift(x, np.uint64(30), out=t)
     x *= np.uint64(0xBF58476D1CE4E5B9)
     x ^= np.right_shift(x, np.uint64(27), out=t)
@@ -96,34 +70,15 @@ def _mix_inplace(x: np.ndarray, t: np.ndarray) -> None:
     x ^= np.right_shift(x, np.uint64(31), out=t)
 
 
-def _uniforms(seed: int, count: int, offset: int = 0) -> np.ndarray:
-    """Vectorized slice [offset, offset+count) of the SplitMix64 stream,
-    computed in place in one array plus one scratch array."""
-    x = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
-    x *= np.uint64(_GAMMA)
-    x += np.uint64(seed & _MASK)
-    t = np.empty_like(x)
-    _mix_inplace(x, t)
-    x >>= np.uint64(11)
-    return np.multiply(x, 2.0 ** -53, out=t.view(np.float64))
-
-
-def sample_erlang(r: int, rng: SplitMix64) -> float:
-    """One Erlang(r) draw: sum of r inverse-CDF exponentials -ln(1-U)."""
-    if r < 1:
-        raise DerangeDomainError("need r >= 1")
-    return sum(-math.log1p(-rng.next_float()) for _ in range(r))
-
-
 def _erlang_blocks(r: int, samples: int, seed: int) -> Iterator[np.ndarray]:
     """Erlang(r) draws in blocks of at most _CHUNK samples. Block j reads
     uniforms [j*_CHUNK*r, ...) of the stream, so the blocks concatenate to
-    the sequential sample_erlang draws.
+    the draws of one sequential walk of it, r uniforms per draw.
 
     The workspace is allocated once per call and every block is computed in
     it in place; each yielded block is a view the next one overwrites. The
-    r exponentials of a draw are summed column by column, sample_erlang's
-    order, which is also numpy's row sum for r < 8."""
+    r exponentials of a draw are summed column by column, in draw order,
+    which is also numpy's row sum for r < 8."""
     block = min(_CHUNK, samples)
     base = np.arange(1, block * r + 1, dtype=np.uint64)
     base *= np.uint64(_GAMMA)

@@ -59,12 +59,12 @@ def suite_recurrences(grid: Grid) -> List[Cell]:
     """Shift recurrences plus the three-path equivalence (explicit = EGF =
     convolution) for both polynomial families."""
     cells = []
-    rep = polys.verify_shift_recurrences(grid.n_max, grid.r_max, grid.points)
+    checked, failures = polys.verify_shift_recurrences(
+        grid.n_max, grid.r_max, grid.points)
     cells.append(_cell(
         {"identity": "shift-recurrences", "n_max": grid.n_max,
          "r_max": grid.r_max},
-        f"0 failures of {rep.checked}",
-        f"{len(rep.failures)} failures of {rep.checked}"))
+        f"0 failures of {checked}", f"{len(failures)} failures of {checked}"))
     count = grid.n_max + 1
     for r in range(grid.r_max + 1):
         for x in grid.points:
@@ -144,7 +144,7 @@ def suite_hankel(grid: Grid) -> List[Cell]:
             if spec.family is Family.CLASSIC:
                 cells.append(_cell(
                     {"family": "factorial", "n": n},
-                    Fraction(hankel.closed_form_classic(n)),
+                    hankel.closed_form_generalized(n, 1, 1),
                     hankel.factorial_hankel_det(n)))
     return cells
 
@@ -176,10 +176,10 @@ def suite_derivative_hankel(grid: Grid) -> List[Cell]:
     for r in range(1, grid.r_max + 1):
         for z in grid.deriv_z:
             for n in range(1, grid.n_max + 1):
-                rep = hankel.verify_derivative_hankel(n, r, z)
+                det, closed = hankel.verify_derivative_hankel(n, r, z)
                 cells.append(_cell(
                     {"identity": "derivative-hankel", "n": n, "r": r, "z": z},
-                    rep.closed_form, rep.det))
+                    closed, det))
     return cells
 
 
@@ -200,13 +200,17 @@ def suite_mgf(grid: Grid) -> List[Cell]:
 
 
 def suite_oracles(grid: Grid) -> List[Cell]:
-    """Brute-force enumeration against the formula paths."""
+    """Brute-force enumeration against the values that `egf_values` reads
+    from the classic and cyclic rows of FAMILY_TABLE, so a wrong row fails
+    here."""
     cells = []
+    classic = series.egf_values(FamilySpec(Family.CLASSIC), 10)
     for n in range(10):
         cells.append(_cell(
             {"oracle": "derangements", "n": n},
-            polys.classic_derangement(n), oracle.count_derangements_brute(n)))
+            classic[n], oracle.count_derangements_brute(n)))
     for r in range(1, min(grid.r_max, 4) + 1):
+        cyclic = series.egf_values(FamilySpec(Family.CYCLIC, r), grid.n_max + 1)
         for n in range(grid.n_max + 1):
             try:
                 brute = oracle.count_cyclic_derangements_brute(n, r)
@@ -216,7 +220,7 @@ def suite_oracles(grid: Grid) -> List[Cell]:
                 continue
             cells.append(_cell(
                 {"oracle": "cyclic", "n": n, "r": r},
-                polys.cyclic_derangement(n, r), brute))
+                cyclic[n], brute))
     return cells
 
 

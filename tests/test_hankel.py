@@ -12,10 +12,8 @@ from derange.hankel import (
     ORACLE_CAP,
     DegenerateInterior,
     SizeTooLarge,
-    closed_form_classic,
-    closed_form_cyclic,
+    closed_form,
     closed_form_generalized,
-    closed_form_order_d,
     det_bareiss,
     det_cofactor,
     det_condensation,
@@ -399,7 +397,7 @@ def test_condensation_on_the_default_grid():
             seq = egf_values(spec, 2 * n + 1)
             got = _condensation_or_none(seq, n)
             assert got == _matrix_condensation(hankel_matrix(seq, n)), (spec, n)
-            assert got in (None, hankel._closed_form(spec, n))
+            assert got in (None, closed_form(spec, n))
             calls += 1
             if got is None:
                 degenerate.add((spec, n))
@@ -433,7 +431,7 @@ def test_order_r_numbers_have_the_order_d_closed_form(r):
     spec = FamilySpec(Family.ORDER_R_NUMBERS, r)
     seq = egf_values(spec, 65)
     for n in [*range(13), 32]:
-        want = closed_form_order_d(n, r)
+        want = closed_form_generalized(n, r, 1)
         rep = verify_hankel(spec, n)
         assert rep.verdict == "pass", n
         assert rep.closed_form == rep.det_bareiss == want, n
@@ -496,43 +494,44 @@ class TestClosedForms:
             assert det == closed_form_generalized(1, r, z)
 
     def test_order_d_values(self):
-        assert closed_form_order_d(0, 4) == 1
-        assert closed_form_order_d(1, 2) == 2
-        assert closed_form_order_d(2, 1) == 4
+        assert closed_form(FamilySpec(Family.ORDER_R_NUMBERS, 4), 0) == 1
+        assert closed_form(FamilySpec(Family.ORDER_R_NUMBERS, 2), 1) == 2
+        assert closed_form(FamilySpec(Family.ORDER_R_NUMBERS, 1), 2) == 4
 
     def test_cyclic_values(self):
-        assert closed_form_cyclic(0, 3) == 1
-        assert closed_form_cyclic(1, 2) == 4
-        assert closed_form_cyclic(2, 2) == 256
+        assert closed_form(FamilySpec(Family.CYCLIC, 3), 0) == 1
+        assert closed_form(FamilySpec(Family.CYCLIC, 2), 1) == 4
+        assert closed_form(FamilySpec(Family.CYCLIC, 2), 2) == 256
 
     def test_classic_values(self):
-        assert closed_form_classic(0) == 1
-        assert closed_form_classic(2) == 4
-        assert closed_form_classic(3) == (1 * 2 * 6) ** 2
+        classic = FamilySpec(Family.CLASSIC)
+        assert closed_form(classic, 0) == 1
+        assert closed_form(classic, 2) == 4
+        assert closed_form(classic, 3) == (1 * 2 * 6) ** 2
 
     def test_cyclic_3x3_matches_matrix(self):
         assert det_bareiss([1, 1, 5, 29, 233], 2) == 256
 
     def test_specialisations_keep_their_products(self):
-        # each closed form as a product of its own, as the paper states it
+        # each family's closed form, read from its EGF shape, as a product
+        # of its own, as the paper states it
         for n in range(11):
             facts = 1
             for k in range(1, n + 1):
                 facts *= factorial(k)
-            assert closed_form_classic(n) == facts ** 2
-            assert type(closed_form_classic(n)) is int
+            assert closed_form(FamilySpec(Family.CLASSIC), n) == facts ** 2
             for r in range(5):
                 tail = rising_factorial(r, n)
                 for k in range(1, n + 1):
                     tail *= rising_factorial(r, k - 1) * factorial(k)
-                assert closed_form_order_d(n, r) == tail
-                assert type(closed_form_order_d(n, r)) is int
+                assert closed_form(FamilySpec(Family.ORDER_R_NUMBERS, r), n) == tail
+                assert closed_form(
+                    FamilySpec(Family.ORDER_R_POLY, r, F(-3, 5)), n) == tail
                 assert closed_form_generalized(n, r, F(-3, 5)) == (
                     F(-3, 5) ** (n * (n + 1)) * tail)
                 if r >= 1:
-                    assert closed_form_cyclic(n, r) == (
+                    assert closed_form(FamilySpec(Family.CYCLIC, r), n) == (
                         r ** (n * (n + 1)) * facts ** 2)
-                    assert type(closed_form_cyclic(n, r)) is int
 
 
 class TestVerifyHankel:
@@ -650,29 +649,32 @@ class TestDerivativeHankel:
     def test_single_entry(self):
         for r in range(4):
             for z in (F(0), F(1, 2), F(-1), F(2)):
-                rep = verify_derivative_hankel(1, r, z)
-                assert rep.verdict == "pass"
-                assert rep.det == (1 - z) ** -r
+                det, closed = verify_derivative_hankel(1, r, z)
+                assert det == closed == (1 - z) ** -r
 
     def test_2x2_at_origin(self):
-        rep = verify_derivative_hankel(2, 1, 0)
-        assert rep.det == 1  # det [[1,2],[2,5]]
-        assert rep.verdict == "pass"
+        det, closed = verify_derivative_hankel(2, 1, 0)
+        assert det == closed == 1  # det [[1,2],[2,5]]
 
     def test_grid(self):
+        # the paper's form: Pi rising(r,k) k! / ((z-1)^{(n-1)n} (1-z)^{rn})
         for r in (1, 2, 3):
             for z in (F(0), F(1, 2), F(-1), F(2)):
                 for n in range(1, 7):
-                    assert verify_derivative_hankel(n, r, z).verdict == "pass"
+                    paper = F(1)
+                    for k in range(1, n):
+                        paper *= rising_factorial(r, k) * factorial(k)
+                    paper /= (z - 1) ** ((n - 1) * n) * (1 - z) ** (r * n)
+                    assert verify_derivative_hankel(n, r, z) == (paper, paper)
 
     def test_consistency_with_generalized_closed_form(self):
         for r in (1, 2, 3):
             for z in (F(0), F(1, 2), F(-1), F(2)):
                 for n in range(1, 6):
-                    rep = verify_derivative_hankel(n, r, z)
+                    det, _ = verify_derivative_hankel(n, r, z)
                     expected = closed_form_generalized(n - 1, r, 1 / (1 - z))
                     expected /= (1 - z) ** (n * r)
-                    assert rep.det == expected
+                    assert det == expected
 
     def test_pole(self):
         with pytest.raises(DerangeDomainError, match=r"^z = 1 is a pole$"):

@@ -2,6 +2,7 @@ from itertools import permutations, product
 
 import pytest
 
+from derange import verify
 from derange.exact import DerangeDomainError
 from derange.oracle import (
     SizeTooLarge,
@@ -9,7 +10,7 @@ from derange.oracle import (
     count_derangements_brute,
 )
 from derange.polys import classic_derangement, cyclic_derangement
-from derange.series import Family, FamilySpec, egf_values
+from derange.series import FAMILY_TABLE, Family, FamilySpec, egf_values
 
 
 def _full_walk(n):
@@ -104,3 +105,31 @@ def _wreath_count(n, r):
 def test_cyclic_oracle_matches_wreath_enumeration(r):
     for n in range(7):
         assert count_cyclic_derangements_brute(n, r) == _wreath_count(n, r)
+
+
+# c -> -c in one row of FAMILY_TABLE, and the suite that must fail a cell
+# for it. The same mutant of the order-r, r-derangement or
+# r-derangement-poly row still passes every suite: no suite compares those
+# rows with a value that does not read the table.
+FLIPPED_C = {
+    Family.CLASSIC: "oracles",
+    Family.CYCLIC: "oracles",
+    Family.GENERALIZED: "all",
+    Family.ORDER_R_POLY: "all",
+}
+
+
+@pytest.mark.parametrize("family", FLIPPED_C, ids=lambda f: f.value)
+def test_a_wrong_table_row_fails_a_verify_cell(family):
+    row = FAMILY_TABLE[family]
+
+    def flipped(r, x):
+        c, *rest = row.shape(r, x)
+        return (-c, *rest)
+
+    FAMILY_TABLE[family] = row._replace(shape=flipped)
+    try:
+        cells = verify.run_suite(FLIPPED_C[family])
+    finally:
+        FAMILY_TABLE[family] = row
+    assert any(cell.verdict == "fail" for cell in cells)

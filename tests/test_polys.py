@@ -180,9 +180,9 @@ def test_shift_recurrence_single_cell():
 
 
 def test_shift_recurrences_grid():
-    report = verify_shift_recurrences(30, 5, XS)
-    assert report.ok, report.failures[:3]
-    assert report.checked == 2 * 31 * 6 * 5
+    checked, failures = verify_shift_recurrences(30, 5, XS)
+    assert not failures, failures[:3]
+    assert checked == 2 * 31 * 6 * 5
 
 
 def test_reflection_identity_grid():

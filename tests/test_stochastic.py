@@ -9,19 +9,70 @@ from derange.exact import DerangeDomainError, binomial
 from derange.polys import eval_poly, generalized_D_poly
 from derange.stochastic import (
     _CHUNK,
+    _GAMMA,
+    _MASK,
     MomentEstimate,
-    SplitMix64,
     _erlang_blocks,
     _horner,
-    _uniforms,
+    _mix_inplace,
     erlang_moment_exact,
     mc_generalized_D,
     mc_moment,
-    sample_erlang,
     zscore_gate,
 )
 
 SMALL = 20_000  # enough for a 6-sigma sanity check without slowing the suite
+
+
+# References for the sampler's one stream, _erlang_blocks: the SplitMix64
+# stream drawn one uniform at a time, and a vectorized slice of it.
+def _mix64(x: int) -> int:
+    x &= _MASK
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & _MASK
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & _MASK
+    x ^= x >> 31
+    return x
+
+
+class SplitMix64:
+    """Counter-based SplitMix64: output i is mix(seed + (i+1)*golden_gamma).
+
+    Counter addressing makes the sequential stream and the vectorized
+    stream bit-identical.
+    """
+
+    def __init__(self, seed: int):
+        self.seed = seed & _MASK
+        self.counter = 0
+
+    def next_u64(self) -> int:
+        self.counter += 1
+        return _mix64(self.seed + self.counter * _GAMMA)
+
+    def next_float(self) -> float:
+        # 53 random bits in [0, 1)
+        return (self.next_u64() >> 11) * 2.0 ** -53
+
+
+def _uniforms(seed: int, count: int, offset: int = 0) -> np.ndarray:
+    """Vectorized slice [offset, offset+count) of the SplitMix64 stream,
+    computed in place in one array plus one scratch array."""
+    x = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
+    x *= np.uint64(_GAMMA)
+    x += np.uint64(seed & _MASK)
+    t = np.empty_like(x)
+    _mix_inplace(x, t)
+    x >>= np.uint64(11)
+    return np.multiply(x, 2.0 ** -53, out=t.view(np.float64))
+
+
+def sample_erlang(r: int, rng: SplitMix64) -> float:
+    """One Erlang(r) draw: sum of r inverse-CDF exponentials -ln(1-U)."""
+    if r < 1:
+        raise DerangeDomainError("need r >= 1")
+    return sum(-math.log1p(-rng.next_float()) for _ in range(r))
 
 
 def test_erlang_moment_exact():
