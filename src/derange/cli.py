@@ -7,9 +7,11 @@ Each command imports only what it runs: `seq` and `poly` import neither
 `verify` nor `hankel`, numpy comes only with `mc`, the one command that
 samples, and json and csv only with a report in those formats.
 `render_report` writes the cell report of `hankel`, `verify` and `mc` and
-returns their exit code; `seq` and `poly` share `_write_values`. Every
-domain error reaches `main` as a DerangeDomainError, and `main` alone
-prints the `error:` line.
+returns their exit code; `seq` and `poly` share `_write_values`. JSON has
+one writer, `_json`, for both: its bytes are those of
+`json.dumps(..., indent=2)`, but each cell is written from a template and
+each string by the json module's C escaper. Every domain error reaches
+`main` as a DerangeDomainError, and `main` alone prints the `error:` line.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from fractions import Fraction
 
 from . import polys, series
 from .exact import DerangeDomainError
-from .series import Family, FamilySpec
+from .series import Cell, Family, FamilySpec, spec_params
 
 FAMILY_NAMES = {f.value: f for f in Family}
 # the keys of verify.SUITES, sorted, so that parsing argv needs no verify
@@ -104,6 +106,38 @@ def _report_csv(cells) -> str:
     return out.getvalue()
 
 
+def _json(obj: dict) -> str:
+    """json.dumps(obj, indent=2, default=vars) + "\n", byte for byte. A
+    string is encoded by the C escaper, a Cell from a template, a non-empty
+    list or string-keyed dict item by item; any other value by json.dumps
+    itself, its lines indented to the depth it sits at."""
+    import json
+    from json.encoder import encode_basestring_ascii as quote
+
+    def encode(v, pad: str) -> str:
+        inner = pad + "  "
+        if isinstance(v, str):
+            return quote(v)
+        if type(v) is Cell:
+            params = f",\n{inner}  ".join([f"{quote(k)}: {quote(x)}"
+                                            for k, x in v.params.items()])
+            params = f"{{\n{inner}  {params}\n{inner}}}" if params else "{}"
+            return (f'{{\n{inner}"params": {params},\n'
+                    f'{inner}"expected": {quote(v.expected)},\n'
+                    f'{inner}"actual": {quote(v.actual)},\n'
+                    f'{inner}"verdict": {quote(v.verdict)}\n{pad}}}')
+        if isinstance(v, list) and v:
+            items = ",\n".join(inner + encode(x, inner) for x in v)
+            return f"[\n{items}\n{pad}]"
+        if isinstance(v, dict) and v and all(type(k) is str for k in v):
+            items = ",\n".join(f"{inner}{quote(k)}: {encode(x, inner)}"
+                                for k, x in v.items())
+            return f"{{\n{items}\n{pad}}}"
+        return json.dumps(v, indent=2, default=vars).replace("\n", "\n" + pad)
+
+    return encode(obj, "") + "\n"
+
+
 def render_report(args, command: str, cells, **extra) -> int:
     """Write the report of `cells` in args.format, with the `extra` keys
     after the summary in JSON; the exit code is 0 when no cell failed."""
@@ -111,11 +145,8 @@ def render_report(args, command: str, cells, **extra) -> int:
     for cell in cells:
         summary[cell.verdict if cell.verdict in summary else "fail"] += 1
     if args.format == "json":
-        import json
-
-        report = {"command": command, "cells": cells, "summary": summary,
-                  **extra}
-        text = json.dumps(report, indent=2, default=vars) + "\n"
+        text = _json({"command": command, "cells": cells, "summary": summary,
+                      **extra})
     elif args.format == "csv":
         text = _report_csv(cells)
     else:
@@ -132,9 +163,7 @@ def _write_values(args, head: dict, columns: tuple, values,
     `numbered`, else every value on one line."""
     values = [str(v) for v in values]
     if args.format == "json":
-        import json
-
-        text = json.dumps({**head, columns[1] + "s": values}, indent=2) + "\n"
+        text = _json({**head, columns[1] + "s": values})
     elif args.format == "csv":
         import csv
 
@@ -170,13 +199,13 @@ def cmd_poly(args) -> int:
 
 
 def cmd_hankel(args) -> int:
-    from . import hankel, verify
+    from . import hankel
 
     spec = _make_spec(args)
     rep = hankel.verify_hankel(spec, args.n)
-    cell = verify.Cell(
+    cell = Cell(
         params={"family": args.family, "n": str(args.n),
-                **verify.spec_params(spec), **rep.shown_dets()},
+                **spec_params(spec), **rep.shown_dets()},
         expected=str(rep.closed_form), actual=str(rep.det_bareiss),
         verdict=rep.verdict)
     return render_report(args, "hankel", [cell])
@@ -197,7 +226,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    from . import stochastic, verify
+    from . import stochastic
 
     seed = args.seed if args.seed is not None else _default_seed()
     if args.dn:
@@ -213,7 +242,7 @@ def cmd_mc(args) -> int:
         est = stochastic.mc_moment(args.r, args.k, args.samples, seed)
         target = Fraction(stochastic.erlang_moment_exact(args.r, args.k))
     z, ok = stochastic.zscore_gate(est, target)
-    cell = verify.Cell(
+    cell = Cell(
         params={"r": str(args.r), "samples": str(args.samples),
                 "seed": str(seed), "stderr": repr(est.stderr),
                 "zscore": repr(z),

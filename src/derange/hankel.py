@@ -321,18 +321,23 @@ def reduced_derivative(n: int, r: int, z) -> Fraction:
     return eval_poly(generalized_D_poly(n, r), t) * t ** r
 
 
-def verify_derivative_hankel(n: int, r: int, z) -> Tuple[Fraction, Fraction]:
+def verify_derivative_hankel(n: int, r: int, z,
+                             g: Optional[Sequence] = None
+                             ) -> Tuple[Fraction, Fraction]:
     """The e^z-cancelled derivative Hankel identity for matrix size n, as
     (det(g_{i+j-2}(z)) by Bareiss, its closed form). The g_m are the
     generalized polynomials at t = 1/(1-z) times t^r, so the determinant is
     the generalized one at (n-1, r, t) times t^{rn}: the paper's
     Pi_{k=1}^{n-1} rising(r,k) k! / ((z-1)^{(n-1)n} (1-z)^{rn}), the
     (1-z)^{-rn} being what remains of (e^z/(1-z)^r)^n after the e^{nz}
-    cancels against the n stripped entry factors."""
+    cancels against the n stripped entry factors. A caller that checks
+    several n at one (r, z) passes its g_0, g_1, ... (at least 2n-1 of
+    them, from `reduced_derivative`) as `g`; otherwise they are built here."""
     if n < 1:
         raise DerangeDomainError("n must be >= 1")
     z = Fraction(z)
-    g = [reduced_derivative(m, r, z) for m in range(2 * n - 1)]
+    if g is None:
+        g = [reduced_derivative(m, r, z) for m in range(2 * n - 1)]
     t = 1 / (1 - z)
     closed = closed_form_generalized(n - 1, r, t) * t ** (r * n)
     return det_bareiss(g, n - 1), closed

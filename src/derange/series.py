@@ -7,13 +7,17 @@ is D-finite (Stanley 1980): b_n = n! [z^n] e^{cz}(1-xz)^{-r} obeys
 b_{n+1} = (c + x(n+r)) b_n - c x n b_{n-1}, b_0 = 1, which `egf_values`
 runs on integers. The Cauchy product of `series_exp` and `geom_pow` is the
 independent cross-check that `verify` and the tests use.
+
+`Cell`, one comparison of a report, and `spec_params` live here, below
+`verify`, so that `derange hankel` and `derange mc` build their one cell
+without loading `verify` and the oracles it runs.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Dict, NamedTuple, Optional
 
 from math import lcm, perm
 
@@ -121,6 +125,23 @@ class FamilySpec:
 
     def __repr__(self):
         return f"FamilySpec(family={self.family!r}, r={self.r!r}, x={self.x!r})"
+
+
+def spec_params(spec: FamilySpec) -> Dict[str, str]:
+    """The r and x of a family spec, as report parameters, when it has them."""
+    return {k: str(v) for k, v in (("r", spec.r), ("x", spec.x)) if v is not None}
+
+
+class Cell:
+    """One comparison of a report; its attributes, in this order, are its
+    JSON object."""
+
+    def __init__(self, params: Dict[str, str], expected: str, actual: str,
+                 verdict: str):
+        self.params = params
+        self.expected = expected
+        self.actual = actual
+        self.verdict = verdict  # "pass" | "fail" | "skipped"
 
 
 def egf_shape(spec: FamilySpec) -> tuple:

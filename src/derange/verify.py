@@ -8,11 +8,11 @@ a "fail" cell, never an exception.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from . import exact, hankel, oracle, polys, series
 from .exact import DerangeDomainError
-from .series import Family, FamilySpec
+from .series import Cell, Family, FamilySpec, spec_params
 
 DEFAULT_POINTS = (Fraction(1), Fraction(-1), Fraction(2),
                   Fraction(1, 2), Fraction(-3, 5))
@@ -35,18 +35,6 @@ class Grid:
             raise DerangeDomainError("grid needs at least one x and one z point")
         self.n_max, self.r_max = n_max, r_max
         self.points, self.deriv_z = points, deriv_z
-
-
-class Cell:
-    """One comparison of a report; its attributes, in this order, are its
-    JSON object."""
-
-    def __init__(self, params: Dict[str, str], expected: str, actual: str,
-                 verdict: str):
-        self.params = params
-        self.expected = expected
-        self.actual = actual
-        self.verdict = verdict  # "pass" | "fail" | "skipped"
 
 
 def _cell(params, expected, actual) -> Cell:
@@ -109,11 +97,6 @@ def suite_reflection(grid: Grid) -> List[Cell]:
     return cells
 
 
-def spec_params(spec: FamilySpec) -> Dict[str, str]:
-    """The r and x of a family spec, as report parameters, when it has them."""
-    return {k: str(v) for k, v in (("r", spec.r), ("x", spec.x)) if v is not None}
-
-
 def _hankel_cell(spec: FamilySpec, n: int) -> Cell:
     rep = hankel.verify_hankel(spec, n)
     params = {"family": spec.family.value, "n": str(n), **spec_params(spec)}
@@ -171,12 +154,15 @@ def suite_jfraction(grid: Grid) -> List[Cell]:
 
 
 def suite_derivative_hankel(grid: Grid) -> List[Cell]:
-    """The e^z-cancelled derivative Hankel identity on the (n, r, z) grid."""
+    """The e^z-cancelled derivative Hankel identity on the (n, r, z) grid;
+    each (r, z)'s reduced derivatives are built once, for the largest n."""
     cells = []
     for r in range(1, grid.r_max + 1):
         for z in grid.deriv_z:
+            g = [hankel.reduced_derivative(m, r, z)
+                 for m in range(2 * grid.n_max - 1)]
             for n in range(1, grid.n_max + 1):
-                det, closed = hankel.verify_derivative_hankel(n, r, z)
+                det, closed = hankel.verify_derivative_hankel(n, r, z, g)
                 cells.append(_cell(
                     {"identity": "derivative-hankel", "n": n, "r": r, "z": z},
                     closed, det))

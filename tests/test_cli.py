@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from derange import verify
+from derange import cli, verify
 from derange.cli import SUITE_NAMES, build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -231,8 +231,40 @@ def test_json_report_roundtrip_byte_stable(capsys):
     assert json.dumps(parsed, indent=2) + "\n" == out
 
 
+# strings that the JSON writer must escape as json does, beside arbitrary text
+TRICKY = st.sampled_from(['"', "\\", '\\"', "\n\t\x00\x1f\x7f", "\u00e9\u2212",
+                          "\U0001d4b3", "\ud800", "", " ", "a\u2028b"])
+TEXT = st.one_of(TRICKY, st.text(max_size=8))
+CELLS = st.builds(verify.Cell, st.dictionaries(TEXT, TEXT, max_size=4),
+                  TEXT, TEXT, TEXT)
+SCALARS = st.one_of(st.integers(), st.floats(), st.booleans(), st.none(), TEXT)
+EXTRAS = st.dictionaries(TEXT, st.one_of(
+    SCALARS, st.dictionaries(TEXT, SCALARS, max_size=3),
+    st.lists(SCALARS, max_size=3)), max_size=3)
+
+
+@st.composite
+def reports(draw):
+    """A cell report of render_report, or a values report of _write_values,
+    with extra keys after its own."""
+    if draw(st.booleans()):
+        head = {"command": draw(TEXT), "cells": draw(st.lists(CELLS, max_size=4)),
+                "summary": draw(st.dictionaries(TEXT, st.integers(), max_size=3))}
+    else:
+        head = {"command": draw(TEXT), "n": draw(st.integers()),
+                "values": draw(st.lists(TEXT, max_size=5))}
+    return {**draw(EXTRAS), **head} if draw(st.booleans()) else {
+        **head, **draw(EXTRAS)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(report=reports())
+def test_json_writer_matches_json_dumps(report):
+    assert cli._json(report) == json.dumps(report, indent=2, default=vars) + "\n"
+
+
 def test_oracles_suite_skips_nothing_up_to_n_9(capsys):
-    # the cyclic oracle walks n! permutations for every r, capped at n = 9
+    # the cyclic oracle reads the fixed-point histogram for every r, capped at n = 9
     code, out = run(capsys, "verify", "--suite", "oracles", "--nmax", "9",
                     "--r", "4", "--format", "json")
     assert code == 0
@@ -429,15 +461,22 @@ def test_output_file_has_the_stdout_bytes(tmp_path, capsys, argv, fmt):
     assert WALL_TIME.sub("", written) == WALL_TIME.sub("", out)
 
 
-# what the text-format commands that verify nothing must not import
-NOT_IMPORTED = {"dataclasses", "inspect", "derange.hankel", "derange.oracle",
-                "derange.verify", "json", "csv"}
+# what a text-format command that verifies nothing must not import
+NOTHING_VERIFIED = {"dataclasses", "inspect", "derange.hankel",
+                    "derange.oracle", "derange.verify", "json", "csv"}
+# per command: `hankel` loads its own layer only, and `mc` (whose numpy
+# brings dataclasses and inspect) loads no exact check at all
+NOT_IMPORTED = {
+    "seq --family classic --count 5": NOTHING_VERIFIED,
+    "poly --which D --n 4 --r 2": NOTHING_VERIFIED,
+    "hankel --family cyclic --r 2 --n 3 --format text":
+        NOTHING_VERIFIED - {"derange.hankel"},
+    "mc --r 2 --k 3 --samples 2000":
+        {"derange.hankel", "derange.oracle", "derange.verify"},
+}
 
 
-@pytest.mark.parametrize("argv", [
-    "seq --family classic --count 5",
-    "poly --which D --n 4 --r 2",
-])
+@pytest.mark.parametrize("argv", NOT_IMPORTED)
 def test_commands_import_only_what_they_run(argv):
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -449,7 +488,7 @@ def test_commands_import_only_what_they_run(argv):
                 for line in proc.stderr.splitlines()
                 if line.startswith("import time:")}
     assert "derange.series" in imported  # the probe sees the package
-    assert not imported & NOT_IMPORTED
+    assert not imported & NOT_IMPORTED[argv]
 
 
 def test_suite_choices_are_the_verify_suites():

@@ -667,6 +667,15 @@ class TestDerivativeHankel:
                     paper /= (z - 1) ** ((n - 1) * n) * (1 - z) ** (r * n)
                     assert verify_derivative_hankel(n, r, z) == (paper, paper)
 
+    def test_shared_derivatives_give_each_size_its_own_values(self):
+        # the suite builds g_0..g_10 once per (r, z) for every n <= 6
+        for r in (1, 2, 3):
+            for z in (F(0), F(1, 2), F(-1), F(2)):
+                g = [reduced_derivative(m, r, z) for m in range(11)]
+                for n in range(1, 7):
+                    assert (verify_derivative_hankel(n, r, z, g)
+                            == verify_derivative_hankel(n, r, z))
+
     def test_consistency_with_generalized_closed_form(self):
         for r in (1, 2, 3):
             for z in (F(0), F(1, 2), F(-1), F(2)):

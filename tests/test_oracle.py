@@ -8,6 +8,7 @@ from derange.oracle import (
     SizeTooLarge,
     count_cyclic_derangements_brute,
     count_derangements_brute,
+    fixed_point_histogram,
 )
 from derange.polys import classic_derangement, cyclic_derangement
 from derange.series import FAMILY_TABLE, Family, FamilySpec, egf_values
@@ -26,6 +27,33 @@ def _full_walk(n):
         if not fixed:
             count += 1
     return count
+
+
+def _fixed_point_walk(n):
+    """The reference histogram: every permutation of range(n), its fixed
+    points counted one by one."""
+    hist = [0] * (n + 1)
+    for perm in permutations(range(n)):
+        fixed = 0
+        for i in range(n):
+            if perm[i] == i:
+                fixed += 1
+        hist[fixed] += 1
+    return hist
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_fixed_point_histogram_is_the_rencontres_numbers(n):
+    assert fixed_point_histogram(n) == _fixed_point_walk(n)
+
+
+def test_fixed_point_histogram_at_the_cap():
+    # R(9, j) = C(9, j) R(9 - j, 0), and the whole row sums to 9!
+    hist = fixed_point_histogram(9)
+    assert hist == [133496, 133497, 66744, 22260, 5544, 1134, 168, 36, 0, 1]
+    assert sum(hist) == 362880
+    with pytest.raises(SizeTooLarge):
+        fixed_point_histogram(10)
 
 
 def test_derangement_counts():
@@ -59,7 +87,7 @@ def test_brute_matches_formula_and_egf():
 
 @pytest.mark.parametrize("n", range(10))
 def test_pruned_walk_matches_full_walk(n):
-    # n <= 4 runs the tail alone, n >= 5 places n - 4 values before it
+    # the histogram's count with no fixed point against the walk of all n!
     assert count_derangements_brute(n) == _full_walk(n) == classic_derangement(n)
 
 
