@@ -10,17 +10,27 @@ implementation of that stream.
 
 The sampler streams: draws come in blocks of `_CHUNK` samples, each cut
 from its own slice of the stream, and the per-block (count, mean, M2) are
-merged in block order with the Chan-Golub-LeVeque update. Each estimate
+merged in block order with the Chan-Golub-LeVeque update. Each stream
 allocates one workspace, O(_CHUNK * r) memory whatever the sample count,
 and computes every block in place in it, so a yielded block is a view that
 the next block overwrites: copy it to keep it.
+
+One pass over a stream serves every statistic asked of it: `_estimate`
+folds each block into one running (mean, M2) per statistic. The moment
+table draws each (r, samples, seed) stream once for every order
+k = 1.._KMAX, raising each block into one extra `_CHUNK`-float buffer so
+the draws stay intact until the last order has read them; `mc_moment`
+indexes it. The table is memoized for the last stream only: a sweep that
+walks k innermost draws each r once, and nothing carries over between
+sweeps. `mc_generalized_D` is not memoized.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,6 +45,9 @@ _GAMMA = 0x9E3779B97F4A7C15
 # Xeon (2 MB L2 per core); 2^16 was 1.3-1.5x slower. The block size changes
 # only the merge order, so estimates move in the last bits, not the draws.
 _CHUNK = 1 << 14
+# The highest moment order estimated; the variance of Y_r^k, which holds
+# E[Y_r^2k], blows up with k.
+_KMAX = 8
 
 
 @dataclass(frozen=True)
@@ -78,14 +91,20 @@ def _erlang_blocks(r: int, samples: int, seed: int) -> Iterator[np.ndarray]:
     The workspace is allocated once per call and every block is computed in
     it in place; each yielded block is a view the next one overwrites. The
     r exponentials of a draw are summed column by column, in draw order,
-    which is also numpy's row sum for r < 8."""
+    which is also numpy's row sum for r < 8. A workspace too large to
+    allocate is a domain error."""
     block = min(_CHUNK, samples)
-    base = np.arange(1, block * r + 1, dtype=np.uint64)
+    try:
+        base = np.arange(1, block * r + 1, dtype=np.uint64)
+        x = np.empty_like(base)
+        t = np.empty_like(base)
+        y = np.empty(block)
+    except (MemoryError, ValueError):  # ValueError: beyond numpy's size limit
+        raise DerangeDomainError(
+            f"r = {r} needs a sampler workspace of {8 * block * (3 * r + 1)} "
+            f"bytes, which cannot be allocated") from None
     base *= np.uint64(_GAMMA)
-    x = np.empty_like(base)
-    t = np.empty_like(base)
     u = t.view(np.float64)
-    y = np.empty(block)
     for start in range(0, samples, _CHUNK):
         m = min(_CHUNK, samples - start)
         n = m * r
@@ -106,27 +125,32 @@ def _erlang_blocks(r: int, samples: int, seed: int) -> Iterator[np.ndarray]:
 
 @np.errstate(over="ignore", invalid="ignore")  # the m2 check below reports it
 def _estimate(r: int, samples: int, seed: int,
-              statistic: Callable[[np.ndarray], np.ndarray]) -> MomentEstimate:
-    """Mean and standard error of statistic(Y_r), one block at a time: each
-    block's (count, mean, M2) is folded into the running totals with the
-    Chan-Golub-LeVeque update, in block order."""
-    count, mean, m2 = 0, 0.0, 0.0
+              statistics: Sequence[Callable[[np.ndarray], np.ndarray]]
+              ) -> list[MomentEstimate]:
+    """Mean and standard error of each statistic(Y_r), all from one pass
+    over the draws, one block at a time: each block's (count, mean, M2) of
+    every statistic is folded into that statistic's running totals with the
+    Chan-Golub-LeVeque update, in block order. A statistic may overwrite
+    its own result but not the block, which the next statistic reads."""
+    count, means, m2s = 0, [0.0] * len(statistics), [0.0] * len(statistics)
     for y in _erlang_blocks(r, samples, seed):
-        s = statistic(y)
-        b_count, b_mean = s.size, float(s.mean())
-        s -= b_mean
-        # numpy's pairwise sum, not a BLAS dot, whose order may vary by build
-        b_m2 = float(np.square(s, out=s).sum())
-        delta = b_mean - mean
+        b_count = y.size
         total = count + b_count
-        mean += delta * b_count / total
-        m2 += b_m2 + delta * delta * count * b_count / total
+        for i, statistic in enumerate(statistics):
+            s = statistic(y)
+            b_mean = float(s.mean())
+            s -= b_mean
+            # numpy's pairwise sum, not a BLAS dot, whose order may vary by build
+            b_m2 = float(np.square(s, out=s).sum())
+            delta = b_mean - means[i]
+            means[i] += delta * b_count / total
+            m2s[i] += b_m2 + delta * delta * count * b_count / total
         count = total
-    if not math.isfinite(m2):  # an overflow anywhere leaves inf or nan here
+    if not all(map(math.isfinite, m2s)):  # an overflow leaves inf or nan
         raise DerangeDomainError(
             f"the estimate from {samples} samples overflows a float")
-    return MomentEstimate(mean, math.sqrt(m2 / (count - 1)) / math.sqrt(count),
-                          samples, seed)
+    return [MomentEstimate(mean, math.sqrt(m2 / (count - 1)) / math.sqrt(count),
+                           samples, seed) for mean, m2 in zip(means, m2s)]
 
 
 def _horner(coeffs: list[float], y: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -145,11 +169,22 @@ def mc_moment(r: int, k: int, samples: int, seed: int) -> MomentEstimate:
         raise DerangeDomainError("need samples >= 2")
     if r < 1:
         raise DerangeDomainError("need r >= 1")
-    if k < 0 or k > 8:
+    if k < 0 or k > _KMAX:
         raise DerangeDomainError("k capped at 8 (moment variance blow-up)")
     if k == 0:
         return MomentEstimate(1.0, 0.0, samples, seed)
-    return _estimate(r, samples, seed, lambda y: np.power(y, k, out=y))
+    return _moment_table(r, samples, seed)[k - 1]
+
+
+@functools.lru_cache(maxsize=1)
+def _moment_table(r: int, samples: int, seed: int) -> tuple[MomentEstimate, ...]:
+    """The estimates of E[Y_r^k] for k = 1.._KMAX from one pass over the
+    stream. Each order is raised into `buf`, never into the draws the next
+    order reads."""
+    buf = np.empty(min(_CHUNK, samples))
+    return tuple(_estimate(r, samples, seed, [
+        lambda y, k=k: np.power(y, k, out=buf[:y.size])
+        for k in range(1, _KMAX + 1)]))
 
 
 def mc_generalized_D(n: int, r: int, x, samples: int, seed: int) -> MomentEstimate:
@@ -172,4 +207,5 @@ def mc_generalized_D(n: int, r: int, x, samples: int, seed: int) -> MomentEstima
             f"{samples} samples")
     coeffs = [float(binomial(n, k) * x ** k) for k in range(n, -1, -1)]
     acc = np.empty(min(_CHUNK, samples))
-    return _estimate(r, samples, seed, lambda y: _horner(coeffs, y, acc[:y.size]))
+    [est] = _estimate(r, samples, seed, [lambda y: _horner(coeffs, y, acc[:y.size])])
+    return est

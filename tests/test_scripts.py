@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from derange import verify
+from derange import stochastic, verify
 from derange.series import Family
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -92,3 +92,16 @@ def test_run_verification():
     proc = run_script("run_verification.py")
     assert proc.returncode == 0
     assert len(proc.stdout.splitlines()) == len(verify.SUITES)
+
+
+def test_mc_sweep_draws_each_stream_once(monkeypatch):
+    drawn, blocks = [], stochastic._erlang_blocks
+
+    def counting(r, samples, seed):
+        drawn.append((r, samples, seed))
+        return blocks(r, samples, seed)
+
+    monkeypatch.setattr(stochastic, "_erlang_blocks", counting)
+    stochastic._moment_table.cache_clear()
+    load_script("mc_sweep.py").table(5, 6, 2000, 7)
+    assert drawn == [(r, 2000, 7) for r in range(1, 6)]

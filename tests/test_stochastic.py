@@ -5,16 +5,20 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from derange import stochastic
 from derange.exact import DerangeDomainError, binomial
 from derange.polys import eval_poly, generalized_D_poly
 from derange.stochastic import (
     _CHUNK,
     _GAMMA,
+    _KMAX,
     _MASK,
     MomentEstimate,
     _erlang_blocks,
+    _estimate,
     _horner,
     _mix_inplace,
+    _moment_table,
     erlang_moment_exact,
     mc_generalized_D,
     mc_moment,
@@ -289,7 +293,53 @@ def test_mc_moment_matches_two_pass_reference(samples):
     mean, stderr = two_pass([y ** k for y in sequential_draws(samples)])
     assert est.mean == pytest.approx(mean, rel=1e-12, abs=0)
     assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=0)
+    _moment_table.cache_clear()  # compare two computations, not one memo
     assert est == mc_moment(BOUNDARY_R, k, samples, BOUNDARY_SEED)
+
+
+@pytest.mark.parametrize("samples", BOUNDARY_SAMPLES)
+def test_moment_table_is_the_single_statistic_pass_bit_for_bit(samples):
+    # one pass for every order against one pass per order, raised in place
+    for r in range(1, 6):
+        _moment_table.cache_clear()
+        table = _moment_table(r, samples, BOUNDARY_SEED)
+        assert len(table) == _KMAX
+        for k in range(1, _KMAX + 1):
+            [alone] = _estimate(r, samples, BOUNDARY_SEED,
+                                [lambda y: np.power(y, k, out=y)])
+            assert table[k - 1] == alone, (r, k)
+            assert mc_moment(r, k, samples, BOUNDARY_SEED) == alone, (r, k)
+
+
+@pytest.fixture
+def streams(monkeypatch):
+    """The (r, samples, seed) of every Erlang stream drawn, from a cold
+    moment table."""
+    drawn = []
+
+    def counting(r, samples, seed):
+        drawn.append((r, samples, seed))
+        return _erlang_blocks(r, samples, seed)
+
+    monkeypatch.setattr(stochastic, "_erlang_blocks", counting)
+    _moment_table.cache_clear()
+    yield drawn
+    _moment_table.cache_clear()
+
+
+def test_the_memo_holds_the_last_stream_only(streams):
+    keys = [(2, 2000, 7), (3, 2000, 7), (2, 2000, 7)]
+    first, _, again = [mc_moment(r, 3, samples, seed)
+                       for r, samples, seed in keys]
+    assert streams == keys
+    assert again == first
+    assert _moment_table.cache_info().maxsize == 1
+
+
+def test_a_polynomial_value_is_drawn_every_call(streams):
+    for _ in range(2):
+        mc_generalized_D(3, 2, F(1, 2), 2000, 7)
+    assert streams == [(2, 2000, 7)] * 2
 
 
 @pytest.mark.parametrize("samples", BOUNDARY_SAMPLES)
@@ -320,6 +370,7 @@ class TestMcMoment:
 
     def test_deterministic(self):
         a = mc_moment(2, 3, SMALL, 42)
+        _moment_table.cache_clear()  # compare two computations, not one memo
         b = mc_moment(2, 3, SMALL, 42)
         assert a == b
 
