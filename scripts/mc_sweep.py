@@ -3,9 +3,9 @@
 z-score against the exact rising-factorial moment. Every row is held to the
 6-standard-error gate of `derange mc`: each failing row adds one
 "FAIL r=.. k=.. z=.." line on stderr, after the table, and the exit code is
-1. A domain error, such as an --rmax or --kmax that leaves no rows, prints
-one "error:" line and exits 2; the table is built before anything is
-printed."""
+1. A domain error, such as an --rmax or --kmax that leaves no rows or a
+--seed outside 0..2^64-1, prints one "error:" line and exits 2; the table
+is built before anything is printed."""
 
 import argparse
 import sys

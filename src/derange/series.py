@@ -100,19 +100,25 @@ class FamilySpec:
 
     def __init__(self, family: Family, r: Optional[int] = None,
                  x: Optional[Fraction] = None):
-        row, name = FAMILY_TABLE[family], family.value
-        if row.min_r is None:
-            if r is not None:
-                raise DerangeDomainError(f"{name} takes no r")
-        elif r is None or r < row.min_r:
-            raise DerangeDomainError(f"{name} needs r >= {row.min_r}")
-        if row.takes_x:
+        FamilySpec.check_r(family, r)
+        name = family.value
+        if FAMILY_TABLE[family].takes_x:
             if x is None:
                 raise DerangeDomainError(f"{name} needs x")
             x = Fraction(x)
         elif x is not None:
             raise DerangeDomainError(f"{name} takes no x")
         self.family, self.r, self.x = family, r, x
+
+    @staticmethod
+    def check_r(family: Family, r: Optional[int]) -> None:
+        """Refuse an r that the family's row does not take."""
+        min_r, name = FAMILY_TABLE[family].min_r, family.value
+        if min_r is None:
+            if r is not None:
+                raise DerangeDomainError(f"{name} takes no r")
+        elif r is None or r < min_r:
+            raise DerangeDomainError(f"{name} needs r >= {min_r}")
 
     def __eq__(self, other):
         if type(other) is not FamilySpec:

@@ -6,7 +6,9 @@ the generalized polynomials, against a counter-based SplitMix64 uniform
 stream so every estimate is a pure function of (seed, samples): uniform i,
 from i = 1, is the top 53 bits of the SplitMix64 finalizer of
 seed + i * _GAMMA (mod 2^64), times 2^-53. `_erlang_blocks` is the one
-implementation of that stream.
+implementation of that stream. A seed is one of 0..2^64-1: any other would
+alias one of those, so `mc_moment` and `mc_generalized_D` refuse it, with
+the sample count and r, in one request check.
 
 The sampler streams: draws come in blocks of `_CHUNK` samples, each cut
 from its own slice of the stream, and the per-block (count, mean, M2) are
@@ -16,13 +18,14 @@ and computes every block in place in it, so a yielded block is a view that
 the next block overwrites: copy it to keep it.
 
 One pass over a stream serves every statistic asked of it: `_estimate`
-folds each block into one running (mean, M2) per statistic. The moment
-table draws each (r, samples, seed) stream once for every order
-k = 1.._KMAX, raising each block into one extra `_CHUNK`-float buffer so
-the draws stay intact until the last order has read them; `mc_moment`
-indexes it. The table is memoized for the last stream only: a sweep that
-walks k innermost draws each r once, and nothing carries over between
-sweeps. `mc_generalized_D` is not memoized.
+folds each block into one running (mean, M2) per statistic. The pass owns
+one `_CHUNK`-float scratch buffer and calls each statistic as
+statistic(y, out), with its values written to out, so the draws y stay
+intact until the last statistic has read them. The moment table draws each
+(r, samples, seed) stream once for every order k = 1.._KMAX, and
+`mc_moment` indexes it. The table is memoized for the last stream only: a
+sweep that walks k innermost draws each r once, and nothing carries over
+between sweeps. `mc_generalized_D` is not memoized.
 """
 
 from __future__ import annotations
@@ -125,19 +128,24 @@ def _erlang_blocks(r: int, samples: int, seed: int) -> Iterator[np.ndarray]:
 
 @np.errstate(over="ignore", invalid="ignore")  # the m2 check below reports it
 def _estimate(r: int, samples: int, seed: int,
-              statistics: Sequence[Callable[[np.ndarray], np.ndarray]]
+              statistics: Sequence[Callable[[np.ndarray, np.ndarray],
+                                            np.ndarray]]
               ) -> list[MomentEstimate]:
     """Mean and standard error of each statistic(Y_r), all from one pass
     over the draws, one block at a time: each block's (count, mean, M2) of
     every statistic is folded into that statistic's running totals with the
-    Chan-Golub-LeVeque update, in block order. A statistic may overwrite
-    its own result but not the block, which the next statistic reads."""
+    Chan-Golub-LeVeque update, in block order. Each statistic is called as
+    statistic(y, out) and returns its values in out, one scratch buffer of
+    the block's size that the pass allocates once, so no statistic writes
+    to the block y that the next statistic reads."""
     count, means, m2s = 0, [0.0] * len(statistics), [0.0] * len(statistics)
+    scratch = np.empty(min(_CHUNK, samples))
     for y in _erlang_blocks(r, samples, seed):
         b_count = y.size
         total = count + b_count
+        out = scratch[:b_count]
         for i, statistic in enumerate(statistics):
-            s = statistic(y)
+            s = statistic(y, out)
             b_mean = float(s.mean())
             s -= b_mean
             # numpy's pairwise sum, not a BLAS dot, whose order may vary by build
@@ -163,12 +171,21 @@ def _horner(coeffs: list[float], y: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def mc_moment(r: int, k: int, samples: int, seed: int) -> MomentEstimate:
-    """Sample mean and standard error of Y_r^k."""
+def _check_request(samples: int, r: int, seed: int) -> None:
+    """Refuse a sample count, r or seed that no stream serves: the stream
+    is defined for seeds 0..2^64-1 only, and a seed outside them would
+    alias one inside."""
     if samples < 2:
         raise DerangeDomainError("need samples >= 2")
     if r < 1:
         raise DerangeDomainError("need r >= 1")
+    if not 0 <= seed <= _MASK:
+        raise DerangeDomainError(f"need 0 <= seed < 2^64, got {seed}")
+
+
+def mc_moment(r: int, k: int, samples: int, seed: int) -> MomentEstimate:
+    """Sample mean and standard error of Y_r^k."""
+    _check_request(samples, r, seed)
     if k < 0 or k > _KMAX:
         raise DerangeDomainError("k capped at 8 (moment variance blow-up)")
     if k == 0:
@@ -179,21 +196,16 @@ def mc_moment(r: int, k: int, samples: int, seed: int) -> MomentEstimate:
 @functools.lru_cache(maxsize=1)
 def _moment_table(r: int, samples: int, seed: int) -> tuple[MomentEstimate, ...]:
     """The estimates of E[Y_r^k] for k = 1.._KMAX from one pass over the
-    stream. Each order is raised into `buf`, never into the draws the next
-    order reads."""
-    buf = np.empty(min(_CHUNK, samples))
+    stream, each order raised from the draws into the pass's scratch."""
     return tuple(_estimate(r, samples, seed, [
-        lambda y, k=k: np.power(y, k, out=buf[:y.size])
+        lambda y, out, k=k: np.power(y, k, out=out)
         for k in range(1, _KMAX + 1)]))
 
 
 def mc_generalized_D(n: int, r: int, x, samples: int, seed: int) -> MomentEstimate:
     """Plug-in estimator of sum_k C(n,k) x^k E[Y_r^k] from one shared sample
     set, with the standard error of the per-draw statistic."""
-    if samples < 2:
-        raise DerangeDomainError("need samples >= 2")
-    if r < 1:
-        raise DerangeDomainError("need r >= 1")
+    _check_request(samples, r, seed)
     if n < 0 or n > 8:
         raise DerangeDomainError("n capped at 8")
     if n == 0:
@@ -206,6 +218,6 @@ def mc_generalized_D(n: int, r: int, x, samples: int, seed: int) -> MomentEstima
             f"D_{n}({x}) at r = {r} is out of float range for "
             f"{samples} samples")
     coeffs = [float(binomial(n, k) * x ** k) for k in range(n, -1, -1)]
-    acc = np.empty(min(_CHUNK, samples))
-    [est] = _estimate(r, samples, seed, [lambda y: _horner(coeffs, y, acc[:y.size])])
+    [est] = _estimate(r, samples, seed,
+                      [lambda y, out: _horner(coeffs, y, out)])
     return est

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -15,8 +16,10 @@ from hypothesis import strategies as st
 
 from derange import cli, verify
 from derange.cli import SUITE_NAMES, build_parser, main
+from derange.series import Family
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def run(capsys, *argv):
@@ -75,6 +78,36 @@ def test_hankel_pass_cases(capsys):
                     "--n", "4")
     assert code == 0
     assert "value=223948800" in out
+
+
+# the r and x each family takes, for one `hankel` cell per n
+HANKEL_ARGS = {
+    "classic": [],
+    "order-r": ["--r", "2"],
+    "r-derangement": ["--r", "2"],
+    "cyclic": ["--r", "2"],
+    "generalized": ["--r", "2", "--x", "1/2"],
+    "order-r-poly": ["--r", "2", "--x", "1/2"],
+    "r-derangement-poly": ["--r", "2", "--x", "1/2"],
+}
+NO_CLOSED_FORM = {"r-derangement", "r-derangement-poly"}
+
+
+@pytest.mark.parametrize("family", sorted(f.value for f in Family))
+def test_hankel_for_n_0_to_3(capsys, family):
+    for n in range(4):
+        argv = ["hankel", "--family", family, *HANKEL_ARGS[family],
+                "--n", str(n)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        if family in NO_CLOSED_FORM:
+            assert (code, captured.out) == (2, "")
+            assert captured.err.startswith("error: ")
+            assert captured.err.count("\n") == 1
+        else:
+            assert code == 0, argv
+            assert captured.out.startswith("pass  ")
+            assert captured.out.endswith("summary: pass=1 fail=0 skipped=0\n")
 
 
 def _hankel_params(capsys, *argv):
@@ -136,6 +169,15 @@ DOMAIN_ERRORS = [
           "--samples", "100"]),
     ({}, ["mc", "--dn", "--n", "8", "--r", "1", "--x", "1e30",
           "--samples", "100"]),
+    ({}, ["hankel", "--family", "classic", "--n", "-1"]),
+    # the stream takes seeds 0..2^64-1 only; any other would alias one of them
+    ({}, ["mc", "--r", "2", "--k", "3", "--samples", "100", "--seed", "-1"]),
+    ({}, ["mc", "--dn", "--n", "2", "--r", "1", "--x", "1", "--samples", "100",
+          "--seed", str(2 ** 64)]),
+    ({"DERANGE_SEED": "-1"},
+     ["mc", "--dn", "--n", "2", "--r", "1", "--x", "1", "--samples", "100"]),
+    ({"DERANGE_SEED": str(2 ** 64)},
+     ["mc", "--r", "2", "--k", "3", "--samples", "100"]),
 ]
 
 
@@ -247,6 +289,14 @@ def test_verify_suite_exit_code(capsys):
     code, out = run(capsys, "verify", "--suite", "reflection", "--nmax", "4")
     assert code == 0
     assert "fail=0" in out
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_each_suite_passes_on_the_default_grid(capsys, suite):
+    code, out = run(capsys, "verify", "--suite", suite)
+    assert code == 0
+    assert re.fullmatch(r"summary: pass=[1-9]\d* fail=0 skipped=\d+",
+                        out.splitlines()[-1])
 
 
 def test_verify_derivative_hankel_flags(capsys):
@@ -522,6 +572,24 @@ def test_commands_import_only_what_they_run(argv):
                 if line.startswith("import time:")}
     assert "derange.series" in imported  # the probe sees the package
     assert not imported & NOT_IMPORTED[argv]
+
+
+def readme_cli_lines():
+    """The `derange ...` lines of README's "## CLI" code block."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("derange ")]
+
+
+def test_readme_cli_lines_exit_0(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)  # for the lines that write a report file
+    monkeypatch.delenv("DERANGE_SEED", raising=False)
+    lines = readme_cli_lines()
+    assert lines
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
+        assert capsys.readouterr().err == "", line
 
 
 def test_suite_choices_are_the_verify_suites():

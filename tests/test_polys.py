@@ -4,6 +4,7 @@ from math import comb
 import pytest
 from hypothesis import example, given, strategies as st
 
+from derange import polys, verify
 from derange.exact import DerangeDomainError, rising_factorial
 from derange.polys import (
     classic_derangement,
@@ -183,6 +184,23 @@ def test_shift_recurrences_grid():
     checked, failures = verify_shift_recurrences(30, 5, XS)
     assert not failures, failures[:3]
     assert checked == 2 * 31 * 6 * 5
+
+
+def test_the_recurrences_cell_names_its_first_five_failures(monkeypatch):
+    # d_4^{(1)} is read by one check only, at n = 3 (n_max), r = 1
+    real = polys.order_d_poly
+
+    def broken(n, r):
+        coeffs = real(n, r)
+        return (coeffs[0] + 1,) + coeffs[1:] if (n, r) == (4, 1) else coeffs
+
+    monkeypatch.setattr(polys, "order_d_poly", broken)
+    points = (F(2), F(-1), F(1, 2), F(3), F(-3, 5), F(5))
+    grid = verify.Grid(n_max=3, r_max=2, points=points)
+    [failed] = [c for c in verify.suite_recurrences(grid) if c.verdict == "fail"]
+    assert failed.expected == "0 failures of 144"
+    assert failed.actual == "6 failures of 144: " + ", ".join(
+        f"d-shift n=3 r=1 x={x}" for x in points[:5])
 
 
 def test_reflection_identity_grid():

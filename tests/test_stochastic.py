@@ -306,7 +306,7 @@ def test_moment_table_is_the_single_statistic_pass_bit_for_bit(samples):
         assert len(table) == _KMAX
         for k in range(1, _KMAX + 1):
             [alone] = _estimate(r, samples, BOUNDARY_SEED,
-                                [lambda y: np.power(y, k, out=y)])
+                                [lambda y, out: np.power(y, k, out=out)])
             assert table[k - 1] == alone, (r, k)
             assert mc_moment(r, k, samples, BOUNDARY_SEED) == alone, (r, k)
 
@@ -438,3 +438,28 @@ def test_r_below_one_is_a_domain_error(estimate, r):
     # estimate would be checked against a target it cannot reach
     with pytest.raises(DerangeDomainError, match="r >= 1"):
         estimate(r)
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda seed: mc_moment(2, 2, 100, seed),
+    lambda seed: mc_moment(2, 0, 100, seed),
+    lambda seed: mc_generalized_D(2, 2, 1, 100, seed),
+    lambda seed: mc_generalized_D(0, 2, 1, 100, seed),
+], ids=["moment", "zeroth-moment", "polynomial", "polynomial-n0"])
+def test_seeds_outside_64_bits_are_refused(estimate):
+    # seed + i*GAMMA is taken mod 2^64, so -1 would alias 2^64 - 1, and
+    # 2^64 would alias 0
+    for seed in (0, _MASK):
+        assert estimate(seed).seed == seed
+    for seed in (-1, _MASK + 1):
+        with pytest.raises(DerangeDomainError, match=r"^need 0 <= seed"):
+            estimate(seed)
+
+
+def test_the_request_check_keeps_its_order():
+    with pytest.raises(DerangeDomainError, match="^need samples >= 2$"):
+        mc_moment(0, 9, 1, -1)
+    with pytest.raises(DerangeDomainError, match="^need r >= 1$"):
+        mc_generalized_D(9, 0, 1, 2, -1)
+    with pytest.raises(DerangeDomainError, match="^need 0 <= seed"):
+        mc_moment(1, 9, 2, -1)
