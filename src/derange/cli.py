@@ -227,28 +227,39 @@ def cmd_mc(args) -> int:
     from . import stochastic
 
     seed = args.seed if args.seed is not None else _default_seed()
+
+    def cell(est, target, **order) -> Cell:
+        z, ok = stochastic.zscore_gate(est, target)
+        return Cell(
+            params={"r": str(args.r), "samples": str(args.samples),
+                    "seed": str(seed), "stderr": repr(est.stderr),
+                    "zscore": repr(z), **order},
+            expected=str(target), actual=repr(est.mean),
+            verdict="pass" if ok else "fail")
+
     if args.dn:
+        if args.k is not None:
+            raise DerangeDomainError("--dn takes no --k")
         if args.n is None or args.x is None:
             raise DerangeDomainError("--dn needs --n and --x")
         est = stochastic.mc_generalized_D(args.n, args.r, args.x,
                                           args.samples, seed)
         target = polys.eval_poly(polys.generalized_D_poly(args.n, args.r),
                                  args.x)
+        cells = [cell(est, target, n=str(args.n), x=str(args.x))]
     else:
+        if args.n is not None or args.x is not None:
+            raise DerangeDomainError("--n and --x need --dn")
         if args.k is None:
             raise DerangeDomainError("need --k (or --dn with --n/--x)")
-        est = stochastic.mc_moment(args.r, args.k, args.samples, seed)
-        target = Fraction(stochastic.erlang_moment_exact(args.r, args.k))
-    z, ok = stochastic.zscore_gate(est, target)
-    cell = Cell(
-        params={"r": str(args.r), "samples": str(args.samples),
-                "seed": str(seed), "stderr": repr(est.stderr),
-                "zscore": repr(z),
-                **({"n": str(args.n), "x": str(args.x)} if args.dn
-                   else {"k": str(args.k)})},
-        expected=str(target), actual=repr(est.mean),
-        verdict="pass" if ok else "fail")
-    return render_report(args, "mc", [cell])
+        # order K first: it checks the request and K, and draws the one
+        # stream that every lower order is then read from
+        top = stochastic.mc_moment(args.r, args.k, args.samples, seed)
+        ests = [stochastic.mc_moment(args.r, k, args.samples, seed)
+                for k in range(args.k)] + [top]
+        cells = [cell(est, Fraction(stochastic.erlang_moment_exact(args.r, k)),
+                      k=str(k)) for k, est in enumerate(ests)]
+    return render_report(args, "mc", cells)
 
 
 def build_parser() -> argparse.ArgumentParser:

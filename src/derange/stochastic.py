@@ -187,7 +187,7 @@ def mc_moment(r: int, k: int, samples: int, seed: int) -> MomentEstimate:
     """Sample mean and standard error of Y_r^k."""
     _check_request(samples, r, seed)
     if k < 0 or k > _KMAX:
-        raise DerangeDomainError("k capped at 8 (moment variance blow-up)")
+        raise DerangeDomainError("need 0 <= k <= 8 (moment variance blow-up)")
     if k == 0:
         return MomentEstimate(1.0, 0.0, samples, seed)
     return _moment_table(r, samples, seed)[k - 1]
@@ -207,7 +207,7 @@ def mc_generalized_D(n: int, r: int, x, samples: int, seed: int) -> MomentEstima
     set, with the standard error of the per-draw statistic."""
     _check_request(samples, r, seed)
     if n < 0 or n > 8:
-        raise DerangeDomainError("n capped at 8")
+        raise DerangeDomainError("need 0 <= n <= 8")
     if n == 0:
         return MomentEstimate(1.0, 0.0, samples, seed)
     x = Fraction(x)

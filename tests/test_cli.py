@@ -8,13 +8,14 @@ import re
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from derange import cli, verify
+from derange import cli, stochastic, verify
 from derange.cli import SUITE_NAMES, build_parser, main
 from derange.series import Family
 
@@ -178,6 +179,17 @@ DOMAIN_ERRORS = [
      ["mc", "--dn", "--n", "2", "--r", "1", "--x", "1", "--samples", "100"]),
     ({"DERANGE_SEED": str(2 ** 64)},
      ["mc", "--r", "2", "--k", "3", "--samples", "100"]),
+    # each mode refuses the flags it does not read
+    ({}, ["mc", "--r", "2", "--k", "3", "--x", "5", "--samples", "100"]),
+    ({}, ["mc", "--r", "2", "--k", "3", "--n", "2", "--samples", "100"]),
+    ({}, ["mc", "--r", "2", "--k", "3", "--dn", "--n", "2", "--x", "1",
+          "--samples", "100"]),
+    ({}, ["mc", "--r", "2", "--k", "-1", "--samples", "100"]),
+    ({}, ["mc", "--r", "2", "--k", "9", "--samples", "100"]),
+    ({}, ["mc", "--dn", "--r", "2", "--n", "-1", "--x", "1",
+          "--samples", "100"]),
+    ({}, ["mc", "--dn", "--r", "2", "--n", "9", "--x", "1",
+          "--samples", "100"]),
 ]
 
 
@@ -406,6 +418,49 @@ def test_mc_missing_flags(capsys):
     capsys.readouterr()
 
 
+def test_mc_reports_every_order_up_to_k(capsys):
+    code, out = run(capsys, "mc", "--r", "2", "--k", "2", "--samples", "2000",
+                    "--format", "json")
+    assert code == 0
+    cells = json.loads(out)["cells"]
+    assert [c["params"]["k"] for c in cells] == ["0", "1", "2"]
+    assert [c["expected"] for c in cells] == ["1", "2", "6"]  # 2^(k), rising
+    assert all(c["verdict"] == "pass" for c in cells)
+
+
+def test_mc_fails_each_order_outside_the_gate(capsys, monkeypatch):
+    real = stochastic.mc_moment
+
+    def far_off(r, k, samples, seed):  # every k >= 1 estimate 100 stderr off
+        est = real(r, k, samples, seed)
+        mean = stochastic.erlang_moment_exact(r, k) + 100 * est.stderr
+        return est if k == 0 else replace(est, mean=mean)
+
+    monkeypatch.setattr(stochastic, "mc_moment", far_off)
+    code, out = run(capsys, "mc", "--r", "2", "--k", "2", "--samples", "2000",
+                    "--seed", "42", "--format", "json")
+    assert code == 1
+    cells = json.loads(out)["cells"]
+    assert [c["verdict"] for c in cells] == ["pass", "fail", "fail"]
+    assert [c["params"]["zscore"] for c in cells[1:]] == ["100.0", "100.0"]
+
+
+@pytest.mark.parametrize("r", range(1, 6))
+def test_mc_draws_one_stream_for_every_order(capsys, monkeypatch, r):
+    drawn, blocks = [], stochastic._erlang_blocks
+
+    def counting(r, samples, seed):
+        drawn.append((r, samples, seed))
+        return blocks(r, samples, seed)
+
+    monkeypatch.setattr(stochastic, "_erlang_blocks", counting)
+    stochastic._moment_table.cache_clear()
+    code, out = run(capsys, "mc", "--r", str(r), "--k", "8",
+                    "--samples", "2000", "--seed", "7")
+    assert code == 0 and len(out.splitlines()) == 9 + 1
+    assert drawn == [(r, 2000, 7)]
+
+
 def test_seed_env_precedence(capsys, monkeypatch):
     monkeypatch.setenv("DERANGE_SEED", "7")
     _, out_env = run(capsys, "mc", "--r", "1", "--k", "1", "--samples", "1000",
@@ -590,6 +645,13 @@ def test_readme_cli_lines_exit_0(capsys, monkeypatch, tmp_path):
     for line in lines:
         assert main(shlex.split(line)[1:]) == 0, line
         assert capsys.readouterr().err == "", line
+
+
+def test_readme_names_no_missing_file():
+    text = (ROOT / "README.md").read_text()
+    named = set(re.findall(r"\b(?:src|tests|bench|scripts)/[\w./-]*\w", text))
+    assert named
+    assert sorted(p for p in named if not (ROOT / p).exists()) == []
 
 
 def test_suite_choices_are_the_verify_suites():
