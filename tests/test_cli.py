@@ -205,6 +205,24 @@ def test_domain_error_exits_2(capsys, monkeypatch, env, argv):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["mc", "--r", "2", "--k", "8", "--samples", "100", "--seed", "-1"],
+    ["mc", "--r", "0", "--k", "8", "--samples", "100"],
+], ids=["seed -1", "r 0"])
+def test_mc_refusal_in_a_fresh_process_exits_2(argv):
+    """A refused whole-table request ends the process with exit 2 and one
+    error line, never a traceback."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "derange.cli", *argv],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path})
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+
+
 @contextlib.contextmanager
 def address_space_cap(nbytes):
     """Cap this process's address space for the block, so an allocation the
