@@ -25,7 +25,8 @@ polynomials' norms, mu_0^{n+1} Pi lambda_k^{n+1-k} (Flajolet 1980). Up to
 ORACLE_CAP x ORACLE_CAP two oracles run beside them: Dodgson condensation,
 the Desnanot-Jacobi recurrence of the paper's inductive proofs run on the
 moments in O(n^2) integer steps, and Laplace cofactor expansion on
-integers, with no division and no pivot. No two routes share a kernel.
+integers, with no division and no pivot, by `exact._laplace`, which the
+brute-force oracles run without signs. No two routes share a kernel.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .exact import DerangeDomainError, SizeTooLarge, factorial, rising_factorial
+from .exact import (DerangeDomainError, SizeTooLarge, _laplace, factorial,
+                    rising_factorial)
 from .polys import eval_poly, generalized_D_poly
 from .series import FamilySpec, egf_shape, egf_values
 
@@ -138,34 +140,18 @@ def det_condensation(seq: Sequence, n: int) -> Fraction:
 
 
 def det_cofactor(m: Matrix) -> Fraction:
-    """Laplace expansion along the first row, on the integer matrix d * m
-    for the lcm d of all denominators; capped at ORACLE_CAP.
+    """Laplace expansion of the integer matrix d * m, for the lcm d of all
+    denominators of its int or Fraction entries; capped at ORACLE_CAP.
 
-    Each minor is computed once, bottom-up: the minor on the last k rows
-    and a k-set S of columns is the signed sum, along its first row, of
-    entry (size-k, j) times the minor on the last k-1 rows and S - {j}.
-    That is 2^size minors, where a top-down recursion recomputes them in
-    about e * size! calls. It neither divides nor pivots."""
+    `exact._laplace` computes each of the 2^size minors once, bottom-up
+    over the column sets of the trailing rows. It neither divides nor
+    pivots."""
     size = len(m)
     if size > ORACLE_CAP:
         raise SizeTooLarge(f"cofactor oracle capped at {ORACLE_CAP}, got {size}")
-    rows = [[Fraction(v) for v in row] for row in m]
-    d = lcm(*(v.denominator for row in rows for v in row))
-    ints = [[v.numerator * (d // v.denominator) for v in row] for row in rows]
-    # minors[S] for the bitmask S of a column set, over the last |S| rows;
-    # S - {j} < S, so ascending order meets every smaller minor first
-    minors = [0] * (1 << size)
-    minors[0] = 1
-    for mask in range(1, 1 << size):
-        row = ints[size - mask.bit_count()]
-        total, sign = 0, 1
-        for j in range(size):
-            if mask >> j & 1:
-                if row[j]:
-                    total += sign * row[j] * minors[mask ^ (1 << j)]
-                sign = -sign
-        minors[mask] = total
-    return Fraction(minors[-1], d ** size)
+    d = lcm(*(v.denominator for row in m for v in row))
+    ints = [[v.numerator * (d // v.denominator) for v in row] for row in m]
+    return Fraction(_laplace(ints, signed=True), d ** size)
 
 
 class JFraction(NamedTuple):

@@ -191,16 +191,18 @@ def suite_mgf(grid: Grid) -> List[Cell]:
 
 
 def suite_oracles(grid: Grid) -> List[Cell]:
-    """Brute-force enumeration against the values that `egf_values` reads
+    """Brute-force permanents against the values that `egf_values` reads
     from the classic and cyclic rows of FAMILY_TABLE, so a wrong row fails
-    here."""
+    here: the derangements up to the oracle's cap, the cyclic counts on the
+    grid's n and r, skipped above the cap."""
     cells = []
-    classic = series.egf_values(FamilySpec(Family.CLASSIC), 10)
-    for n in range(10):
+    count = oracle.ENUMERATION_CAP + 1
+    classic = series.egf_values(FamilySpec(Family.CLASSIC), count)
+    for n in range(count):
         cells.append(_cell(
             {"oracle": "derangements", "n": n},
             classic[n], oracle.count_derangements_brute(n)))
-    for r in range(1, min(grid.r_max, 4) + 1):
+    for r in range(1, grid.r_max + 1):
         cyclic = series.egf_values(FamilySpec(Family.CYCLIC, r), grid.n_max + 1)
         for n in range(grid.n_max + 1):
             try:

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -190,6 +191,9 @@ DOMAIN_ERRORS = [
           "--samples", "100"]),
     ({}, ["mc", "--dn", "--r", "2", "--n", "9", "--x", "1",
           "--samples", "100"]),
+    # a grid on which the suite checks nothing is refused, not passed
+    ({}, ["verify", "--suite", "reflection", "--x", "0"]),
+    ({}, ["verify", "--suite", "derivative-hankel", "--r", "0"]),
 ]
 
 
@@ -203,6 +207,14 @@ def test_domain_error_exits_2(capsys, monkeypatch, env, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("suite,flag", [("reflection", "--x"),
+                                        ("derivative-hankel", "--r")])
+def test_a_grid_without_cells_is_refused(capsys, suite, flag):
+    assert main(["verify", "--suite", suite, flag, "0"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: suite {suite} has no cells on this grid\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -377,12 +389,46 @@ def test_json_writer_matches_json_dumps(report):
 
 
 def test_oracles_suite_skips_nothing_up_to_n_9(capsys):
-    # the cyclic oracle reads the fixed-point histogram for every r, capped at n = 9
+    # the cyclic oracle expands its permanent for every r, capped at n = 9
     code, out = run(capsys, "verify", "--suite", "oracles", "--nmax", "9",
                     "--r", "4", "--format", "json")
     assert code == 0
     assert json.loads(out)["summary"] == {"pass": 10 + 4 * 10, "fail": 0,
                                           "skipped": 0}
+
+
+def test_oracles_suite_runs_every_r_of_the_grid(capsys):
+    code, out = run(capsys, "verify", "--suite", "oracles", "--r", "6",
+                    "--format", "json")
+    assert code == 0
+    cyclic = [cell for cell in json.loads(out)["cells"]
+              if cell["params"]["oracle"] == "cyclic"]
+    assert [cell["params"]["r"] for cell in cyclic] == [
+        str(r) for r in range(1, 7) for _ in range(7)]
+    assert all(cell["verdict"] == "pass" for cell in cyclic)
+
+
+def test_oracles_suite_skips_above_the_cap(capsys):
+    argv = ("verify", "--suite", "oracles", "--nmax", "10")
+    code, out = run(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("skip")] == [
+        f"skip  oracle=cyclic n=10 r={r}" for r in (1, 2, 3)]
+    assert lines[-1] == "summary: pass=40 fail=0 skipped=3"
+    code, out = run(capsys, *argv, "--format", "json")
+    report = json.loads(out)
+    assert code == 0 and report["summary"] == {"pass": 40, "fail": 0,
+                                               "skipped": 3}
+    skipped = [cell for cell in report["cells"] if cell["verdict"] == "skipped"]
+    assert skipped == [{"params": {"oracle": "cyclic", "n": "10", "r": str(r)},
+                        "expected": "", "actual": "", "verdict": "skipped"}
+                       for r in (1, 2, 3)]
+    code, out = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    rows = [row for row in csv.reader(io.StringIO(out)) if row[-1] == "skipped"]
+    assert rows == [[f"oracle=cyclic;n=10;r={r}", "", "", "skipped"]
+                    for r in (1, 2, 3)]
 
 
 def test_json_cell_schema(capsys):

@@ -1,10 +1,11 @@
 from fractions import Fraction
-from math import gcd
+from itertools import permutations
+from math import gcd, prod
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from derange.exact import binomial, factorial, rising_factorial
+from derange.exact import _laplace, binomial, factorial, rising_factorial
 
 
 class TestRisingFactorial:
@@ -65,3 +66,35 @@ def test_fraction_canonical_form(a, b):
         q = a / b
         assert q.denominator > 0
         assert gcd(abs(q.numerator), q.denominator) == 1
+
+
+def _leibniz(rows, signed):
+    """The defining sum over every permutation of range(n), each signed by
+    its number of inversions when signed."""
+    n, total = len(rows), 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        sign = -1 if signed and inversions % 2 else 1
+        total += sign * prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+_int_matrix = st.integers(0, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+    min_size=n, max_size=n))
+
+
+@given(_int_matrix, st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_laplace_is_the_leibniz_sum(rows, signed):
+    assert _laplace(rows, signed) == _leibniz(rows, signed)
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_permanents_of_all_ones_and_of_j_minus_i(n):
+    ones = [[1] * n for _ in range(n)]
+    no_fixed_point = [[int(i != j) for j in range(n)] for i in range(n)]
+    derangements = [1, 0, 1, 2, 9, 44, 265, 1854, 14833, 133496]
+    assert _laplace(ones, signed=False) == factorial(n)
+    assert _laplace(no_fixed_point, signed=False) == derangements[n]

@@ -5,10 +5,10 @@ import pytest
 from derange import verify
 from derange.exact import DerangeDomainError
 from derange.oracle import (
+    ENUMERATION_CAP,
     SizeTooLarge,
     count_cyclic_derangements_brute,
     count_derangements_brute,
-    fixed_point_histogram,
 )
 from derange.polys import classic_derangement, cyclic_derangement
 from derange.series import FAMILY_TABLE, Family, FamilySpec, egf_values
@@ -29,33 +29,6 @@ def _full_walk(n):
     return count
 
 
-def _fixed_point_walk(n):
-    """The reference histogram: every permutation of range(n), its fixed
-    points counted one by one."""
-    hist = [0] * (n + 1)
-    for perm in permutations(range(n)):
-        fixed = 0
-        for i in range(n):
-            if perm[i] == i:
-                fixed += 1
-        hist[fixed] += 1
-    return hist
-
-
-@pytest.mark.parametrize("n", range(9))
-def test_fixed_point_histogram_is_the_rencontres_numbers(n):
-    assert fixed_point_histogram(n) == _fixed_point_walk(n)
-
-
-def test_fixed_point_histogram_at_the_cap():
-    # R(9, j) = C(9, j) R(9 - j, 0), and the whole row sums to 9!
-    hist = fixed_point_histogram(9)
-    assert hist == [133496, 133497, 66744, 22260, 5544, 1134, 168, 36, 0, 1]
-    assert sum(hist) == 362880
-    with pytest.raises(SizeTooLarge):
-        fixed_point_histogram(10)
-
-
 def test_derangement_counts():
     assert count_derangements_brute(0) == 1
     assert count_derangements_brute(4) == 9
@@ -63,7 +36,9 @@ def test_derangement_counts():
 
 
 def test_derangement_size_cap():
-    with pytest.raises(SizeTooLarge):
+    assert ENUMERATION_CAP == 9
+    assert count_derangements_brute(9) == 133496
+    with pytest.raises(SizeTooLarge, match="enumeration capped at n = 9, got 10"):
         count_derangements_brute(10)
 
 
@@ -87,8 +62,16 @@ def test_brute_matches_formula_and_egf():
 
 @pytest.mark.parametrize("n", range(10))
 def test_pruned_walk_matches_full_walk(n):
-    # the histogram's count with no fixed point against the walk of all n!
+    # the permanent of J - I against the walk of all n!
     assert count_derangements_brute(n) == _full_walk(n) == classic_derangement(n)
+
+
+def test_cyclic_checks_r_before_n():
+    # a bad r is named first, even where n is negative or above the cap
+    for n in (-1, 10):
+        with pytest.raises(DerangeDomainError, match="need r >= 1") as err:
+            count_cyclic_derangements_brute(n, 0)
+        assert not isinstance(err.value, SizeTooLarge)
 
 
 def test_cyclic_small_cases():
