@@ -94,15 +94,13 @@ def _report_text(cells, summary: dict) -> str:
     return out.getvalue()
 
 
-def _report_csv(cells) -> str:
+def _csv(header, rows) -> str:
     import csv
 
     out = io.StringIO()
     writer = csv.writer(out)
-    writer.writerow(["params", "expected", "actual", "verdict"])
-    for cell in cells:
-        params = ";".join(f"{k}={v}" for k, v in cell.params.items())
-        writer.writerow([params, cell.expected, cell.actual, cell.verdict])
+    writer.writerow(header)
+    writer.writerows(rows)
     return out.getvalue()
 
 
@@ -148,7 +146,10 @@ def render_report(args, command: str, cells, **extra) -> int:
         text = _json({"command": command, "cells": cells, "summary": summary,
                       **extra})
     elif args.format == "csv":
-        text = _report_csv(cells)
+        text = _csv(("params", "expected", "actual", "verdict"),
+                    ((";".join(f"{k}={v}" for k, v in cell.params.items()),
+                      cell.expected, cell.actual, cell.verdict)
+                     for cell in cells))
     else:
         text = _report_text(cells, summary)
     _emit(args, text)
@@ -165,13 +166,7 @@ def _write_values(args, head: dict, columns: tuple, values,
     if args.format == "json":
         text = _json({**head, columns[1] + "s": values})
     elif args.format == "csv":
-        import csv
-
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(columns)
-        writer.writerows(enumerate(values))
-        text = out.getvalue()
+        text = _csv(columns, enumerate(values))
     elif numbered:
         text = "".join(f"{n} {v}\n" for n, v in enumerate(values))
     else:
@@ -201,11 +196,9 @@ def cmd_hankel(args) -> int:
 
     spec = _make_spec(args)
     rep = hankel.verify_hankel(spec, args.n)
-    cell = Cell(
-        params={"family": args.family, "n": str(args.n),
-                **spec_params(spec), **rep.shown_dets()},
-        expected=str(rep.closed_form), actual=str(rep.det_bareiss),
-        verdict=rep.verdict)
+    cell = Cell({"family": args.family, "n": args.n, **spec_params(spec),
+                 **rep.shown_dets()}, rep.closed_form, rep.det_bareiss,
+                rep.verdict)
     return render_report(args, "hankel", [cell])
 
 
@@ -230,12 +223,9 @@ def cmd_mc(args) -> int:
 
     def cell(est, target, **order) -> Cell:
         z, ok = stochastic.zscore_gate(est, target)
-        return Cell(
-            params={"r": str(args.r), "samples": str(args.samples),
-                    "seed": str(seed), "stderr": repr(est.stderr),
-                    "zscore": repr(z), **order},
-            expected=str(target), actual=repr(est.mean),
-            verdict="pass" if ok else "fail")
+        return Cell({"r": args.r, "samples": args.samples, "seed": seed,
+                     "stderr": est.stderr, "zscore": z, **order},
+                    target, est.mean, "pass" if ok else "fail")
 
     if args.dn:
         if args.k is not None:
@@ -246,7 +236,7 @@ def cmd_mc(args) -> int:
                                           args.samples, seed)
         target = polys.eval_poly(polys.generalized_D_poly(args.n, args.r),
                                  args.x)
-        cells = [cell(est, target, n=str(args.n), x=str(args.x))]
+        cells = [cell(est, target, n=args.n, x=args.x)]
     else:
         if args.n is not None or args.x is not None:
             raise DerangeDomainError("--n and --x need --dn")
@@ -257,8 +247,8 @@ def cmd_mc(args) -> int:
         top = stochastic.mc_moment(args.r, args.k, args.samples, seed)
         ests = [stochastic.mc_moment(args.r, k, args.samples, seed)
                 for k in range(args.k)] + [top]
-        cells = [cell(est, Fraction(stochastic.erlang_moment_exact(args.r, k)),
-                      k=str(k)) for k, est in enumerate(ests)]
+        cells = [cell(est, stochastic.erlang_moment_exact(args.r, k), k=k)
+                 for k, est in enumerate(ests)]
     return render_report(args, "mc", cells)
 
 

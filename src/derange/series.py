@@ -8,16 +8,17 @@ b_{n+1} = (c + x(n+r)) b_n - c x n b_{n-1}, b_0 = 1, which `egf_values`
 runs on integers. The Cauchy product of `series_exp` and `geom_pow` is the
 independent cross-check that `verify` and the tests use.
 
-`Cell`, one comparison of a report, and `spec_params` live here, below
-`verify`, so that `derange hankel` and `derange mc` build their one cell
-without loading `verify` and the oracles it runs.
+`Cell`, one comparison of a report, which makes the text of its values
+and its default verdict, and `spec_params` live here, below `verify`, so
+that `derange hankel` and `derange mc` build their one cell without loading
+`verify` and the oracles it runs.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import Callable, Dict, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from math import lcm, perm
 
@@ -133,20 +134,24 @@ class FamilySpec:
         return f"FamilySpec(family={self.family!r}, r={self.r!r}, x={self.x!r})"
 
 
-def spec_params(spec: FamilySpec) -> Dict[str, str]:
+def spec_params(spec: FamilySpec) -> dict:
     """The r and x of a family spec, as report parameters, when it has them."""
-    return {k: str(v) for k, v in (("r", spec.r), ("x", spec.x)) if v is not None}
+    return {k: v for k, v in (("r", spec.r), ("x", spec.x)) if v is not None}
 
 
 class Cell:
     """One comparison of a report; its attributes, in this order, are its
-    JSON object."""
+    JSON object. It holds the text of each param, of `expected` and of
+    `actual`; without a verdict it passes exactly when the two values are
+    equal, and an explicit verdict is kept as given."""
 
-    def __init__(self, params: Dict[str, str], expected: str, actual: str,
-                 verdict: str):
-        self.params = params
-        self.expected = expected
-        self.actual = actual
+    def __init__(self, params: dict, expected, actual,
+                 verdict: Optional[str] = None):
+        self.params = {k: str(v) for k, v in params.items()}
+        self.expected = str(expected)
+        self.actual = str(actual)
+        if verdict is None:
+            verdict = "pass" if expected == actual else "fail"
         self.verdict = verdict  # "pass" | "fail" | "skipped"
 
 

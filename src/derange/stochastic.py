@@ -48,8 +48,9 @@ _GAMMA = 0x9E3779B97F4A7C15
 # Xeon (2 MB L2 per core); 2^16 was 1.3-1.5x slower. The block size changes
 # only the merge order, so estimates move in the last bits, not the draws.
 _CHUNK = 1 << 14
-# The highest moment order estimated; the variance of Y_r^k, which holds
-# E[Y_r^2k], blows up with k.
+# The highest moment order estimated, by `mc_moment` and by the degree n of
+# `mc_generalized_D`; the variance of Y_r^k, which holds E[Y_r^2k], blows
+# up with k.
 _KMAX = 8
 
 
@@ -187,7 +188,8 @@ def mc_moment(r: int, k: int, samples: int, seed: int) -> MomentEstimate:
     """Sample mean and standard error of Y_r^k."""
     _check_request(samples, r, seed)
     if k < 0 or k > _KMAX:
-        raise DerangeDomainError("need 0 <= k <= 8 (moment variance blow-up)")
+        raise DerangeDomainError(
+            f"need 0 <= k <= {_KMAX} (moment variance blow-up)")
     if k == 0:
         return MomentEstimate(1.0, 0.0, samples, seed)
     return _moment_table(r, samples, seed)[k - 1]
@@ -206,8 +208,8 @@ def mc_generalized_D(n: int, r: int, x, samples: int, seed: int) -> MomentEstima
     """Plug-in estimator of sum_k C(n,k) x^k E[Y_r^k] from one shared sample
     set, with the standard error of the per-draw statistic."""
     _check_request(samples, r, seed)
-    if n < 0 or n > 8:
-        raise DerangeDomainError("need 0 <= n <= 8")
+    if n < 0 or n > _KMAX:
+        raise DerangeDomainError(f"need 0 <= n <= {_KMAX}")
     if n == 0:
         return MomentEstimate(1.0, 0.0, samples, seed)
     x = Fraction(x)

@@ -8,6 +8,7 @@ a "fail" cell, never an exception.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import perm
 from typing import List, Optional
 
 from . import exact, hankel, oracle, polys, series
@@ -37,16 +38,26 @@ class Grid:
         self.points, self.deriv_z = points, deriv_z
 
 
-def _cell(params, expected, actual) -> Cell:
-    verdict = "pass" if expected == actual else "fail"
-    return Cell({k: str(v) for k, v in params.items()},
-                str(expected), str(actual), verdict)
+def _row_anchors(grid: Grid):
+    """The spec of each grid point of the order-r, r-derangement and
+    r-derangement-poly rows of FAMILY_TABLE, with (q, s, x) such that its
+    values are n!/(n-s)! d_{n-s}^{(q)}(x), and 0 for n < s: d_n^{(r)}(-1) for
+    the order-r numbers, n!/(n-r)! d_{n-r}^{(r+1)}(x) for the r-derangement
+    polynomials, and the same at x = -1 for the r-derangement numbers."""
+    for r in range(grid.r_max + 1):
+        yield FamilySpec(Family.ORDER_R_NUMBERS, r), r, 0, -1
+        if r >= 1:
+            yield FamilySpec(Family.R_DERANGEMENT_NUMBERS, r), r + 1, r, -1
+            for x in grid.points:
+                yield FamilySpec(Family.R_DERANGEMENT_POLY, r, x), r + 1, r, x
 
 
 def suite_recurrences(grid: Grid) -> List[Cell]:
     """Shift recurrences plus the three-path equivalence (explicit = EGF =
-    convolution) for both polynomial families. The shift recurrences are
-    one cell, whose actual value names the first five failed checks."""
+    convolution) for both polynomial families, then each FAMILY_TABLE row
+    that no other suite compares with a table-free value against its
+    definition from the polynomial families. The shift recurrences are one
+    cell, whose actual value names the first five failed checks."""
     cells = []
     checked, failures = polys.verify_shift_recurrences(
         grid.n_max, grid.r_max, grid.points)
@@ -54,34 +65,36 @@ def suite_recurrences(grid: Grid) -> List[Cell]:
     if failures:
         actual += ": " + ", ".join(f"{identity} n={n} r={r} x={x}"
                                    for identity, n, r, x, _, _ in failures[:5])
-    cells.append(_cell(
+    cells.append(Cell(
         {"identity": "shift-recurrences", "n_max": grid.n_max,
          "r_max": grid.r_max},
         f"0 failures of {checked}", actual))
     count = grid.n_max + 1
     for r in range(grid.r_max + 1):
         for x in grid.points:
-            egf_D = series.egf_values(FamilySpec(Family.GENERALIZED, r, x), count)
-            conv_D = polys.generate_D_by_convolution(r, x, count)
-            egf_d = series.egf_values(FamilySpec(Family.ORDER_R_POLY, r, x), count)
-            conv_d = polys.generate_d_by_convolution(r, x, count)
+            paths = (
+                ("D", polys.generalized_D_poly,
+                 series.egf_values(FamilySpec(Family.GENERALIZED, r, x), count),
+                 polys.generate_D_by_convolution(r, x, count)),
+                ("d", polys.order_d_poly,
+                 series.egf_values(FamilySpec(Family.ORDER_R_POLY, r, x), count),
+                 polys.generate_d_by_convolution(r, x, count)))
             for n in range(count):
-                expl = polys.eval_poly(polys.generalized_D_poly(n, r), x)
-                cells.append(_cell(
-                    {"identity": "three-path-D", "n": n, "r": r, "x": x},
-                    expl, egf_D[n]))
-                cells.append(_cell(
-                    {"identity": "three-path-D", "n": n, "r": r, "x": x,
-                     "path": "convolution"},
-                    expl, conv_D[n]))
-                expl = polys.eval_poly(polys.order_d_poly(n, r), x)
-                cells.append(_cell(
-                    {"identity": "three-path-d", "n": n, "r": r, "x": x},
-                    expl, egf_d[n]))
-                cells.append(_cell(
-                    {"identity": "three-path-d", "n": n, "r": r, "x": x,
-                     "path": "convolution"},
-                    expl, conv_d[n]))
+                for name, poly, egf, conv in paths:
+                    expl = polys.eval_poly(poly(n, r), x)
+                    params = {"identity": f"three-path-{name}", "n": n, "r": r,
+                              "x": x}
+                    cells.append(Cell(params, expl, egf[n]))
+                    cells.append(Cell({**params, "path": "convolution"},
+                                      expl, conv[n]))
+    for spec, q, s, x in _row_anchors(grid):
+        values = series.egf_values(spec, count)
+        for n in range(count):
+            want = 0 if n < s else perm(n, s) * polys.eval_poly(
+                polys.order_d_poly(n - s, q), x)
+            cells.append(Cell({"identity": "family-row",
+                               "family": spec.family.value, "n": n,
+                               **spec_params(spec)}, want, values[n]))
     return cells
 
 
@@ -96,7 +109,7 @@ def suite_reflection(grid: Grid) -> List[Cell]:
                 if x == 0:
                     continue
                 lhs = x ** n * polys.eval_poly(D, 1 / x)
-                cells.append(_cell(
+                cells.append(Cell(
                     {"identity": "reflection", "n": n, "r": r, "x": x},
                     polys.eval_poly(d, x), lhs))
     return cells
@@ -104,11 +117,11 @@ def suite_reflection(grid: Grid) -> List[Cell]:
 
 def _hankel_cell(spec: FamilySpec, n: int) -> Cell:
     rep = hankel.verify_hankel(spec, n)
-    params = {"family": spec.family.value, "n": str(n), **spec_params(spec)}
-    actual = str(rep.det_bareiss) if rep.verdict == "pass" else " ".join(
+    actual = rep.det_bareiss if rep.verdict == "pass" else " ".join(
         f"{name}={det}" for name, det in
         {"bareiss": rep.det_bareiss, **rep.shown_dets()}.items())
-    return Cell(params, str(rep.closed_form), actual, rep.verdict)
+    return Cell({"family": spec.family.value, "n": n, **spec_params(spec)},
+                rep.closed_form, actual, rep.verdict)
 
 
 def _closed_form_specs(grid: Grid):
@@ -130,7 +143,7 @@ def suite_hankel(grid: Grid) -> List[Cell]:
         for spec in _closed_form_specs(grid):
             cells.append(_hankel_cell(spec, n))
             if spec.family is Family.CLASSIC:
-                cells.append(_cell(
+                cells.append(Cell(
                     {"family": "factorial", "n": n},
                     hankel.closed_form_generalized(n, 1, 1),
                     hankel.factorial_hankel_det(n)))
@@ -153,8 +166,8 @@ def suite_jfraction(grid: Grid) -> List[Cell]:
                                         ("lambda", want_lam, got.lam, 1)):
             for i, value in enumerate(want):
                 actual = have[i] if i < len(have) else "ended"
-                cells.append(_cell({**params, "coefficient": name,
-                                    "k": i + first}, value, actual))
+                cells.append(Cell({**params, "coefficient": name,
+                                   "k": i + first}, value, actual))
     return cells
 
 
@@ -168,7 +181,7 @@ def suite_derivative_hankel(grid: Grid) -> List[Cell]:
                  for m in range(2 * grid.n_max - 1)]
             for n in range(1, grid.n_max + 1):
                 det, closed = hankel.verify_derivative_hankel(n, r, z, g)
-                cells.append(_cell(
+                cells.append(Cell(
                     {"identity": "derivative-hankel", "n": n, "r": r, "z": z},
                     closed, det))
     return cells
@@ -185,7 +198,7 @@ def suite_mgf(grid: Grid) -> List[Cell]:
             for n in range(SERIES_ORDER + 1):
                 lhs = exact.factorial(n) * prod[n]
                 rhs = polys.eval_poly(polys.generalized_D_poly(n, r), x)
-                cells.append(_cell(
+                cells.append(Cell(
                     {"identity": "mgf-egf", "n": n, "r": r, "x": x}, rhs, lhs))
     return cells
 
@@ -199,7 +212,7 @@ def suite_oracles(grid: Grid) -> List[Cell]:
     count = oracle.ENUMERATION_CAP + 1
     classic = series.egf_values(FamilySpec(Family.CLASSIC), count)
     for n in range(count):
-        cells.append(_cell(
+        cells.append(Cell(
             {"oracle": "derangements", "n": n},
             classic[n], oracle.count_derangements_brute(n)))
     for r in range(1, grid.r_max + 1):
@@ -208,10 +221,10 @@ def suite_oracles(grid: Grid) -> List[Cell]:
             try:
                 brute = oracle.count_cyclic_derangements_brute(n, r)
             except oracle.SizeTooLarge:
-                cells.append(Cell({"oracle": "cyclic", "n": str(n), "r": str(r)},
+                cells.append(Cell({"oracle": "cyclic", "n": n, "r": r},
                                   "", "", "skipped"))
                 continue
-            cells.append(_cell(
+            cells.append(Cell(
                 {"oracle": "cyclic", "n": n, "r": r},
                 cyclic[n], brute))
     return cells

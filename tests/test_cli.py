@@ -360,8 +360,10 @@ def test_json_report_roundtrip_byte_stable(capsys):
 TRICKY = st.sampled_from(['"', "\\", '\\"', "\n\t\x00\x1f\x7f", "\u00e9\u2212",
                           "\U0001d4b3", "\ud800", "", " ", "a\u2028b"])
 TEXT = st.one_of(TRICKY, st.text(max_size=8))
-CELLS = st.builds(verify.Cell, st.dictionaries(TEXT, TEXT, max_size=4),
-                  TEXT, TEXT, TEXT)
+# a cell takes any value and holds its text
+VALUES = st.one_of(TEXT, st.integers(), st.fractions())
+CELLS = st.builds(verify.Cell, st.dictionaries(TEXT, VALUES, max_size=4),
+                  VALUES, VALUES, st.one_of(st.none(), TEXT))
 SCALARS = st.one_of(st.integers(), st.floats(), st.booleans(), st.none(), TEXT)
 EXTRAS = st.dictionaries(TEXT, st.one_of(
     SCALARS, st.dictionaries(TEXT, SCALARS, max_size=3),
@@ -597,9 +599,9 @@ GOLDEN = {
         "d38f01d631c88d8f3c3c66257f5af9f1733ce6c9ad533696494f97055984181b",
         "137f23f3043867782f02639ddc1421d5c02ec5e148ea8a09850643690e161bec"),
     "verify --suite recurrences --nmax 2 --r 1": (
-        "60611a41be87db5b0184510b67e10451925b0ea34bf3817a2ae5cf4b7334962c",
-        "e9f89b8326d02f20ced1a001cfc9ae1674e8adb7f0b23dc7e2fd63a1f7bb5b1c",
-        "26efc42697465f0f79421499078b65570854c967edb7790352d7d6eb5ba974db"),
+        "0b26cdca3c3f2cb604be1ab7143fa8e65b405afae779e4fbbe416ce226574ad0",
+        "4620e2c7a2180652e9b08c57cac0d99a804168c0c0a03b02a9aff3aad0da2f09",
+        "0b84dda1e2f2211ed4582fcb519e7a63da834c33be5208de3560354fa4aab761"),
     "verify --suite reflection --nmax 2": (
         "bd7f34564a45d2f269d607f1b105f125959975cb1ae43fbf6bb1470e98ff6316",
         "95bb8a5f1179887b70f254c1b75d35ba522b013ed2ae1b18c746123563275052",
@@ -625,9 +627,9 @@ GOLDEN = {
         "0e5a34a8171b58b6b82a3798615538336422ab1f30dd4be662731f3da8deaf15",
         "f4c6e379c135359d490ea418e6b653a8fb87d464051372e3e1c71b322b29f671"),
     "verify --suite all": (
-        "faeca77665d738d6edd03ef7d0e6063fb2dd21cffaa98c2451574f00c40d20f4",
-        "7a636fc2655ac5639ed7a2093656fd7ee1e17ab3d1977a30b5e3e4229167845d",
-        "59bfe6c7eeb9a115ed67ee51099db826c2dfeeb3a83483c66085ce46b863b130"),
+        "2f5a11cc32c034d1f809b02bd290a31b98e05bfcbf2e64d5dd42530270ca38d6",
+        "6f8e18ed51cc84b59e6e0011d3a5ad25963cb73c50abfd9c85a7d94348fbd083",
+        "b78ab369ffad7b8484915b794f06e4fac2ccc8da082da7b25e90206298b02a48"),
 }
 FORMATS = ("text", "json", "csv")
 WALL_TIME = re.compile(r',\n  "wall_time_s": [0-9.e+-]+')

@@ -119,14 +119,15 @@ def test_cyclic_oracle_matches_wreath_enumeration(r):
 
 
 # c -> -c in one row of FAMILY_TABLE, and the suite that must fail a cell
-# for it. The same mutant of the order-r, r-derangement or
-# r-derangement-poly row still passes every suite: no suite compares those
-# rows with a value that does not read the table.
+# for it.
 FLIPPED_C = {
     Family.CLASSIC: "oracles",
     Family.CYCLIC: "oracles",
     Family.GENERALIZED: "all",
     Family.ORDER_R_POLY: "all",
+    Family.ORDER_R_NUMBERS: "recurrences",
+    Family.R_DERANGEMENT_NUMBERS: "recurrences",
+    Family.R_DERANGEMENT_POLY: "recurrences",
 }
 
 

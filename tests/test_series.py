@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from derange.exact import DerangeDomainError, factorial
 from derange.series import (
+    Cell,
     Family,
     FamilySpec,
     egf_values,
@@ -151,6 +152,26 @@ def test_family_spec_is_a_value():
     assert spec != (Family.GENERALIZED, 2, F(1))
     assert repr(spec) == ("FamilySpec(family=<Family.GENERALIZED: "
                           "'generalized'>, r=2, x=Fraction(1, 1))")
+
+
+# no verdict: the cell passes exactly when the raw values are equal; an
+# explicit verdict is kept as given
+@pytest.mark.parametrize("expected,actual,given,verdict", [
+    (F(1, 2), F(2, 4), None, "pass"),
+    (F(6), 6, None, "pass"),
+    ("ended", F(1, 2), None, "fail"),
+    (F(1, 2), "1/2", None, "fail"),
+    (F(1), F(1), "fail", "fail"),
+    (F(1), F(2), "pass", "pass"),
+    (F(1), F(1), "", ""),
+    ("", "", "skipped", "skipped"),
+])
+def test_a_cell_holds_text_and_its_verdict(expected, actual, given, verdict):
+    cell = Cell({"n": 3, "x": F(-3, 5), "family": "classic"}, expected, actual,
+                given)
+    assert vars(cell) == {"params": {"n": "3", "x": "-3/5", "family": "classic"},
+                          "expected": str(expected), "actual": str(actual),
+                          "verdict": verdict}
 
 
 XS = [F(-1), F(1), F(2), F(1, 2), F(-3, 5)]

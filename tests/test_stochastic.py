@@ -456,6 +456,17 @@ def test_seeds_outside_64_bits_are_refused(estimate):
             estimate(seed)
 
 
+def test_kmax_caps_both_estimators(monkeypatch):
+    # the order past _KMAX is refused by both, with _KMAX in the message
+    for kmax in (_KMAX, 3):
+        monkeypatch.setattr(stochastic, "_KMAX", kmax)
+        with pytest.raises(DerangeDomainError, match=rf"^need 0 <= k <= {kmax} "
+                           r"\(moment variance blow-up\)$"):
+            mc_moment(1, kmax + 1, 100, 1)
+        with pytest.raises(DerangeDomainError, match=rf"^need 0 <= n <= {kmax}$"):
+            mc_generalized_D(kmax + 1, 1, 1, 100, 1)
+
+
 def test_the_request_check_keeps_its_order():
     with pytest.raises(DerangeDomainError, match="^need samples >= 2$"):
         mc_moment(0, 9, 1, -1)
