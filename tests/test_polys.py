@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction as F
 from math import comb
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from derange import polys, verify
 from derange.exact import DerangeDomainError, rising_factorial
@@ -16,6 +17,7 @@ from derange.polys import (
     order_d_poly,
     verify_shift_recurrences,
 )
+from derange.series import Family, FamilySpec, egf_values
 
 XS = [F(-1), F(1), F(2), F(1, 2), F(-3, 5)]
 
@@ -27,6 +29,14 @@ def _explicit(n, r, x, reflected=False):
         total += comb(n, k) * rising * x ** (n - k if reflected else k)
         rising *= r + k
     return total
+
+
+def _fraction_horner(coeffs, x):
+    """Horner's rule in Fraction arithmetic, the reference for eval_poly."""
+    value = F(0)
+    for c in reversed(coeffs):
+        value = value * x + F(c)
+    return value
 
 
 class TestExplicitFormulas:
@@ -71,12 +81,19 @@ class TestExplicitFormulas:
 
 
 def test_ratio_built_coefficients_match_comb_times_rising():
-    for n in range(61):
-        for r in range(6):
-            coeffs = generalized_D_poly(n, r)
-            assert coeffs == tuple(comb(n, k) * rising_factorial(r, k)
-                                   for k in range(n + 1)), (n, r)
-            assert all(type(c) is int for c in coeffs)
+    cases = [(n, r) for n in range(61) for r in range(6)]
+    for n, r in cases + [(240, r) for r in (2, 3, 4)]:
+        coeffs = generalized_D_poly(n, r)
+        assert coeffs == tuple(comb(n, k) * rising_factorial(r, k)
+                               for k in range(n + 1)), (n, r)
+        assert all(type(c) is int for c in coeffs)
+
+
+def test_explicit_path_matches_the_egf_at_depth():
+    # the depth of the deep benchmark: 241 terms, so every length mod 8
+    x = F(-11, 13)
+    egf = egf_values(FamilySpec(Family.GENERALIZED, 3, x), 241)
+    assert [eval_poly(generalized_D_poly(n, 3), x) for n in range(241)] == egf
 
 
 def test_integer_coefficients_stay_int():
@@ -113,11 +130,33 @@ class TestEval:
     @example([0, 0, 5], F(0))
     @example([4, F(1, 3), -2], F(5, 2))
     def test_int_and_fraction_coefficients_match_fraction_horner(self, coeffs, x):
-        expected = F(0)
-        for c in reversed(coeffs):
-            expected = expected * x + F(c)
         got = eval_poly(tuple(coeffs), x)
-        assert isinstance(got, F) and got == expected
+        assert isinstance(got, F) and got == _fraction_horner(coeffs, x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 300), st.sampled_from(("int", "fraction", "mixed")),
+           st.integers(0, 2 ** 32),
+           st.sampled_from((F(0), F(1), F(-1))) | st.fractions(max_denominator=30))
+    @example(293, "int", 1, F(-11, 13))
+    @example(294, "mixed", 2, F(13, 11))
+    @example(295, "fraction", 3, F(11, 13))
+    @example(296, "int", 4, F(-13, 11))
+    @example(297, "int", 5, F(-1))
+    @example(298, "mixed", 6, F(1))
+    @example(299, "int", 7, F(-11, 13))
+    @example(300, "fraction", 8, F(0))
+    def test_long_tuples_match_fraction_horner(self, length, kind, seed, x):
+        # coefficients up to 10^300 in size, from a drawn seed, so that the
+        # blocked fold meets long tuples of every length mod 8
+        rng = random.Random(seed)
+        coeffs = []
+        for _ in range(length):
+            c = rng.getrandbits(rng.randint(0, 997)) * rng.choice((1, -1))
+            if kind == "fraction" or (kind == "mixed" and rng.random() < 0.5):
+                c = F(c, rng.randint(1, 12))
+            coeffs.append(c)
+        got = eval_poly(tuple(coeffs), x)
+        assert isinstance(got, F) and got == _fraction_horner(coeffs, x)
 
 
 class TestNumberSequences:
@@ -184,6 +223,23 @@ def test_shift_recurrences_grid():
     checked, failures = verify_shift_recurrences(30, 5, XS)
     assert not failures, failures[:3]
     assert checked == 2 * 31 * 6 * 5
+
+
+def test_shift_recurrences_evaluate_each_value_once(monkeypatch):
+    # the default grid reads 39 (n, r) values of each family at 5 points
+    calls = []
+    real = polys.eval_poly
+
+    def counted(coeffs, x):
+        calls.append(x)
+        return real(coeffs, x)
+
+    monkeypatch.setattr(polys, "eval_poly", counted)
+    grid = verify.Grid()
+    checked, failures = verify_shift_recurrences(grid.n_max, grid.r_max,
+                                                 grid.points)
+    assert (checked, failures) == (280, [])
+    assert len(calls) == 390
 
 
 def test_the_recurrences_cell_names_its_first_five_failures(monkeypatch):
