@@ -3,8 +3,6 @@ determinants, and the Erlang moment representation."""
 
 from .exact import binomial, factorial, rising_factorial
 from .polys import (
-    classic_derangement,
-    cyclic_derangement,
     eval_poly,
     generalized_D_poly,
     generate_D_by_convolution,
@@ -15,8 +13,7 @@ from .series import Family, FamilySpec, egf_values
 
 __all__ = [
     "binomial", "factorial", "rising_factorial",
-    "classic_derangement", "cyclic_derangement", "eval_poly",
-    "generalized_D_poly", "generate_D_by_convolution",
+    "eval_poly", "generalized_D_poly", "generate_D_by_convolution",
     "generate_d_by_convolution", "order_d_poly",
     "Family", "FamilySpec", "egf_values",
 ]

@@ -24,7 +24,7 @@ import time
 from fractions import Fraction
 
 from . import polys, series
-from .exact import DerangeDomainError
+from .exact import DerangeDomainError, as_text
 from .series import Cell, Family, FamilySpec, spec_params
 
 FAMILY_NAMES = {f.value: f for f in Family}
@@ -162,7 +162,7 @@ def _write_values(args, head: dict, columns: tuple, values,
     values under the plural of the value column; CSV has the index and
     value columns; text has one "index value" line per value when
     `numbered`, else every value on one line."""
-    values = [str(v) for v in values]
+    values = [as_text(v) for v in values]
     if args.format == "json":
         text = _json({**head, columns[1] + "s": values})
     elif args.format == "csv":
@@ -205,11 +205,9 @@ def cmd_hankel(args) -> int:
 def cmd_verify(args) -> int:
     from . import verify
 
-    grid = verify.Grid(
-        n_max=args.nmax if args.nmax is not None else verify.Grid.n_max,
-        r_max=args.r if args.r is not None else verify.Grid.r_max,
-        points=(args.x,) if args.x is not None else verify.Grid.points,
-        deriv_z=(args.z,) if args.z is not None else verify.Grid.deriv_z)
+    given = {"n_max": args.nmax, "r_max": args.r, "points": args.x,
+             "deriv_z": args.z}
+    grid = verify.Grid(**{k: v for k, v in given.items() if v is not None})
     start = time.monotonic()
     cells = verify.run_suite(args.suite, grid)
     return render_report(args, f"verify {args.suite}", cells,
@@ -292,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=SUITE_NAMES + ("all",))
     p.add_argument("--nmax", type=int, default=None)
     p.add_argument("--r", type=int, default=None)
-    p.add_argument("--x", type=_fraction, default=None)
-    p.add_argument("--z", type=_fraction, default=None)
+    for flag in ("--x", "--z"):  # one grid point, as a tuple
+        p.add_argument(flag, type=lambda text: (_fraction(text),), default=None)
     common(p)
     p.set_defaults(fn=cmd_verify)
 

@@ -10,10 +10,10 @@ brute-force permanents.
 
 from fractions import Fraction
 from math import comb
-from typing import Sequence
+from typing import List, Sequence
 
-__all__ = ["Fraction", "DerangeDomainError", "SizeTooLarge", "rising_factorial",
-           "factorial", "binomial"]
+__all__ = ["Fraction", "DerangeDomainError", "SizeTooLarge", "as_text",
+           "rising_factorial", "factorial", "binomial"]
 
 
 class DerangeDomainError(ValueError):
@@ -21,11 +21,20 @@ class DerangeDomainError(ValueError):
 
     The package raises no other exception, so the CLI can report any of
     them as a usage/domain error (exit 2) and keep exit 1 for a failed
-    identity. Two subclasses remain, each caught by type in the package and
-    counted by name in the benchmark's tracing: SizeTooLarge, which
-    `verify` turns into a skipped oracle cell, and hankel.DegenerateInterior,
-    which `verify_hankel` shows as a degenerate condensation.
+    identity; `as_text` holds printing to that rule. Two subclasses remain:
+    SizeTooLarge, which `verify` turns into a skipped oracle cell, and
+    hankel.DegenerateInterior, which `det_condensation` raises.
     """
+
+
+def as_text(value) -> str:
+    """str(value) for every printed value; an int past the interpreter's
+    int-to-str digit limit is a DerangeDomainError, not a ValueError."""
+    try:
+        return str(value)
+    except ValueError as exc:  # CPython's message, without its advice
+        raise DerangeDomainError(str(exc).split(";")[0] + "; set "
+                                 "PYTHONINTMAXSTRDIGITS=0 to lift it") from None
 
 
 class SizeTooLarge(DerangeDomainError):
@@ -64,10 +73,10 @@ def binomial(n: int, k: int) -> int:
     return comb(n, k)
 
 
-def _laplace(rows: Sequence[Sequence[int]], signed: bool) -> int:
-    """Sum over the permutations sigma of range(n) of (sgn sigma if signed,
-    else 1) times Pi_i rows[i][sigma(i)]: the determinant or the permanent
-    of the n x n matrix, by Laplace expansion along the first row.
+def _laplace(rows: Sequence[Sequence[int]], signed: bool) -> List[int]:
+    """Every minor of the n x n matrix on its last k rows and a k-set of
+    columns, indexed by the set's bitmask; the last is the determinant (if
+    signed) or the permanent, by Laplace expansion along the first row.
 
     Each minor is computed once, bottom-up: the minor on the last k rows
     and a k-set S of columns is the sum, along its first row, of entry
@@ -90,4 +99,4 @@ def _laplace(rows: Sequence[Sequence[int]], signed: bool) -> int:
                     total += sign * row[j] * minors[mask ^ (1 << j)]
                 sign *= flip
         minors[mask] = total
-    return minors[-1]
+    return minors

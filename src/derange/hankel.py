@@ -1,61 +1,52 @@
-"""Hankel matrices, four exact determinant algorithms, and the closed forms.
+"""Hankel matrices, four exact determinant routes, and the closed forms.
 
-The paper gives one explicit determinant, that of the generalized
-polynomials at z: z^{n(n+1)} Pi_{k=1}^{n} rising(r,k) k!, here
-`closed_form_generalized`. Every family whose EGF is e^{cz}(1-xz)^{-r} has
-it at (r, z = x), because the e^{cz} factor is a binomial transform of the
-moments, which leaves every Hankel determinant as it is; `closed_form`
-reads that (r, x) from the family's row of FAMILY_TABLE (the order-r
-polynomials and numbers at (r, 1), the cyclic counts at (1, r), the classic
-derangements at (1, 1)). The r-derangement families carry a z^s prefactor,
-s > 0, and have no closed form.
+Each route returns the chain of leading minors H_0..H_n of the Hankel
+matrix of a_0..a_{2n}, H_k = det(a_{i+j})_{i,j<=k}, which it passes on its
+way to H_n; `hankel_reports` calls each route once and reads every order
+from the chains, and `verify_hankel` is its view of one order. Bareiss is
+the authority (fraction-free, always defined): before any row swap its
+k-th pivot is H_k, scaled (Bareiss 1968), and each order after a zero
+pivot is eliminated alone. The J-fraction route is the independent check
+at every size: the Chebyshev algorithm (Gautschi 2004) turns the moments
+into the Jacobi continued-fraction coefficients (b_k, lambda_k) in O(n^2)
+integer operations, and H_k is the running product of the orthogonal
+polynomials' norms (Flajolet 1980). Two oracles run up to ORACLE_CAP:
+Dodgson condensation, the Desnanot-Jacobi recurrence of the paper's
+inductive proofs, and Laplace cofactor expansion by `exact._laplace`,
+with no division and no pivot. No two routes share a kernel.
 
-Bareiss is the authority (fraction-free, always defined). It reads the
-moments and builds the symmetric integer matrix s_i s_j a_{i+j} / g, with
-s_i the lcm of the denominators of a_i..a_{i+n} and g the gcd of all
-entries, so every division is exact. Each elimination stage of a symmetric
-matrix is symmetric, so only the upper triangle is eliminated; a zero
-pivot copies it into the lower triangle once, and elimination goes on with
-row swaps as on a general matrix. The J-fraction route is the independent
-determinant at every size: the Chebyshev algorithm (Gautschi 2004) turns
-the 2n+1 moments into the Jacobi continued-fraction coefficients
-(b_k, lambda_k) in O(n^2) operations, each row held as integers over one
-denominator, and the determinant is the product of the orthogonal
-polynomials' norms, mu_0^{n+1} Pi lambda_k^{n+1-k} (Flajolet 1980). Up to
-ORACLE_CAP x ORACLE_CAP two oracles run beside them: Dodgson condensation,
-the Desnanot-Jacobi recurrence of the paper's inductive proofs run on the
-moments in O(n^2) integer steps, and Laplace cofactor expansion on
-integers, with no division and no pivot, by `exact._laplace`, which the
-brute-force oracles run without signs. No two routes share a kernel.
+The paper's determinant of the generalized polynomials at z is
+z^{n(n+1)} Pi_{k=1}^{n} rising(r,k) k!. Every family whose EGF is
+e^{cz}(1-xz)^{-r} has it at (r, z = x), since the e^{cz} factor is a
+binomial transform of the moments, which leaves every Hankel determinant
+as it is. The r-derangement families, with a z^s prefactor, have none.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm, prod
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .exact import (DerangeDomainError, SizeTooLarge, _laplace, factorial,
-                    rising_factorial)
+from .exact import (DerangeDomainError, SizeTooLarge, _laplace, as_text,
+                    factorial, rising_factorial)
 from .polys import eval_poly, generalized_D_poly
 from .series import FamilySpec, egf_shape, egf_values
 
-# Largest matrix size the cofactor and condensation oracles run on in
-# verify_hankel; cofactor refuses anything larger.
+# Largest matrix size the oracles run on; cofactor refuses anything larger.
 ORACLE_CAP = 6
 
 
 class DegenerateInterior(DerangeDomainError, ArithmeticError):
-    """Condensation hit a zero interior minor; verify_hankel shows the
-    condensation value as "degenerate"."""
+    """Condensation met a zero divisor; a report shows "degenerate"."""
 
 
 Matrix = List[List[Fraction]]
 
 
 def _moments(seq: Sequence, n: int) -> List[Fraction]:
-    """seq[0..2n] as Fractions: the moments an order-(n+1) Hankel matrix
-    reads. A Fraction is passed through as it is."""
+    """seq[0..2n], the moments of H_n, as Fractions (a Fraction as it is)."""
     if len(seq) < 2 * n + 1:
         raise DerangeDomainError(f"need {2 * n + 1} terms, got {len(seq)}")
     return [v if isinstance(v, Fraction) else Fraction(v)
@@ -68,30 +59,31 @@ def hankel_matrix(seq: Sequence, n: int) -> Matrix:
     return [[moments[i + j] for j in range(n + 1)] for i in range(n + 1)]
 
 
-def det_bareiss(seq: Sequence, n: int) -> Fraction:
-    """Determinant of the order-(n+1) Hankel matrix of seq[0..2n] by
-    one-step fraction-free Bareiss elimination on a symmetric integer matrix.
-
+def _bareiss(seq: Sequence, n: int, lo: int) -> List[Optional[Fraction]]:
+    """H_lo..H_n of seq[0..2n] by one-step fraction-free Bareiss elimination:
+    H_k from the k-th pivot until a row swap, None after it, and H_n last.
     Entry (i, j) is s_i s_j a_{i+j} / g, for s_i the lcm of the
-    denominators of a_i..a_{i+n} and g the gcd of all entries, so the
-    determinant is det * g^{n+1} / Pi s_i^2. Every Bareiss stage of a
-    symmetric matrix is symmetric, so only entries with j >= i are
-    eliminated, and a[i][k] is read as a[k][i]. A zero pivot copies the
-    upper triangle into the lower one once; elimination then goes on as on
-    a general matrix, with row swaps."""
+    denominators of a_i..a_{i+n} and g the gcd of all entries, so every
+    division is exact and the k-th pivot is H_k g^{k+1} / Pi_{i<=k} s_i^2.
+    Every stage of a symmetric matrix is symmetric, so only entries with
+    j >= i are eliminated. A zero pivot copies the upper triangle into the
+    lower one once; elimination goes on with row swaps."""
     moments = _moments(seq, n)
     size = n + 1
     dens = [v.denominator for v in moments]
     s = [lcm(*dens[i:i + size]) for i in range(size)]
     a = [[s[i] * s[j] * moments[i + j].numerator // dens[i + j]
           for j in range(size)] for i in range(size)]
-    g = gcd(*(gcd(*row) for row in a))
-    if g == 0:
-        return Fraction(0)
+    g = gcd(*(gcd(*row) for row in a)) or 1
     if g > 1:
         a = [[v // g for v in row] for row in a]
+    minors, scale = [], 1
     sign, prev, sym = 1, 1, True
     for k in range(size - 1):
+        if sym:
+            scale *= s[k] * s[k]
+            if k >= lo:
+                minors.append(Fraction(a[k][k] * g ** (k + 1), scale))
         if a[k][k] == 0:
             if sym:  # the lower triangle is stale
                 for i in range(k + 1, size):
@@ -103,76 +95,103 @@ def det_bareiss(seq: Sequence, n: int) -> Fraction:
                     a[k], a[i] = a[i], a[k]
                     sign = -sign
                     break
-            else:
-                return Fraction(0)
+            else:  # the matrix is singular
+                a[-1][-1] = 0
+                break
         rk, akk = a[k], a[k][k]
         for i in range(k + 1, size):
             ri = a[i]
-            lo, aik = (i, rk[i]) if sym else (k + 1, ri[k])
-            ri[lo:] = [(v * akk - aik * w) // prev
-                       for v, w in zip(ri[lo:], rk[lo:])]
+            j0, aik = (i, rk[i]) if sym else (k + 1, ri[k])
+            ri[j0:] = [(v * akk - aik * w) // prev
+                       for v, w in zip(ri[j0:], rk[j0:])]
         prev = akk
-    return Fraction(sign * a[-1][-1] * g ** size, prod(s) ** 2)
+    return minors + [None] * (n - lo - len(minors)) + [
+        Fraction(sign * a[-1][-1] * g ** size, prod(s) ** 2)]
+
+
+def det_bareiss(seq: Sequence, n: int) -> Fraction:
+    """H_n of seq[0..2n] by fraction-free Bareiss elimination."""
+    return _bareiss(seq, n, n)[-1]
+
+
+def bareiss_minors(seq: Sequence, n: int, lo: int = 0) -> List[Fraction]:
+    """H_lo..H_n of seq[0..2n]: the pivots of one elimination, and
+    det_bareiss for each order after the first row swap."""
+    if not 0 <= lo <= n:
+        raise DerangeDomainError(f"need 0 <= lo <= {n}, got {lo}")
+    return [det_bareiss(seq, k) if v is None else v
+            for k, v in enumerate(_bareiss(seq, n, lo), lo)]
+
+
+def condensation_minors(seq: Sequence, n: int) -> List[Optional[Fraction]]:
+    """H_0..H_n of seq[0..2n] by Dodgson condensation on the moments.
+
+    The connected minors h_k^(m) = det(a_{m+i+j})_{i,j<k} obey
+    h_{k+1}^(m) h_{k-1}^(m+2) = h_k^(m) h_k^(m+2) - (h_k^(m+1))^2 from
+    h_0 = 1, h_1^(m) = a_m, and H_k = h_{k+1}^(0); on d a, for a common
+    denominator d, every division is exact. A zero divisor makes the minor
+    that reads it None, and so every minor that reads that one: H_k is
+    None exactly when condensation of H_k alone meets a zero divisor."""
+    moments = _moments(seq, n)
+    d = lcm(*(v.denominator for v in moments))
+    # level k holds h_k^(m), m = 0..2(n+1-k)
+    prev = [1] * (2 * n + 3)
+    cur = [v.numerator * (d // v.denominator) for v in moments]
+    minors = [Fraction(cur[0], d)]
+    for k in range(1, n + 1):
+        prev, cur = cur, [
+            None if not prev[m + 2] or None in cur[m:m + 3]
+            else (cur[m] * cur[m + 2] - cur[m + 1] ** 2) // prev[m + 2]
+            for m in range(2 * (n - k) + 1)]
+        minors.append(None if cur[0] is None else Fraction(cur[0], d ** (k + 1)))
+    return minors
 
 
 def det_condensation(seq: Sequence, n: int) -> Fraction:
-    """Determinant of the order-(n+1) Hankel matrix of seq[0..2n] by Dodgson
-    condensation on the moments; raises DegenerateInterior on a zero divisor.
-
-    Its connected minors H_k^(m) = det(a_{m+i+j})_{i,j<k} obey
-    H_{k+1}^(m) H_{k-1}^(m+2) = H_k^(m) H_k^(m+2) - (H_k^(m+1))^2 from
-    H_0 = 1, H_1^(m) = a_m; on b = d a, for a common denominator d, every
-    minor is an integer and every division exact."""
-    moments = _moments(seq, n)
-    d = lcm(*(v.denominator for v in moments))
-    # level k holds H_k^(m), m = 0..2(n+1-k)
-    prev = [1] * (2 * n + 3)
-    cur = [v.numerator * (d // v.denominator) for v in moments]
-    for k in range(1, n + 1):
-        nxt = []
-        for m in range(2 * (n - k) + 1):
-            div = prev[m + 2]
-            if div == 0:
-                raise DegenerateInterior(f"zero minor H_{k - 1}^({m + 2})")
-            nxt.append((cur[m] * cur[m + 2] - cur[m + 1] ** 2) // div)
-        prev, cur = cur, nxt
-    return Fraction(cur[0], d ** (n + 1))
+    """H_n of seq[0..2n] by Dodgson condensation; raises DegenerateInterior
+    on a zero divisor."""
+    det = condensation_minors(seq, n)[-1]
+    if det is None:
+        raise DegenerateInterior(f"zero interior minor below H_{n}")
+    return det
 
 
-def det_cofactor(m: Matrix) -> Fraction:
-    """Laplace expansion of the integer matrix d * m, for the lcm d of all
-    denominators of its int or Fraction entries; capped at ORACLE_CAP.
-
-    `exact._laplace` computes each of the 2^size minors once, bottom-up
-    over the column sets of the trailing rows. It neither divides nor
-    pivots."""
+def cofactor_minors(m: Matrix) -> List[Fraction]:
+    """The minors of m on its last k rows and columns, k = 1..len(m), read
+    from one `exact._laplace` of d * m, d the lcm of all denominators of
+    its entries, which neither divides nor pivots; capped at ORACLE_CAP."""
     size = len(m)
     if size > ORACLE_CAP:
         raise SizeTooLarge(f"cofactor oracle capped at {ORACLE_CAP}, got {size}")
     d = lcm(*(v.denominator for row in m for v in row))
-    ints = [[v.numerator * (d // v.denominator) for v in row] for row in m]
-    return Fraction(_laplace(ints, signed=True), d ** size)
+    minors = _laplace([[v.numerator * (d // v.denominator) for v in row]
+                       for row in m], signed=True)
+    return [Fraction(minors[((1 << k) - 1) << (size - k)], d ** k)
+            for k in range(1, size + 1)]
+
+
+def det_cofactor(m: Matrix) -> Fraction:
+    """det m by Laplace expansion; capped at ORACLE_CAP."""
+    return cofactor_minors(m)[-1] if m else Fraction(1)
 
 
 class JFraction(NamedTuple):
-    det: Optional[Fraction]    # None when a leading minor before the last is 0
+    minors: Tuple[Optional[Fraction], ...]  # H_0..H_n, None after a zero one
     b: Tuple[Fraction, ...]    # b_0, b_1, ...
     lam: Tuple[Fraction, ...]  # lambda_1, lambda_2, ...
 
 
 def det_jfraction(seq: Sequence, n: int) -> JFraction:
-    """Determinant of the order-(n+1) Hankel matrix of seq[0..2n] by the
-    Chebyshev algorithm, with the J-fraction coefficients it passes through.
-
-    sigma[k][l] = L(pi_k x^l) for the monic orthogonal polynomials pi_k of
-    the moment functional L(x^l) = seq[l] obeys
+    """H_0..H_n of seq[0..2n] by the Chebyshev algorithm, with the
+    J-fraction coefficients it passes through. sigma[k][l] = L(pi_k x^l)
+    for the monic orthogonal polynomials pi_k of L(x^l) = seq[l] obeys
     sigma[k][l] = sigma[k-1][l+1] - b_{k-1} sigma[k-1][l]
                   - lambda_{k-1} sigma[k-2][l],
     with b_k = sigma[k][k+1]/sigma[k][k] - sigma[k-1][k]/sigma[k-1][k-1]
-    and lambda_k = sigma[k][k]/sigma[k-1][k-1]. sigma[k][k] = H_{k+1}/H_k
-    for the leading minors H, so the determinant is Pi_{k<=n} sigma[k][k].
-    A zero sigma[k][k] with k < n stops the recursion: det is None and the
-    coefficients end at that lambda_k = 0 (b_0..b_{k-1})."""
+    and lambda_k = sigma[k][k]/sigma[k-1][k-1]. sigma[k][k] = H_k/H_{k-1},
+    so H_k is the running product Pi_{i<=k} sigma[i][i]. A zero
+    sigma[k][k] with k < n stops the recursion: H_{k+1}..H_n are None and
+    the coefficients end at that lambda_k = 0 (b_0..b_{k-1})."""
     # row k holds sigma[k][k+j] as integers over one denominator,
     # j = 0..2(n-k); row -1 is the unit functional, whose denominator
     # cancels from every step
@@ -180,11 +199,12 @@ def det_jfraction(seq: Sequence, n: int) -> JFraction:
     cur_den = lcm(*(v.denominator for v in moments))
     cur = [v.numerator * (cur_den // v.denominator) for v in moments]
     old = [1] + [0] * (2 * n + 2)
-    det, b, lam = Fraction(cur[0], cur_den), [], []
+    minors, b, lam = [Fraction(cur[0], cur_den)], [], []
     for k in range(1, n + 1):
         c0, o0 = cur[0], old[0]
         if c0 == 0:
-            return JFraction(None, tuple(b), tuple(lam))
+            return JFraction(tuple(minors) + (None,) * (n + 1 - k),
+                             tuple(b), tuple(lam))
         # alpha = q/p and beta old[j+2] = t old[j+2] / (p cur_den) on the
         # numerators, so p cur_den sigma[k][k+j] is new[j]
         p, q, t = c0 * o0, cur[1] * o0 - old[1] * c0, c0 * c0
@@ -197,25 +217,31 @@ def det_jfraction(seq: Sequence, n: int) -> JFraction:
             new_den //= g
         b.append(Fraction(q, p))
         lam.append(Fraction(new[0] * cur_den, new_den * c0))
-        det *= Fraction(new[0], new_den)
+        minors.append(minors[-1] * Fraction(new[0], new_den))
         old, cur, cur_den = cur, new, new_den
-    return JFraction(det, tuple(b), tuple(lam))
+    return JFraction(tuple(minors), tuple(b), tuple(lam))
+
+
+def closed_form_chain(n: int, r: int, z, lo: int = 0) -> List[Fraction]:
+    """The paper's H_lo..H_n of the generalized polynomials at z,
+    z^{k(k+1)} times the running product Pi_{i=1}^{k} rising(r,i) i!."""
+    if n < 0:
+        raise DerangeDomainError("n must be >= 0")
+    z, tail, chain = Fraction(z), 1, []
+    for k in range(n + 1):
+        tail *= rising_factorial(r, k) * factorial(k)
+        if k >= lo:
+            chain.append(z ** (k * (k + 1)) * tail)
+    return chain
 
 
 def closed_form_generalized(n: int, r: int, z) -> Fraction:
-    """The paper's Hankel determinant of order n+1 of the generalized
-    polynomials at z: z^{n(n+1)} Pi_{k=1}^{n} rising(r,k) k!."""
-    if n < 0:
-        raise DerangeDomainError("n must be >= 0")
-    out = 1
-    for k in range(1, n + 1):
-        out *= rising_factorial(r, k) * factorial(k)
-    return Fraction(z) ** (n * (n + 1)) * out
+    """The paper's H_n of the generalized polynomials at z."""
+    return closed_form_chain(n, r, z, n)[0]
 
 
 def _hankel_shape(spec: FamilySpec) -> Tuple[Fraction, Fraction, int]:
-    """(c, x, r) of the family's EGF e^{cz}(1-xz)^{-r}; a DerangeDomainError
-    when the EGF has a z^s prefactor, s > 0."""
+    """(c, x, r) of the family's EGF e^{cz}(1-xz)^{-r}, s = 0 or refused."""
     c, x, r, shift = egf_shape(spec)
     if shift > 0:
         raise DerangeDomainError(
@@ -224,8 +250,8 @@ def _hankel_shape(spec: FamilySpec) -> Tuple[Fraction, Fraction, int]:
 
 
 def closed_form(spec: FamilySpec, n: int) -> Fraction:
-    """The order-(n+1) Hankel determinant of a family whose EGF is
-    e^{cz}(1-xz)^{-r}: the generalized one at (r, x), whatever c is."""
+    """H_n of a family whose EGF is e^{cz}(1-xz)^{-r}: the generalized one
+    at (r, x), whatever c is."""
     _, x, r = _hankel_shape(spec)
     return closed_form_generalized(n, r, x)
 
@@ -249,11 +275,9 @@ class HankelReport(NamedTuple):
     spec: FamilySpec
     n: int
     det_bareiss: Fraction
-    det_jfraction: Optional[Fraction]     # None when a leading minor vanished
-    # the oracles: None above ORACLE_CAP, and condensation also when it
-    # degenerated
-    det_condensation: Optional[Fraction]
-    det_cofactor: Optional[Fraction]
+    det_jfraction: Optional[Fraction]  # None after a zero leading minor
+    det_condensation: Optional[Fraction]  # None above ORACLE_CAP or degenerate
+    det_cofactor: Optional[Fraction]  # None above ORACLE_CAP
     closed_form: Fraction
     verdict: str  # "pass" | "fail"
 
@@ -265,36 +289,36 @@ class HankelReport(NamedTuple):
                 ("condensation", self.det_condensation, oracles),
                 ("cofactor", self.det_cofactor, oracles))
         return {name: "n/a" if not ran else
-                "degenerate" if det is None else str(det)
+                "degenerate" if det is None else as_text(det)
                 for name, det, ran in dets}
 
 
-def verify_hankel(spec: FamilySpec, n: int) -> HankelReport:
-    """Evaluate the order-(n+1) Hankel determinant of the family's values
-    by Bareiss, by the J-fraction route and, up to ORACLE_CAP, by
-    condensation and cofactor expansion, and compare every value with the
-    paper-supplied closed form. Only cofactor reads the matrix itself."""
+def hankel_reports(spec: FamilySpec, n: int, lo: int = 0) -> List[HankelReport]:
+    """The reports of H_lo..H_n of the family's values from one chain per
+    route, the oracles' up to ORACLE_CAP and only when lo < ORACLE_CAP; a
+    report passes when every value it has equals the closed form."""
     if n < 0:
         raise DerangeDomainError("n must be >= 0")
-    closed = closed_form(spec, n)
+    _, x, r = _hankel_shape(spec)
+    closed = closed_form_chain(n, r, x, lo)
     seq = egf_values(spec, 2 * n + 1)
-    db = det_bareiss(seq, n)
-    dj = det_jfraction(seq, n).det
-    dc = dk = None
-    if n + 1 <= ORACLE_CAP:
-        dk = det_cofactor(hankel_matrix(seq, n))
-        try:
-            dc = det_condensation(seq, n)
-        except DegenerateInterior:
-            pass
-    values = [v for v in (db, dj, dc, dk) if v is not None]
-    verdict = "pass" if all(v == closed for v in values) else "fail"
-    return HankelReport(spec, n, db, dj, dc, dk, closed, verdict)
+    cond = cof = ()
+    if lo < ORACLE_CAP:
+        top = min(n, ORACLE_CAP - 1)
+        cond = condensation_minors(seq, top)
+        # the index-reversed matrix's trailing minors are H_0..H_top
+        cof = cofactor_minors(hankel_matrix(_moments(seq, top)[::-1], top))
+    routes = zip_longest(bareiss_minors(seq, n, lo),
+                         det_jfraction(seq, n).minors[lo:], cond[lo:], cof[lo:],
+                         closed)
+    return [HankelReport(spec, k, *dets, cf, "pass" if all(
+        v == cf for v in dets if v is not None) else "fail")
+        for k, (*dets, cf) in enumerate(routes, lo)]
 
 
-def factorial_hankel_det(n: int) -> Fraction:
-    """Bareiss determinant of the (i+j)! Hankel matrix of order n+1."""
-    return det_bareiss([factorial(k) for k in range(2 * n + 1)], n)
+def verify_hankel(spec: FamilySpec, n: int) -> HankelReport:
+    """The report of H_n alone; no oracle runs above ORACLE_CAP."""
+    return hankel_reports(spec, n, lo=n)[0]
 
 
 def reduced_derivative(n: int, r: int, z) -> Fraction:
@@ -307,23 +331,20 @@ def reduced_derivative(n: int, r: int, z) -> Fraction:
     return eval_poly(generalized_D_poly(n, r), t) * t ** r
 
 
-def verify_derivative_hankel(n: int, r: int, z,
-                             g: Optional[Sequence] = None
-                             ) -> Tuple[Fraction, Fraction]:
-    """The e^z-cancelled derivative Hankel identity for matrix size n, as
-    (det(g_{i+j-2}(z)) by Bareiss, its closed form). The g_m are the
-    generalized polynomials at t = 1/(1-z) times t^r, so the determinant is
-    the generalized one at (n-1, r, t) times t^{rn}: the paper's
-    Pi_{k=1}^{n-1} rising(r,k) k! / ((z-1)^{(n-1)n} (1-z)^{rn}), the
-    (1-z)^{-rn} being what remains of (e^z/(1-z)^r)^n after the e^{nz}
-    cancels against the n stripped entry factors. A caller that checks
-    several n at one (r, z) passes its g_0, g_1, ... (at least 2n-1 of
-    them, from `reduced_derivative`) as `g`; otherwise they are built here."""
+def derivative_hankel_chain(n: int, r: int, z) -> List[Tuple[Fraction, Fraction]]:
+    """The e^z-cancelled derivative Hankel identity (det(g_{i+j-2}(z)) by
+    Bareiss, its closed form) for each size m = 1..n, from one chain on
+    g_0..g_{2n-2}, g_m the generalized polynomial at t = 1/(1-z) times t^r:
+    the paper's Pi_{k<m} rising(r,k) k! / ((z-1)^{(m-1)m} (1-z)^{rm}), the
+    (1-z)^{-rm} what remains of (e^z/(1-z)^r)^m once e^{mz} cancels."""
     if n < 1:
         raise DerangeDomainError("n must be >= 1")
-    z = Fraction(z)
-    if g is None:
-        g = [reduced_derivative(m, r, z) for m in range(2 * n - 1)]
-    t = 1 / (1 - z)
-    closed = closed_form_generalized(n - 1, r, t) * t ** (r * n)
-    return det_bareiss(g, n - 1), closed
+    g = [reduced_derivative(m, r, z) for m in range(2 * n - 1)]
+    t = 1 / (1 - Fraction(z))
+    return [(det, closed * t ** (r * m)) for m, (det, closed) in enumerate(
+        zip(bareiss_minors(g, n - 1), closed_form_chain(n - 1, r, t)), 1)]
+
+
+def verify_derivative_hankel(n: int, r: int, z) -> Tuple[Fraction, Fraction]:
+    """The derivative Hankel identity for matrix size n alone."""
+    return derivative_hankel_chain(n, r, z)[-1]

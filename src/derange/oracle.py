@@ -9,8 +9,7 @@ the permanent sum_sigma Pi_i (r - [sigma(i) = i]) of the n x n matrix with
 r - 1 on the diagonal and r off it (Minc, Permanents, 1978). The
 derangements are its r = 1 case, the permanent of J - I. `exact._laplace`
 expands the permanent over the 2^n column sets, the expansion that
-`hankel.det_cofactor` runs with signs; `polys.cyclic_derangement` is never
-read.
+`hankel.det_cofactor` runs with signs.
 """
 
 from .exact import DerangeDomainError, SizeTooLarge, _laplace
@@ -26,7 +25,7 @@ def _wreath_permanent(n: int, r: int) -> int:
         raise SizeTooLarge(
             f"enumeration capped at n = {ENUMERATION_CAP}, got {n}")
     return _laplace([[r - (i == j) for j in range(n)] for i in range(n)],
-                    signed=False)
+                    signed=False)[-1]
 
 
 def count_derangements_brute(n: int) -> int:

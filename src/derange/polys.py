@@ -20,7 +20,7 @@ from itertools import islice
 from math import lcm
 from typing import List, Sequence, Tuple
 
-from .exact import DerangeDomainError, factorial
+from .exact import DerangeDomainError
 
 
 def generalized_D_poly(n: int, r: int) -> tuple:
@@ -88,27 +88,6 @@ def eval_poly(coeffs: Sequence, x) -> Fraction:
             acc = acc * u8 + block * qpow
             qpow *= q8
     return Fraction(acc, den * q ** (len(nums) - 1))
-
-
-def classic_derangement(n: int) -> int:
-    """D_n = n! sum_k (-1)^k / k!, computed as an exact integer."""
-    if n < 0:
-        raise DerangeDomainError("n must be >= 0")
-    total = Fraction(0)
-    for k in range(n + 1):
-        total += Fraction((-1) ** k, factorial(k))
-    val = factorial(n) * total
-    assert val.denominator == 1
-    return val.numerator
-
-
-def cyclic_derangement(n: int, r: int) -> int:
-    """d_{n,r} = (-1)^n * generalized poly of order 1 evaluated at -r."""
-    if n < 0 or r < 1:
-        raise DerangeDomainError("need n >= 0, r >= 1")
-    val = (-1) ** n * eval_poly(generalized_D_poly(n, 1), -r)
-    assert val.denominator == 1
-    return val.numerator
 
 
 def generate_D_by_convolution(r: int, x, count: int) -> List[Fraction]:

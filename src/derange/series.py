@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Optional
 
 from math import lcm, perm
 
-from .exact import DerangeDomainError
+from .exact import DerangeDomainError, as_text
 
 
 def series_mul(a: tuple, b: tuple) -> tuple:
@@ -147,9 +147,9 @@ class Cell:
 
     def __init__(self, params: dict, expected, actual,
                  verdict: Optional[str] = None):
-        self.params = {k: str(v) for k, v in params.items()}
-        self.expected = str(expected)
-        self.actual = str(actual)
+        self.params = {k: as_text(v) for k, v in params.items()}
+        self.expected = as_text(expected)
+        self.actual = as_text(actual)
         if verdict is None:
             verdict = "pass" if expected == actual else "fail"
         self.verdict = verdict  # "pass" | "fail" | "skipped"

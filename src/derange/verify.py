@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import perm
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from . import exact, hankel, oracle, polys, series
-from .exact import DerangeDomainError
+from .exact import DerangeDomainError, as_text
 from .series import Cell, Family, FamilySpec, spec_params
 
 DEFAULT_POINTS = (Fraction(1), Fraction(-1), Fraction(2),
@@ -20,22 +20,13 @@ DEFAULT_POINTS = (Fraction(1), Fraction(-1), Fraction(2),
 SERIES_ORDER = 20
 
 
-class Grid:
+class Grid(NamedTuple):
     """Default desk-scale grid; every suite reads the slice it needs."""
 
-    n_max = 6
-    r_max = 3
-    points = DEFAULT_POINTS
-    deriv_z = (Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(2))
-
-    def __init__(self, n_max: int = n_max, r_max: int = r_max,
-                 points: tuple = points, deriv_z: tuple = deriv_z):
-        if min(n_max, r_max) < 0:
-            raise DerangeDomainError("grid needs n_max, r_max >= 0")
-        if not points or not deriv_z:
-            raise DerangeDomainError("grid needs at least one x and one z point")
-        self.n_max, self.r_max = n_max, r_max
-        self.points, self.deriv_z = points, deriv_z
+    n_max: int = 6
+    r_max: int = 3
+    points: tuple = DEFAULT_POINTS
+    deriv_z: tuple = (Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(2))
 
 
 def _row_anchors(grid: Grid):
@@ -115,13 +106,12 @@ def suite_reflection(grid: Grid) -> List[Cell]:
     return cells
 
 
-def _hankel_cell(spec: FamilySpec, n: int) -> Cell:
-    rep = hankel.verify_hankel(spec, n)
+def _hankel_cell(rep: hankel.HankelReport) -> Cell:
     actual = rep.det_bareiss if rep.verdict == "pass" else " ".join(
         f"{name}={det}" for name, det in
-        {"bareiss": rep.det_bareiss, **rep.shown_dets()}.items())
-    return Cell({"family": spec.family.value, "n": n, **spec_params(spec)},
-                rep.closed_form, actual, rep.verdict)
+        {"bareiss": as_text(rep.det_bareiss), **rep.shown_dets()}.items())
+    return Cell({"family": rep.spec.family.value, "n": rep.n,
+                 **spec_params(rep.spec)}, rep.closed_form, actual, rep.verdict)
 
 
 def _closed_form_specs(grid: Grid):
@@ -136,17 +126,20 @@ def _closed_form_specs(grid: Grid):
 
 
 def suite_hankel(grid: Grid) -> List[Cell]:
-    """Closed-form Hankel determinants for every family that has one, plus
-    the factorial-matrix identity beside the classic family."""
+    """Closed-form Hankel determinants of every family that has one, from one
+    hankel_reports call per spec, and the factorial matrix's beside classic."""
+    chains = [hankel.hankel_reports(spec, grid.n_max)
+              for spec in _closed_form_specs(grid)]
+    factorial = hankel.bareiss_minors(
+        [exact.factorial(k) for k in range(2 * grid.n_max + 1)], grid.n_max)
+    closed = hankel.closed_form_chain(grid.n_max, 1, 1)
     cells = []
     for n in range(grid.n_max + 1):
-        for spec in _closed_form_specs(grid):
-            cells.append(_hankel_cell(spec, n))
-            if spec.family is Family.CLASSIC:
-                cells.append(Cell(
-                    {"family": "factorial", "n": n},
-                    hankel.closed_form_generalized(n, 1, 1),
-                    hankel.factorial_hankel_det(n)))
+        for chain in chains:
+            cells.append(_hankel_cell(chain[n]))
+            if chain[n].spec.family is Family.CLASSIC:
+                cells.append(Cell({"family": "factorial", "n": n},
+                                  closed[n], factorial[n]))
     return cells
 
 
@@ -172,15 +165,15 @@ def suite_jfraction(grid: Grid) -> List[Cell]:
 
 
 def suite_derivative_hankel(grid: Grid) -> List[Cell]:
-    """The e^z-cancelled derivative Hankel identity on the (n, r, z) grid;
-    each (r, z)'s reduced derivatives are built once, for the largest n."""
+    """The e^z-cancelled derivative Hankel identity on the (n, r, z) grid,
+    n >= 1; one derivative_hankel_chain call per (r, z) serves every n."""
     cells = []
+    if grid.n_max < 1:  # no matrix size on the grid
+        return cells
     for r in range(1, grid.r_max + 1):
         for z in grid.deriv_z:
-            g = [hankel.reduced_derivative(m, r, z)
-                 for m in range(2 * grid.n_max - 1)]
-            for n in range(1, grid.n_max + 1):
-                det, closed = hankel.verify_derivative_hankel(n, r, z, g)
+            chain = hankel.derivative_hankel_chain(grid.n_max, r, z)
+            for n, (det, closed) in enumerate(chain, 1):
                 cells.append(Cell(
                     {"identity": "derivative-hankel", "n": n, "r": r, "z": z},
                     closed, det))
@@ -245,6 +238,10 @@ def run_suite(name: str, grid: Optional[Grid] = None) -> List[Cell]:
     """Cells of one suite, or of every suite for "all"; a run that checks
     nothing on the grid is an error, not a pass."""
     grid = grid or Grid()
+    if min(grid.n_max, grid.r_max) < 0:
+        raise DerangeDomainError("grid needs n_max, r_max >= 0")
+    if not grid.points or not grid.deriv_z:
+        raise DerangeDomainError("grid needs at least one x and one z point")
     fns = SUITES.values() if name == "all" else [SUITES[name]]
     cells = [cell for fn in fns for cell in fn(grid)]
     if not cells:

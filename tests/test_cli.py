@@ -12,6 +12,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from fractions import Fraction as F
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -233,6 +235,45 @@ def test_mc_refusal_in_a_fresh_process_exits_2(argv):
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: ")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python prints an int of any size")
+@pytest.mark.parametrize("argv", [
+    "seq --family classic --count 1560",
+    "poly --which D --n 3000 --r 5",
+    "hankel --family generalized --r 3 --x 7/3 --n 50",
+    "hankel --family generalized --r 3 --x 7/3 --n 50 --format json",
+])
+def test_a_value_past_the_digit_limit_exits_2_in_a_fresh_process(argv):
+    """Each command prints a value of more than 4,300 digits, the default
+    int-to-str limit: one error line and exit 2, not a ValueError traceback
+    and exit 1, which would read as a failed identity."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "derange.cli", *argv.split()],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 2 and proc.stdout == ""
+    limit = sys.int_info.default_max_str_digits
+    assert proc.stderr.startswith(f"error: Exceeds the limit ({limit} digits)")
+    assert proc.stderr.endswith("; set PYTHONINTMAXSTRDIGITS=0 to lift it\n")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_verify_passes_only_the_grid_flags_given(capsys, monkeypatch):
+    grids = []
+    monkeypatch.setattr(verify, "run_suite",
+                        lambda name, grid: grids.append(grid) or [])
+    main(["verify", "--suite", "hankel", "--nmax", "4", "--z", "0"])
+    main(["verify", "--suite", "hankel", "--r", "0", "--x=-1/2"])
+    default = verify.Grid()
+    assert grids == [default._replace(n_max=4, deriv_z=(0,)),
+                     default._replace(r_max=0, points=(F(-1, 2),))]
+    assert (default.n_max, default.r_max, default.points) == (
+        6, 3, verify.DEFAULT_POINTS)
 
 
 @contextlib.contextmanager

@@ -88,7 +88,14 @@ _int_matrix = st.integers(0, 6).flatmap(lambda n: st.lists(
 @given(_int_matrix, st.booleans())
 @settings(max_examples=80, deadline=None)
 def test_laplace_is_the_leibniz_sum(rows, signed):
-    assert _laplace(rows, signed) == _leibniz(rows, signed)
+    # every minor, on the last k rows and the columns of its mask
+    n = len(rows)
+    minors = _laplace(rows, signed)
+    assert len(minors) == 1 << n and minors[-1] == _leibniz(rows, signed)
+    for mask, minor in enumerate(minors):
+        cols = [j for j in range(n) if mask >> j & 1]
+        sub = [[row[j] for j in cols] for row in rows[n - len(cols):]]
+        assert minor == _leibniz(sub, signed), mask
 
 
 @pytest.mark.parametrize("n", range(10))
@@ -96,5 +103,5 @@ def test_permanents_of_all_ones_and_of_j_minus_i(n):
     ones = [[1] * n for _ in range(n)]
     no_fixed_point = [[int(i != j) for j in range(n)] for i in range(n)]
     derangements = [1, 0, 1, 2, 9, 44, 265, 1854, 14833, 133496]
-    assert _laplace(ones, signed=False) == factorial(n)
-    assert _laplace(no_fixed_point, signed=False) == derangements[n]
+    assert _laplace(ones, signed=False)[-1] == factorial(n)
+    assert _laplace(no_fixed_point, signed=False)[-1] == derangements[n]

@@ -13,13 +13,17 @@ from derange.hankel import (
     DegenerateInterior,
     SizeTooLarge,
     closed_form,
+    bareiss_minors,
     closed_form_generalized,
+    cofactor_minors,
+    condensation_minors,
     det_bareiss,
     det_cofactor,
     det_condensation,
     det_jfraction,
-    factorial_hankel_det,
+    derivative_hankel_chain,
     hankel_matrix,
+    hankel_reports,
     reduced_derivative,
     verify_derivative_hankel,
     verify_hankel,
@@ -103,6 +107,7 @@ class TestDeterminantAlgorithms:
         for size in (1, 2, 4, 7):
             m = [[F(int(i == j)) for j in range(size)] for i in range(size)]
             assert _matrix_bareiss(m) == 1
+        assert det_cofactor([]) == 1  # the empty product
 
     def test_classic_hankel_by_hand(self):
         m = [[1, 0, 1], [0, 1, 2], [1, 2, 9]]
@@ -309,14 +314,14 @@ def test_jfraction_matches_cofactor(case):
     got = det_jfraction(seq, n)
     leading = [det_cofactor([row[:k] for row in m[:k]]) for k in range(1, n + 1)]
     if 0 in leading:
-        assert got.det is None
+        assert got.minors[-1] is None
         # the coefficients stop at the first zero minor H_k: lambda_{k-1} = 0
         k = leading.index(0) + 1
         assert (len(got.b), len(got.lam)) == (k - 1, k - 1)
         assert k == 1 or got.lam[-1] == 0
         return
     det = det_cofactor(m)
-    assert isinstance(got.det, F) and got.det == det
+    assert isinstance(got.minors[-1], F) and got.minors[-1] == det
     assert (len(got.b), len(got.lam)) == (n, n)
     flajolet = seq[0] ** (n + 1)
     for k, lam in enumerate(got.lam, 1):
@@ -341,23 +346,26 @@ def test_bareiss_matches_general_reference(case):
 
 def _fraction_chebyshev(seq, n):
     """The Chebyshev algorithm in Fraction, row by row: the reference for
-    det_jfraction, which holds each row as integers over one denominator."""
+    det_jfraction, which holds each row as integers over one denominator.
+    The leading minors are the running products of the rows' first
+    entries, None after the first zero."""
     old = [F(1)] + [F(0)] * (2 * n + 2)
     cur = [F(v) for v in seq[:2 * n + 1]]
-    det, b, lam = cur[0], [], []
+    minors, b, lam = [cur[0]], [], []
     for k in range(1, n + 1):
         norm = cur[0]
         if norm == 0:
-            return None, tuple(b), tuple(lam)
+            return (tuple(minors) + (None,) * (n + 1 - k), tuple(b),
+                    tuple(lam))
         alpha = cur[1] / norm - old[1] / old[0]
         beta = norm / old[0]
         new = [cur[j + 2] - alpha * cur[j + 1] - beta * old[j + 2]
                for j in range(2 * (n - k) + 1)]
         b.append(alpha)
         lam.append(new[0] / norm)
-        det *= new[0]
+        minors.append(minors[-1] * new[0])
         old, cur = cur, new
-    return det, tuple(b), tuple(lam)
+    return tuple(minors), tuple(b), tuple(lam)
 
 
 @given(_hankel_sequence())
@@ -407,6 +415,104 @@ def test_condensation_on_the_default_grid():
     assert {n for spec, n in degenerate} == {3, 4, 5}
 
 
+def _per_order(seq, n):
+    """Each route's determinant of order n + 1 from its own call on
+    seq[0..2n]: Bareiss, J-fraction, and up to ORACLE_CAP condensation
+    (None when it degenerates) and cofactor."""
+    oracles = n < ORACLE_CAP
+    return (det_bareiss(seq, n), det_jfraction(seq, n).minors[-1],
+            _condensation_or_none(seq, n) if oracles else None,
+            det_cofactor(hankel_matrix(seq, n)) if oracles else None)
+
+
+@pytest.mark.parametrize("n_max", [verify.Grid().n_max, 28])
+def test_every_chain_entry_is_its_own_per_order_call(n_max, monkeypatch):
+    """On the default and the --nmax 28 grids, each route's chain of
+    leading minors, as hankel_reports reads it, equals the route's call for
+    that order alone, value and None alike. The ten r = 0 specs meet a
+    zero pivot at order 2, so their chains hold 10 (n_max - 1) entries past
+    it, 270 at n_max = 28; all but each last one come from per-order
+    Bareiss. Condensation degenerates on the 30 cells that
+    test_condensation_on_the_default_grid pins."""
+    fallbacks = []
+    real = hankel.det_bareiss
+    monkeypatch.setattr(hankel, "det_bareiss",
+                        lambda seq, n: fallbacks.append(n) or real(seq, n))
+    specs = list(verify._closed_form_specs(verify.Grid(n_max=n_max)))
+    chains = {spec: hankel_reports(spec, n_max) for spec in specs}
+    assert len(specs) == 44 and len(fallbacks) == 10 * (n_max - 2)
+    monkeypatch.undo()
+    degenerate = set()
+    for spec, chain in chains.items():
+        seq = egf_values(spec, 2 * n_max + 1)
+        for n, rep in enumerate(chain):
+            got = (rep.det_bareiss, rep.det_jfraction, rep.det_condensation,
+                   rep.det_cofactor)
+            assert got == _per_order(seq, n), (spec, n)
+            assert rep.n == n and rep.closed_form == closed_form(spec, n)
+            assert rep.verdict == "pass", (spec, n)
+            if n_max < ORACLE_CAP + 1:
+                assert rep == verify_hankel(spec, n), (spec, n)
+            if n < ORACLE_CAP and rep.det_condensation is None:
+                degenerate.add((spec, n))
+    assert len(degenerate) == 30
+    assert {(spec.r, n) for spec, n in degenerate} == {
+        (0, n) for n in (3, 4, 5)}
+
+
+@given(_hankel_sequence())
+@example((3, [F(1), F(1), F(2), F(0), F(5), F(1), F(1)]))  # H_1^(3) = 0
+@example((2, [F(0), F(1), F(0), F(0), F(1)]))  # H_1^(2) = 0 divides
+@example((3, [F(1)] * 7))                       # rank one
+@settings(max_examples=200, deadline=None)
+def test_chains_match_the_references_order_by_order(case):
+    """Every order of each chain against the test's matrix references; a
+    zero divisor marks only the condensation minors that read it, so H_2
+    of the first example is a value although a minor of its level reads
+    a_3 = 0."""
+    n, seq = case
+    bareiss, jfraction = bareiss_minors(seq, n), det_jfraction(seq, n)
+    cond = condensation_minors(seq, n)
+    cof = cofactor_minors(hankel_matrix(seq[2 * n::-1], n))  # index-reversed
+    assert len(bareiss) == len(jfraction.minors) == len(cond) == len(cof) == n + 1
+    for k in range(n + 1):
+        h = hankel_matrix(seq, k)
+        assert cond[k] == _matrix_condensation(h) == _condensation_or_none(seq, k)
+        assert bareiss[k] == cof[k] == _matrix_bareiss(h) == det_cofactor(h)
+        assert bareiss_minors(seq, n, k) == bareiss[k:]
+    for lo in (-1, n + 1):
+        with pytest.raises(DerangeDomainError, match="^need 0 <= lo <= "):
+            bareiss_minors(seq, n, lo)
+        assert jfraction.minors[k] == det_jfraction(seq, k).minors[-1]
+
+
+def test_suites_make_one_route_call_per_spec(monkeypatch):
+    """The hankel suite runs each route once per family spec (44) and
+    Bareiss once more on the factorial moments; the derivative suite runs
+    one chain per (r, z) (12). Per-order Bareiss runs only on the r = 0
+    specs' orders 2..5, after their zero pivot."""
+    calls = dict.fromkeys(("hankel_reports", "bareiss_minors", "det_bareiss",
+                           "det_jfraction", "condensation_minors",
+                           "cofactor_minors", "derivative_hankel_chain"), 0)
+
+    def counted(name):
+        real = getattr(hankel, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(hankel, name, counted(name))
+    verify.suite_hankel(verify.Grid())
+    verify.suite_derivative_hankel(verify.Grid())
+    assert calls == {"hankel_reports": 44, "bareiss_minors": 44 + 1 + 12,
+                     "det_bareiss": 10 * 4, "det_jfraction": 44,
+                     "condensation_minors": 44, "cofactor_minors": 44,
+                     "derivative_hankel_chain": 12}
+
+
 DEPTH_SPECS = {
     "classic": FamilySpec(Family.CLASSIC),
     "generalized": FamilySpec(Family.GENERALIZED, 4, F(-11, 13)),
@@ -421,7 +527,7 @@ def test_jfraction_matches_bareiss_at_depth(family):
     seq = egf_values(spec, 65)
     for n in (0, 1, 2, 5, 11, 20, 32):
         got = det_jfraction(seq, n)
-        assert got.det == det_bareiss(seq, n), n
+        assert got.minors[-1] == det_bareiss(seq, n), n
         assert (got.b, got.lam) == hankel.jfraction_closed_form(spec, n), n
 
 
@@ -470,7 +576,7 @@ def test_jfraction_suite_fails_a_fraction_that_ends_early(monkeypatch):
 
     def cut(seq, n):
         got = real(seq, n)
-        return got._replace(det=None, b=got.b[:2], lam=got.lam[:2])
+        return got._replace(b=got.b[:2], lam=got.lam[:2])
 
     monkeypatch.setattr(hankel, "det_jfraction", cut)
     cells = verify.suite_jfraction(verify.Grid(n_max=4))
@@ -534,6 +640,11 @@ class TestClosedForms:
                         r ** (n * (n + 1)) * facts ** 2)
 
 
+def _last_minor_seven(got):
+    """A J-fraction result whose determinant, its last leading minor, is 7."""
+    return got._replace(minors=got.minors[:-1] + (F(7),))
+
+
 class TestVerifyHankel:
     def test_classic(self):
         rep = verify_hankel(FamilySpec(Family.CLASSIC), 2)
@@ -579,20 +690,21 @@ class TestVerifyHankel:
     def test_a_wrong_jfraction_determinant_fails_the_cell(self, monkeypatch):
         real = hankel.det_jfraction
         monkeypatch.setattr(hankel, "det_jfraction",
-                            lambda seq, n: real(seq, n)._replace(det=F(7)))
+                            lambda seq, n: _last_minor_seven(real(seq, n)))
         rep = verify_hankel(FamilySpec(Family.CYCLIC, 2), 8)
         assert rep.verdict == "fail" and rep.det_bareiss == rep.closed_form
 
     def test_a_failed_cell_says_which_oracles_ran(self, monkeypatch):
         real = hankel.det_jfraction
         monkeypatch.setattr(hankel, "det_jfraction",
-                            lambda seq, n: real(seq, n)._replace(det=F(7)))
-        cell = verify._hankel_cell(FamilySpec(Family.CYCLIC, 2), 6)
+                            lambda seq, n: _last_minor_seven(real(seq, n)))
+        cell = verify._hankel_cell(verify_hankel(FamilySpec(Family.CYCLIC, 2), 6))
         assert cell.verdict == "fail"
         assert cell.actual == (f"bareiss={cell.expected} jfraction=7 "
                                "condensation=n/a cofactor=n/a")
         # r = 0: H_2 = 0, so condensation degenerates and cofactor reads 0
-        cell = verify._hankel_cell(FamilySpec(Family.GENERALIZED, 0, F(2)), 3)
+        cell = verify._hankel_cell(
+            verify_hankel(FamilySpec(Family.GENERALIZED, 0, F(2)), 3))
         assert cell.verdict == "fail"
         assert cell.actual == ("bareiss=0 jfraction=7 "
                                "condensation=degenerate cofactor=0")
@@ -605,7 +717,7 @@ class TestVerifyHankel:
 
 
 def test_factorial_hankel():
-    assert factorial_hankel_det(2) == 4
+    assert bareiss_minors([factorial(k) for k in range(5)], 2) == [1, 1, 4]
     m = hankel_matrix([factorial(k) for k in range(5)], 2)
     assert m == [[1, 1, 2], [1, 2, 6], [2, 6, 24]]
 
@@ -668,13 +780,15 @@ class TestDerivativeHankel:
                     assert verify_derivative_hankel(n, r, z) == (paper, paper)
 
     def test_shared_derivatives_give_each_size_its_own_values(self):
-        # the suite builds g_0..g_10 once per (r, z) for every n <= 6
+        # the suite makes one chain per (r, z), from g_0..g_10, for n <= 6
         for r in (1, 2, 3):
             for z in (F(0), F(1, 2), F(-1), F(2)):
-                g = [reduced_derivative(m, r, z) for m in range(11)]
+                chain = derivative_hankel_chain(6, r, z)
+                assert len(chain) == 6
                 for n in range(1, 7):
-                    assert (verify_derivative_hankel(n, r, z, g)
-                            == verify_derivative_hankel(n, r, z))
+                    g = [reduced_derivative(m, r, z) for m in range(2 * n - 1)]
+                    assert chain[n - 1] == verify_derivative_hankel(n, r, z)
+                    assert chain[n - 1][0] == det_bareiss(g, n - 1)
 
     def test_consistency_with_generalized_closed_form(self):
         for r in (1, 2, 3):

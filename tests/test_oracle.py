@@ -10,8 +10,15 @@ from derange.oracle import (
     count_cyclic_derangements_brute,
     count_derangements_brute,
 )
-from derange.polys import classic_derangement, cyclic_derangement
 from derange.series import FAMILY_TABLE, Family, FamilySpec, egf_values
+
+
+def _recurrence_derangements(count):
+    """D_0..D_{count-1} by D_n = (n-1)(D_{n-1} + D_{n-2}), D_0 = 1, D_1 = 0."""
+    out = [1, 0]
+    for n in range(2, count):
+        out.append((n - 1) * (out[-1] + out[-2]))
+    return out[:count]
 
 
 def _full_walk(n):
@@ -54,16 +61,17 @@ def test_negative_n_is_a_domain_error_not_a_size_cap(count):
 
 def test_brute_matches_formula_and_egf():
     egf = egf_values(FamilySpec(Family.CLASSIC), 10)
-    for n in range(10):
+    for n, want in enumerate(_recurrence_derangements(10)):
         brute = count_derangements_brute(n)
-        assert brute == classic_derangement(n)
+        assert brute == want
         assert brute == egf[n]
 
 
 @pytest.mark.parametrize("n", range(10))
 def test_pruned_walk_matches_full_walk(n):
     # the permanent of J - I against the walk of all n!
-    assert count_derangements_brute(n) == _full_walk(n) == classic_derangement(n)
+    want = _recurrence_derangements(n + 1)[n]
+    assert count_derangements_brute(n) == _full_walk(n) == want
 
 
 def test_cyclic_checks_r_before_n():
@@ -86,14 +94,16 @@ def test_cyclic_colorless_reduces_to_derangements():
 
 def test_cyclic_brute_matches_formula():
     for r in range(1, 5):
+        egf = egf_values(FamilySpec(Family.CYCLIC, r), 7)
         for n in range(7):
-            assert count_cyclic_derangements_brute(n, r) == cyclic_derangement(n, r)
+            assert count_cyclic_derangements_brute(n, r) == egf[n]
 
 
 def test_cyclic_size_cap():
     with pytest.raises(SizeTooLarge):
         count_cyclic_derangements_brute(10, 5)
-    assert count_cyclic_derangements_brute(9, 5) == cyclic_derangement(9, 5)
+    egf = egf_values(FamilySpec(Family.CYCLIC, 5), 10)
+    assert count_cyclic_derangements_brute(9, 5) == egf[9]
 
 
 def _wreath_count(n, r):

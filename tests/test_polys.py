@@ -8,8 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 from derange import polys, verify
 from derange.exact import DerangeDomainError, rising_factorial
 from derange.polys import (
-    classic_derangement,
-    cyclic_derangement,
     eval_poly,
     generalized_D_poly,
     generate_D_by_convolution,
@@ -160,21 +158,22 @@ class TestEval:
 
 
 class TestNumberSequences:
+    # the classic and cyclic rows of the EGF table against their values
     def test_classic_values(self):
-        assert [classic_derangement(n) for n in range(6)] == [1, 0, 1, 2, 9, 44]
+        assert egf_values(FamilySpec(Family.CLASSIC), 6) == [1, 0, 1, 2, 9, 44]
 
     def test_classic_recurrence(self):
+        # D_n = (n-1)(D_{n-1} + D_{n-2})
+        D = egf_values(FamilySpec(Family.CLASSIC), 20)
         for n in range(2, 20):
-            assert classic_derangement(n) == (n - 1) * (
-                classic_derangement(n - 1) + classic_derangement(n - 2))
+            assert D[n] == (n - 1) * (D[n - 1] + D[n - 2])
 
     def test_cyclic_reduces_to_classic(self):
-        for n in range(10):
-            assert cyclic_derangement(n, 1) == classic_derangement(n)
+        assert (egf_values(FamilySpec(Family.CYCLIC, 1), 10)
+                == egf_values(FamilySpec(Family.CLASSIC), 10))
 
     def test_cyclic_small(self):
-        assert cyclic_derangement(2, 2) == 5
-        assert cyclic_derangement(3, 2) == 29
+        assert egf_values(FamilySpec(Family.CYCLIC, 2), 4)[2:] == [5, 29]
 
 
 class TestConvolutionGenerators:

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -172,6 +173,25 @@ def test_a_cell_holds_text_and_its_verdict(expected, actual, given, verdict):
     assert vars(cell) == {"params": {"n": "3", "x": "-3/5", "family": "classic"},
                           "expected": str(expected), "actual": str(actual),
                           "verdict": verdict}
+
+
+def test_a_value_too_large_to_print_is_a_domain_error():
+    # a library caller gets a value or a DerangeDomainError, never the
+    # interpreter's ValueError
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python prints an int of any size")
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        big = 10 ** 4300
+        for args in (({"n": big}, 1, 1), ({}, F(1, big), 1), ({}, 1, -big)):
+            with pytest.raises(DerangeDomainError,
+                               match=r"^Exceeds the limit \(4300 digits\).*"
+                                     "PYTHONINTMAXSTRDIGITS=0"):
+                Cell(*args)
+        assert Cell({}, 10 ** 4299, 10 ** 4299).actual == str(10 ** 4299)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 XS = [F(-1), F(1), F(2), F(1, 2), F(-3, 5)]
