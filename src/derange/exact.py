@@ -9,10 +9,10 @@ brute-force permanents.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial as _factorial
 from typing import List, Sequence
 
-__all__ = ["Fraction", "DerangeDomainError", "SizeTooLarge", "as_text",
+__all__ = ["Fraction", "DerangeDomainError", "as_text",
            "rising_factorial", "factorial", "binomial"]
 
 
@@ -21,9 +21,9 @@ class DerangeDomainError(ValueError):
 
     The package raises no other exception, so the CLI can report any of
     them as a usage/domain error (exit 2) and keep exit 1 for a failed
-    identity; `as_text` holds printing to that rule. Two subclasses remain:
-    SizeTooLarge, which `verify` turns into a skipped oracle cell, and
-    hankel.DegenerateInterior, which `det_condensation` raises.
+    identity; `as_text` holds printing to that rule. It has no subclasses:
+    a route with no value at some order says so with None in its chain, and
+    a caller that skips an input above a size cap tests the cap first.
     """
 
 
@@ -35,10 +35,6 @@ def as_text(value) -> str:
     except ValueError as exc:  # CPython's message, without its advice
         raise DerangeDomainError(str(exc).split(";")[0] + "; set "
                                  "PYTHONINTMAXSTRDIGITS=0 to lift it") from None
-
-
-class SizeTooLarge(DerangeDomainError):
-    """An input above the size cap of an enumeration or expansion oracle."""
 
 
 def rising_factorial(r: int, k: int) -> int:
@@ -58,10 +54,7 @@ def rising_factorial(r: int, k: int) -> int:
 def factorial(n: int) -> int:
     if n < 0:
         raise DerangeDomainError(f"factorial needs n >= 0, got {n}")
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
+    return _factorial(n)
 
 
 def binomial(n: int, k: int) -> int:

@@ -13,7 +13,10 @@ integer operations, and H_k is the running product of the orthogonal
 polynomials' norms (Flajolet 1980). Two oracles run up to ORACLE_CAP:
 Dodgson condensation, the Desnanot-Jacobi recurrence of the paper's
 inductive proofs, and Laplace cofactor expansion by `exact._laplace`,
-with no division and no pivot. No two routes share a kernel.
+with no division and no pivot. No two routes share a kernel. A None in
+a chain is an order the route has no value at: condensation past a zero
+divisor, the J-fraction past a zero leading minor; a report shows it as
+"degenerate".
 
 The paper's determinant of the generalized polynomials at z is
 z^{n(n+1)} Pi_{k=1}^{n} rising(r,k) k!. Every family whose EGF is
@@ -29,18 +32,13 @@ from itertools import zip_longest
 from math import gcd, lcm, prod
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .exact import (DerangeDomainError, SizeTooLarge, _laplace, as_text,
-                    factorial, rising_factorial)
+from .exact import (DerangeDomainError, _laplace, as_text, factorial,
+                    rising_factorial)
 from .polys import eval_poly, generalized_D_poly
 from .series import FamilySpec, egf_shape, egf_values
 
 # Largest matrix size the oracles run on; cofactor refuses anything larger.
 ORACLE_CAP = 6
-
-
-class DegenerateInterior(DerangeDomainError, ArithmeticError):
-    """Condensation met a zero divisor; a report shows "degenerate"."""
-
 
 Matrix = List[List[Fraction]]
 
@@ -147,13 +145,9 @@ def condensation_minors(seq: Sequence, n: int) -> List[Optional[Fraction]]:
     return minors
 
 
-def det_condensation(seq: Sequence, n: int) -> Fraction:
-    """H_n of seq[0..2n] by Dodgson condensation; raises DegenerateInterior
-    on a zero divisor."""
-    det = condensation_minors(seq, n)[-1]
-    if det is None:
-        raise DegenerateInterior(f"zero interior minor below H_{n}")
-    return det
+def det_condensation(seq: Sequence, n: int) -> Optional[Fraction]:
+    """H_n of seq[0..2n] by Dodgson condensation; None on a zero divisor."""
+    return condensation_minors(seq, n)[-1]
 
 
 def cofactor_minors(m: Matrix) -> List[Fraction]:
@@ -162,7 +156,8 @@ def cofactor_minors(m: Matrix) -> List[Fraction]:
     its entries, which neither divides nor pivots; capped at ORACLE_CAP."""
     size = len(m)
     if size > ORACLE_CAP:
-        raise SizeTooLarge(f"cofactor oracle capped at {ORACLE_CAP}, got {size}")
+        raise DerangeDomainError(
+            f"cofactor oracle capped at {ORACLE_CAP}, got {size}")
     d = lcm(*(v.denominator for row in m for v in row))
     minors = _laplace([[v.numerator * (d // v.denominator) for v in row]
                        for row in m], signed=True)
@@ -235,11 +230,6 @@ def closed_form_chain(n: int, r: int, z, lo: int = 0) -> List[Fraction]:
     return chain
 
 
-def closed_form_generalized(n: int, r: int, z) -> Fraction:
-    """The paper's H_n of the generalized polynomials at z."""
-    return closed_form_chain(n, r, z, n)[0]
-
-
 def _hankel_shape(spec: FamilySpec) -> Tuple[Fraction, Fraction, int]:
     """(c, x, r) of the family's EGF e^{cz}(1-xz)^{-r}, s = 0 or refused."""
     c, x, r, shift = egf_shape(spec)
@@ -253,7 +243,7 @@ def closed_form(spec: FamilySpec, n: int) -> Fraction:
     """H_n of a family whose EGF is e^{cz}(1-xz)^{-r}: the generalized one
     at (r, x), whatever c is."""
     _, x, r = _hankel_shape(spec)
-    return closed_form_generalized(n, r, x)
+    return closed_form_chain(n, r, x, n)[0]
 
 
 def jfraction_closed_form(spec: FamilySpec, n: int) -> Tuple[tuple, tuple]:

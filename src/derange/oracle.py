@@ -9,10 +9,12 @@ the permanent sum_sigma Pi_i (r - [sigma(i) = i]) of the n x n matrix with
 r - 1 on the diagonal and r off it (Minc, Permanents, 1978). The
 derangements are its r = 1 case, the permanent of J - I. `exact._laplace`
 expands the permanent over the 2^n column sets, the expansion that
-`hankel.det_cofactor` runs with signs.
+`hankel.det_cofactor` runs with signs. Either count refuses n above
+ENUMERATION_CAP with a DerangeDomainError, so a caller that skips those
+sizes, as `verify` does, tests the cap first.
 """
 
-from .exact import DerangeDomainError, SizeTooLarge, _laplace
+from .exact import DerangeDomainError, _laplace
 
 # Largest n either count expands: 2^9 column sets
 ENUMERATION_CAP = 9
@@ -22,7 +24,7 @@ def _wreath_permanent(n: int, r: int) -> int:
     if n < 0:
         raise DerangeDomainError("need n >= 0")
     if n > ENUMERATION_CAP:
-        raise SizeTooLarge(
+        raise DerangeDomainError(
             f"enumeration capped at n = {ENUMERATION_CAP}, got {n}")
     return _laplace([[r - (i == j) for j in range(n)] for i in range(n)],
                     signed=False)[-1]

@@ -7,17 +7,17 @@ C(n,k) * rising(r,k), each one the previous times the ratio
 derangement polynomials, whose tuples are the same integers reversed.
 The cross-order shift recurrences are exposed as a verifier rather than a
 generator; the fixed-order convolution recurrences generate. Evaluation
-and the convolution recurrences run on integer numerators over one common
-denominator and build a Fraction only for each result. Evaluation folds the
-numerators eight at a time, so a long tuple costs one product of two large
-integers per block of eight coefficients, not one per coefficient.
+of int coefficients and the convolution recurrences run on integer
+numerators over one common denominator and build a Fraction only for each
+result. Evaluation folds the coefficients eight at a time, so a long
+tuple costs one product of two large integers per block of eight
+coefficients, not one per coefficient.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from math import lcm
 from typing import List, Sequence, Tuple
 
 from .exact import DerangeDomainError
@@ -47,13 +47,13 @@ def order_d_poly(n: int, r: int) -> tuple:
 
 
 def eval_poly(coeffs: Sequence, x) -> Fraction:
-    """Exact Horner evaluation of int/Fraction coefficients, low to high, on
-    integers: with x = u/q and the coefficients a_k/L over their common
-    denominator L, the value is (sum_k a_k u^k q^{m-k}) / (L q^m) for
-    m = len(coeffs) - 1.
+    """Exact Horner evaluation of coefficients a_k, low to high: with
+    x = u/q the value is (sum_k a_k u^k q^{m-k}) / q^m for
+    m = len(coeffs) - 1, on integers when the a_k are ints. A Fraction
+    coefficient makes the sum a Fraction, and the value stays exact.
 
     Horner's step a_k q^{m-k} multiplies two large integers. So the
-    numerators are folded eight at a time from the top: the weights
+    coefficients are folded eight at a time from the top: the weights
     u^j q^{7-j} of the block sum_{j<8} a_{k+j} u^j q^{7-j} are small, and
     the step acc u^8 + block q^{m-k-7} makes one large product per block.
     The len % 8 top coefficients take single Horner steps first. Eight
@@ -65,17 +65,12 @@ def eval_poly(coeffs: Sequence, x) -> Fraction:
     if not isinstance(x, Fraction):
         x = Fraction(x)
     u, q = x.numerator, x.denominator
-    if {type(c) for c in coeffs} == {int}:
-        nums, den = coeffs, 1
-    else:
-        den = lcm(*{c.denominator for c in coeffs})
-        nums = [c.numerator * (den // c.denominator) for c in coeffs]
     acc, qpow = 0, 1
-    top = reversed(nums)
-    for c in islice(top, len(nums) % 8):
+    top = reversed(coeffs)
+    for c in islice(top, len(coeffs) % 8):
         acc = acc * u + c * qpow
         qpow *= q
-    if len(nums) >= 8:
+    if len(coeffs) >= 8:
         uu, qq = u * u, q * q
         u4, q4 = uu * uu, qq * qq
         # w_j = u^j q^(7-j)
@@ -87,7 +82,7 @@ def eval_poly(coeffs: Sequence, x) -> Fraction:
                      + c4 * w4 + c5 * w5 + c6 * w6 + c7 * w7)
             acc = acc * u8 + block * qpow
             qpow *= q8
-    return Fraction(acc, den * q ** (len(nums) - 1))
+    return Fraction(acc, q ** (len(coeffs) - 1))
 
 
 def generate_D_by_convolution(r: int, x, count: int) -> List[Fraction]:

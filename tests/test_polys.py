@@ -258,6 +258,27 @@ def test_the_recurrences_cell_names_its_first_five_failures(monkeypatch):
         f"d-shift n=3 r=1 x={x}" for x in points[:5])
 
 
+def test_the_recurrences_cell_names_a_broken_D_shift(monkeypatch):
+    # D_4^{(1)} is read by one shift check only, at n = 3 (n_max), r = 1
+    real = polys.generalized_D_poly
+
+    def broken(n, r):
+        coeffs = real(n, r)
+        return (coeffs[0] + 1,) + coeffs[1:] if (n, r) == (4, 1) else coeffs
+
+    monkeypatch.setattr(polys, "generalized_D_poly", broken)
+    # order_d_poly reads generalized_D_poly; keep d on the true coefficients
+    monkeypatch.setattr(polys, "order_d_poly", lambda n, r: real(n, r)[::-1])
+    points = (F(2), F(-1), F(1, 2), F(3), F(-3, 5), F(5))
+    grid = verify.Grid(n_max=3, r_max=2, points=points)
+    [shift] = [c for c in verify.suite_recurrences(grid)
+               if c.params.get("identity") == "shift-recurrences"]
+    assert shift.verdict == "fail"
+    assert shift.expected == "0 failures of 144"
+    assert shift.actual == "6 failures of 144: " + ", ".join(
+        f"D-shift n=3 r=1 x={x}" for x in points[:5])
+
+
 def test_reflection_identity_grid():
     for r in range(6):
         for n in range(31):
