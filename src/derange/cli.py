@@ -1,7 +1,8 @@
 """Command-line front door.
 
 Exit codes: 0 all checks pass, 1 a verification/tolerance failure,
-2 usage or domain error.  Rationals cross the boundary as exact "p/q" strings.
+2 usage or domain error, which `_emit` makes of a failed write to stdout or
+to --output.  Rationals cross the boundary as exact "p/q" strings.
 Seed precedence: --seed flag > DERANGE_SEED env var > 42.
 Each command imports only what it runs: `seq` and `poly` import neither
 `verify` nor `hankel`, numpy comes only with `mc`, the one command that
@@ -63,15 +64,18 @@ def _make_spec(args) -> FamilySpec:
 
 
 def _emit(args, text: str) -> None:
-    if args.output:
-        try:
+    try:
+        if args.output:
             with open(args.output, "w") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise DerangeDomainError(
-                f"cannot write {args.output!r}: {exc.strerror or exc}") from exc
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not args.output:  # or the flush at exit fails again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise DerangeDomainError(f"cannot write {args.output or '<stdout>'!r}: "
+                                 f"{exc.strerror or exc}") from exc
 
 
 def _report_text(cells, summary: dict) -> str:

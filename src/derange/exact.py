@@ -8,12 +8,11 @@ column-set expansion, `_laplace`, behind the cofactor determinant and the
 brute-force permanents.
 """
 
-from fractions import Fraction
 from math import comb, factorial as _factorial
 from typing import List, Sequence
 
-__all__ = ["Fraction", "DerangeDomainError", "as_text",
-           "rising_factorial", "factorial", "binomial"]
+__all__ = ["DerangeDomainError", "as_text", "rising_factorial", "factorial",
+           "binomial"]
 
 
 class DerangeDomainError(ValueError):

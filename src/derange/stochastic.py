@@ -58,8 +58,6 @@ _KMAX = 8
 class MomentEstimate:
     mean: float
     stderr: float
-    samples: int
-    seed: int
 
 
 def erlang_moment_exact(r: int, k: int) -> int:
@@ -158,8 +156,8 @@ def _estimate(r: int, samples: int, seed: int,
     if not all(map(math.isfinite, m2s)):  # an overflow leaves inf or nan
         raise DerangeDomainError(
             f"the estimate from {samples} samples overflows a float")
-    return [MomentEstimate(mean, math.sqrt(m2 / (count - 1)) / math.sqrt(count),
-                           samples, seed) for mean, m2 in zip(means, m2s)]
+    return [MomentEstimate(mean, math.sqrt(m2 / (count - 1)) / math.sqrt(count))
+            for mean, m2 in zip(means, m2s)]
 
 
 def _horner(coeffs: list[float], y: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -191,7 +189,7 @@ def mc_moment(r: int, k: int, samples: int, seed: int) -> MomentEstimate:
         raise DerangeDomainError(
             f"need 0 <= k <= {_KMAX} (moment variance blow-up)")
     if k == 0:
-        return MomentEstimate(1.0, 0.0, samples, seed)
+        return MomentEstimate(1.0, 0.0)
     return _moment_table(r, samples, seed)[k - 1]
 
 
@@ -211,7 +209,7 @@ def mc_generalized_D(n: int, r: int, x, samples: int, seed: int) -> MomentEstima
     if n < 0 or n > _KMAX:
         raise DerangeDomainError(f"need 0 <= n <= {_KMAX}")
     if n == 0:
-        return MomentEstimate(1.0, 0.0, samples, seed)
+        return MomentEstimate(1.0, 0.0)
     x = Fraction(x)
     # the statistic (1 + xY)^n has mean D_n(x) and mean square D_2n(x), and
     # the estimate sums `samples` squares in floats: refuse what overflows

@@ -128,19 +128,19 @@ def _closed_form_specs(grid: Grid):
 
 def suite_hankel(grid: Grid) -> List[Cell]:
     """Closed-form Hankel determinants of every family that has one, from one
-    hankel_reports call per spec, and the factorial matrix's beside classic."""
+    hankel_reports call per spec, and the factorial matrix's beside classic,
+    against classic's closed form, the generalized one at (r, x) = (1, 1)."""
     chains = [hankel.hankel_reports(spec, grid.n_max)
               for spec in _closed_form_specs(grid)]
     factorial = hankel.bareiss_minors(
         [exact.factorial(k) for k in range(2 * grid.n_max + 1)], grid.n_max)
-    closed = hankel.closed_form_chain(grid.n_max, 1, 1)
     cells = []
     for n in range(grid.n_max + 1):
         for chain in chains:
             cells.append(_hankel_cell(chain[n]))
             if chain[n].spec.family is Family.CLASSIC:
                 cells.append(Cell({"family": "factorial", "n": n},
-                                  closed[n], factorial[n]))
+                                  chain[n].closed_form, factorial[n]))
     return cells
 
 

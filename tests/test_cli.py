@@ -26,10 +26,43 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
 
+# argv that runs the CLI in a fresh interpreter
+CLI = ("-m", "derange.cli")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def fresh_process(*args, stdout=subprocess.PIPE):
+    """`python *args` in a fresh process with src on its path, every warning
+    an error, and the defaults of the int-to-str digit limit and of stdout's
+    buffering (so a failed write may surface only at the flush)."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error"}
+    for name in ("PYTHONINTMAXSTRDIGITS", "PYTHONUNBUFFERED"):
+        env.pop(name, None)
+    return subprocess.run([sys.executable, *args], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=60, env=env)
+
+
+def assert_one_error_line(proc) -> str:
+    """Exit 2 with one `error:` line, nothing on stdout (when it was read)
+    and no traceback; returns the error line."""
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 2 and proc.stdout in ("", None)
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+    return proc.stderr
+
+
+def imported_modules(proc) -> set:
+    """The modules a `-X importtime` run lists on its stderr."""
+    return {line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
 
 
 def test_seq_classic(capsys):
@@ -226,15 +259,7 @@ def test_a_grid_without_cells_is_refused(capsys, suite, flag):
 def test_mc_refusal_in_a_fresh_process_exits_2(argv):
     """A refused whole-table request ends the process with exit 2 and one
     error line, never a traceback."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "derange.cli", *argv],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": path})
-    assert "Traceback" not in proc.stderr
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr.startswith("error: ")
-    assert proc.stderr.count("\n") == 1
+    assert_one_error_line(fresh_process(*CLI, *argv))
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
@@ -249,18 +274,45 @@ def test_a_value_past_the_digit_limit_exits_2_in_a_fresh_process(argv):
     """Each command prints a value of more than 4,300 digits, the default
     int-to-str limit: one error line and exit 2, not a ValueError traceback
     and exit 1, which would read as a failed identity."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    env.pop("PYTHONINTMAXSTRDIGITS", None)
-    proc = subprocess.run(
-        [sys.executable, "-m", "derange.cli", *argv.split()],
-        capture_output=True, text=True, timeout=60, env=env)
-    assert "Traceback" not in proc.stderr
-    assert proc.returncode == 2 and proc.stdout == ""
+    err = assert_one_error_line(fresh_process(*CLI, *argv.split()))
     limit = sys.int_info.default_max_str_digits
-    assert proc.stderr.startswith(f"error: Exceeds the limit ({limit} digits)")
-    assert proc.stderr.endswith("; set PYTHONINTMAXSTRDIGITS=0 to lift it\n")
-    assert proc.stderr.count("\n") == 1
+    assert err.startswith(f"error: Exceeds the limit ({limit} digits)")
+    assert err.endswith("; set PYTHONINTMAXSTRDIGITS=0 to lift it\n")
+
+
+@contextlib.contextmanager
+def failing_stdout(sink):
+    """A file descriptor whose every write fails: /dev/full (no space left),
+    or a pipe whose read end is closed before anything is written."""
+    if sink == "full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        with open("/dev/full", "w") as full:
+            yield full.fileno()
+        return
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        yield write_end
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("sink", ["full", "closed-pipe"])
+@pytest.mark.parametrize("argv", [
+    "seq --family classic --count 5",
+    "mc --r 2 --k 2 --samples 1000",
+    "verify --suite all --format json",
+])
+def test_a_failed_stdout_write_exits_2_in_a_fresh_process(argv, sink):
+    """A write to stdout that fails is one error line and exit 2, as a failed
+    --output write is: not a traceback and exit 1, and no "Exception
+    ignored" line from the flush at exit."""
+    with failing_stdout(sink) as fd:
+        proc = fresh_process(*CLI, *argv.split(), stdout=fd)
+    reason = "No space left on device" if sink == "full" else "Broken pipe"
+    assert assert_one_error_line(proc) == (
+        f"error: cannot write '<stdout>': {reason}\n")
 
 
 def test_verify_passes_only_the_grid_flags_given(capsys, monkeypatch):
@@ -356,16 +408,51 @@ def argvs(draw, out_dir):
     return argv
 
 
+def run_quietly(argv):
+    """main(argv) with its output discarded: the exit code and stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_every_argv_exits_0_1_or_2_without_traceback(tmp_path, data):
-    argv = data.draw(argvs(tmp_path))
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(argv)
+    code, err = run_quietly(data.draw(argvs(tmp_path)))
     assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
+
+
+# argv whose values reach either side of the default int-to-str digit limit
+# (4,300 digits): classic prints 1,559 values and refuses 1,560, both
+# polynomials at r = 5 print n = 1,554 and refuse 1,555, and this Hankel
+# determinant prints at n = 48 and is refused at n = 49
+LARGE_ARGVS = st.one_of(
+    st.builds("seq --family classic --count {}".format, st.integers(1550, 1570)),
+    st.builds("poly --which {} --r 5 --n {}".format, st.sampled_from("Dd"),
+              st.integers(1540, 1570)),
+    st.builds("hankel --family generalized --r 3 --x 7/3 --n {}".format,
+              st.integers(44, 51)))
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python prints an int of any size")
+@settings(max_examples=10, deadline=None)
+@given(argv=LARGE_ARGVS, fmt=st.sampled_from(["text", "json", "csv"]))
+def test_argv_past_the_digit_limit_exits_0_or_2_without_traceback(argv, fmt):
+    """The fuzzer's large-size branch, at the default digit limit whatever
+    the environment sets: a value either prints or is one error line."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        code, err = run_quietly([*argv.split(), "--format", fmt])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    assert err.count("\n") == (code == 2)
 
 
 def test_verify_suite_exit_code(capsys):
@@ -723,17 +810,25 @@ NOT_IMPORTED = {
 
 @pytest.mark.parametrize("argv", NOT_IMPORTED)
 def test_commands_import_only_what_they_run(argv):
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "derange.cli", *argv.split()],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": path})
+    proc = fresh_process("-X", "importtime", *CLI, *argv.split())
     assert proc.returncode == 0 and proc.stdout
-    imported = {line.rsplit("|", 1)[1].strip()
-                for line in proc.stderr.splitlines()
-                if line.startswith("import time:")}
+    imported = imported_modules(proc)
     assert "derange.series" in imported  # the probe sees the package
     assert not imported & NOT_IMPORTED[argv]
+
+
+@pytest.mark.parametrize("statement, loaded", [
+    ("import derange", set()),
+    ("import derange.stochastic",
+     {"derange.exact", "derange.polys", "derange.stochastic"}),
+], ids=["package", "stochastic"])
+def test_the_package_root_loads_no_submodule(statement, loaded):
+    """The package root holds only its docstring: importing it loads no
+    submodule, and a submodule loads itself and what it imports, no more."""
+    proc = fresh_process("-X", "importtime", "-c", statement)
+    assert proc.returncode == 0
+    assert {m for m in imported_modules(proc)
+            if m.startswith("derange.")} == loaded
 
 
 def readme_cli_lines():
