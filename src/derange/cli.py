@@ -8,11 +8,13 @@ Each command imports only what it runs: `seq` and `poly` import neither
 `verify` nor `hankel`, numpy comes only with `mc`, the one command that
 samples, and json and csv only with a report in those formats.
 `render_report` writes the cell report of `hankel`, `verify` and `mc` and
-returns their exit code; `seq` and `poly` share `_write_values`. JSON has
-one writer, `_json`, for both: its bytes are those of
-`json.dumps(..., indent=2)`, but each cell is written from a template and
-each string by the json module's C escaper. Every domain error reaches
-`main` as a DerangeDomainError, and `main` alone prints the `error:` line.
+returns their exit code; `hankel`'s one cell is `HankelReport.cell`, as in
+`verify`, and a closed form too long to print is refused before any route
+runs. `seq` and `poly` share `_write_values`. JSON has one writer, `_json`,
+for both: its bytes are those of `json.dumps(..., indent=2)`, but each cell
+is written from a template and each string by the json module's C escaper.
+Every domain error reaches `main` as a DerangeDomainError, and `main` alone
+prints the `error:` line.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from fractions import Fraction
 
 from . import polys, series
 from .exact import DerangeDomainError, as_text
-from .series import Cell, Family, FamilySpec, spec_params
+from .series import Cell, Family, FamilySpec
 
 FAMILY_NAMES = {f.value: f for f in Family}
 # the keys of verify.SUITES, sorted, so that parsing argv needs no verify
@@ -199,11 +201,10 @@ def cmd_hankel(args) -> int:
     from . import hankel
 
     spec = _make_spec(args)
-    rep = hankel.verify_hankel(spec, args.n)
-    cell = Cell({"family": args.family, "n": args.n, **spec_params(spec),
-                 **rep.shown_dets()}, rep.closed_form, rep.det_bareiss,
-                rep.verdict)
-    return render_report(args, "hankel", [cell])
+    if args.n >= 0:  # a closed form too long to print refuses before any route
+        as_text(hankel.closed_form(spec, args.n))
+    return render_report(args, "hankel",
+                         [hankel.verify_hankel(spec, args.n).cell()])
 
 
 def cmd_verify(args) -> int:

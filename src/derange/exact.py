@@ -1,4 +1,4 @@
-"""Exact integer/rational scalars: rising factorials, factorials, binomials.
+"""Exact integer/rational scalars: rising factorials and factorials.
 
 Python ints are arbitrary precision and `fractions.Fraction` keeps a
 canonical form (positive denominator, reduced) after every operation, so
@@ -8,11 +8,10 @@ column-set expansion, `_laplace`, behind the cofactor determinant and the
 brute-force permanents.
 """
 
-from math import comb, factorial as _factorial
+from math import factorial as _factorial
 from typing import List, Sequence
 
-__all__ = ["DerangeDomainError", "as_text", "rising_factorial", "factorial",
-           "binomial"]
+__all__ = ["DerangeDomainError", "as_text", "rising_factorial", "factorial"]
 
 
 class DerangeDomainError(ValueError):
@@ -54,15 +53,6 @@ def factorial(n: int) -> int:
     if n < 0:
         raise DerangeDomainError(f"factorial needs n >= 0, got {n}")
     return _factorial(n)
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k); zero outside 0 <= k <= n."""
-    if n < 0:
-        raise DerangeDomainError(f"binomial needs n >= 0, got {n}")
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)
 
 
 def _laplace(rows: Sequence[Sequence[int]], signed: bool) -> List[int]:

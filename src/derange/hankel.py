@@ -1,22 +1,25 @@
 """Hankel matrices, four exact determinant routes, and the closed forms.
 
 Each route returns the chain of leading minors H_0..H_n of the Hankel
-matrix of a_0..a_{2n}, H_k = det(a_{i+j})_{i,j<=k}, which it passes on its
-way to H_n; `hankel_reports` calls each route once and reads every order
-from the chains, and `verify_hankel` is its view of one order. Bareiss is
-the authority (fraction-free, always defined): before any row swap its
-k-th pivot is H_k, scaled (Bareiss 1968), and each order after a zero
-pivot is eliminated alone. The J-fraction route is the independent check
-at every size: the Chebyshev algorithm (Gautschi 2004) turns the moments
-into the Jacobi continued-fraction coefficients (b_k, lambda_k) in O(n^2)
-integer operations, and H_k is the running product of the orthogonal
+matrix of a_0..a_{2n}, H_k = det(a_{i+j})_{i,j<=k}, which it passes on
+its way to H_n; `hankel_reports` calls each route once and reads every
+order from the chains, and `verify_hankel` is its view of one order.
+Bareiss is the authority (fraction-free, always defined): before any row
+swap its k-th pivot is H_k, scaled (Bareiss 1968), a zero pivot on a
+zero row makes every later order 0, and each order after a row swap is
+eliminated alone. The J-fraction route is the independent check at every
+size: the Chebyshev algorithm (Gautschi 2004) turns the moments into the
+Jacobi continued-fraction coefficients (b_k, lambda_k) in O(n^2) integer
+operations, and H_k is the running product of the orthogonal
 polynomials' norms (Flajolet 1980). Two oracles run up to ORACLE_CAP:
 Dodgson condensation, the Desnanot-Jacobi recurrence of the paper's
 inductive proofs, and Laplace cofactor expansion by `exact._laplace`,
-with no division and no pivot. No two routes share a kernel. A None in
-a chain is an order the route has no value at: condensation past a zero
-divisor, the J-fraction past a zero leading minor; a report shows it as
-"degenerate".
+with no division and no pivot. No two routes share a kernel. A None in a
+chain is an order the route has no value at: condensation past a zero
+divisor, the J-fraction past a zero leading minor. `HankelReport.cell`
+is the one text of a report, for `derange hankel` and `verify` alike: it
+shows such an order as "degenerate", and a route that did not run as
+"n/a".
 
 The paper's determinant of the generalized polynomials at z is
 z^{n(n+1)} Pi_{k=1}^{n} rising(r,k) k!. Every family whose EGF is
@@ -30,12 +33,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm, prod
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .exact import (DerangeDomainError, _laplace, as_text, factorial,
-                    rising_factorial)
+from .exact import DerangeDomainError, _laplace, factorial, rising_factorial
 from .polys import eval_poly, generalized_D_poly
-from .series import FamilySpec, egf_shape, egf_values
+from .series import Cell, FamilySpec, egf_shape, egf_values, spec_params
 
 # Largest matrix size the oracles run on; cofactor refuses anything larger.
 ORACLE_CAP = 6
@@ -64,8 +66,10 @@ def _bareiss(seq: Sequence, n: int, lo: int) -> List[Optional[Fraction]]:
     denominators of a_i..a_{i+n} and g the gcd of all entries, so every
     division is exact and the k-th pivot is H_k g^{k+1} / Pi_{i<=k} s_i^2.
     Every stage of a symmetric matrix is symmetric, so only entries with
-    j >= i are eliminated. A zero pivot copies the upper triangle into the
-    lower one once; elimination goes on with row swaps."""
+    j >= i are eliminated. A zero pivot before any swap whose row is zero
+    makes column k zero, so H_k..H_n are all 0; any other zero pivot
+    copies the upper triangle into the lower one once, and elimination
+    goes on with row swaps."""
     moments = _moments(seq, n)
     size = n + 1
     dens = [v.denominator for v in moments]
@@ -83,8 +87,10 @@ def _bareiss(seq: Sequence, n: int, lo: int) -> List[Optional[Fraction]]:
             if k >= lo:
                 minors.append(Fraction(a[k][k] * g ** (k + 1), scale))
         if a[k][k] == 0:
-            if sym:  # the lower triangle is stale
-                for i in range(k + 1, size):
+            if sym:
+                if not any(a[k][k:]):  # so H_k..H_n are all 0
+                    return minors + [Fraction(0)] * (n + 1 - lo - len(minors))
+                for i in range(k + 1, size):  # the lower triangle is stale
                     for j in range(k, i):
                         a[i][j] = a[j][i]
                 sym = False
@@ -94,8 +100,7 @@ def _bareiss(seq: Sequence, n: int, lo: int) -> List[Optional[Fraction]]:
                     sign = -sign
                     break
             else:  # the matrix is singular
-                a[-1][-1] = 0
-                break
+                return minors + [None] * (n - lo - len(minors)) + [Fraction(0)]
         rk, akk = a[k], a[k][k]
         for i in range(k + 1, size):
             ri = a[i]
@@ -271,16 +276,20 @@ class HankelReport(NamedTuple):
     closed_form: Fraction
     verdict: str  # "pass" | "fail"
 
-    def shown_dets(self) -> Dict[str, str]:
-        """The determinants beside Bareiss as text: the value, "degenerate"
-        when the algorithm ran and degenerated, "n/a" when it did not run."""
-        oracles = self.n + 1 <= ORACLE_CAP
-        dets = (("jfraction", self.det_jfraction, True),
-                ("condensation", self.det_condensation, oracles),
-                ("cofactor", self.det_cofactor, oracles))
-        return {name: "n/a" if not ran else
-                "degenerate" if det is None else as_text(det)
-                for name, det, ran in dets}
+    def cell(self) -> Cell:
+        """Bareiss against the closed form, with each other route's
+        determinant as a param: its value, "degenerate" when the route ran
+        and degenerated, "n/a" when it did not run."""
+        oracles = self.n < ORACLE_CAP
+        routes = (("jfraction", self.det_jfraction, True),
+                  ("condensation", self.det_condensation, oracles),
+                  ("cofactor", self.det_cofactor, oracles))
+        return Cell({"family": self.spec.family.value, "n": self.n,
+                     **spec_params(self.spec),
+                     **{name: "n/a" if not ran else
+                        "degenerate" if det is None else det
+                        for name, det, ran in routes}},
+                    self.closed_form, self.det_bareiss, self.verdict)
 
 
 def hankel_reports(spec: FamilySpec, n: int, lo: int = 0) -> List[HankelReport]:

@@ -39,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import DerangeDomainError, binomial, rising_factorial
+from .exact import DerangeDomainError, rising_factorial
 from .polys import eval_poly, generalized_D_poly
 
 _MASK = (1 << 64) - 1
@@ -217,7 +217,7 @@ def mc_generalized_D(n: int, r: int, x, samples: int, seed: int) -> MomentEstima
         raise DerangeDomainError(
             f"D_{n}({x}) at r = {r} is out of float range for "
             f"{samples} samples")
-    coeffs = [float(binomial(n, k) * x ** k) for k in range(n, -1, -1)]
+    coeffs = [float(math.comb(n, k) * x ** k) for k in range(n, -1, -1)]
     [est] = _estimate(r, samples, seed,
                       [lambda y, out: _horner(coeffs, y, out)])
     return est

@@ -4,6 +4,8 @@ Each suite walks its grid, compares two independently computed exact
 values per cell, and emits one Cell per comparison.  A failed identity is
 a "fail" cell, never an exception, and a cell above an oracle's size cap
 is "skipped" by testing the cap, not by catching the oracle's refusal.
+A Hankel cell is `HankelReport.cell`, the one `derange hankel` prints:
+Bareiss against the closed form, with every other route's status.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from math import perm
 from typing import List, NamedTuple, Optional
 
 from . import exact, hankel, oracle, polys, series
-from .exact import DerangeDomainError, as_text
+from .exact import DerangeDomainError
 from .series import Cell, Family, FamilySpec, spec_params
 
 DEFAULT_POINTS = (Fraction(1), Fraction(-1), Fraction(2),
@@ -107,14 +109,6 @@ def suite_reflection(grid: Grid) -> List[Cell]:
     return cells
 
 
-def _hankel_cell(rep: hankel.HankelReport) -> Cell:
-    actual = rep.det_bareiss if rep.verdict == "pass" else " ".join(
-        f"{name}={det}" for name, det in
-        {"bareiss": as_text(rep.det_bareiss), **rep.shown_dets()}.items())
-    return Cell({"family": rep.spec.family.value, "n": rep.n,
-                 **spec_params(rep.spec)}, rep.closed_form, actual, rep.verdict)
-
-
 def _closed_form_specs(grid: Grid):
     """Every family spec of the grid whose Hankel determinant has a closed form."""
     yield FamilySpec(Family.CLASSIC)
@@ -128,8 +122,9 @@ def _closed_form_specs(grid: Grid):
 
 def suite_hankel(grid: Grid) -> List[Cell]:
     """Closed-form Hankel determinants of every family that has one, from one
-    hankel_reports call per spec, and the factorial matrix's beside classic,
-    against classic's closed form, the generalized one at (r, x) = (1, 1)."""
+    hankel_reports call per spec, each report's own cell, and the factorial
+    matrix's beside classic, against classic's closed form, the generalized
+    one at (r, x) = (1, 1)."""
     chains = [hankel.hankel_reports(spec, grid.n_max)
               for spec in _closed_form_specs(grid)]
     factorial = hankel.bareiss_minors(
@@ -137,7 +132,7 @@ def suite_hankel(grid: Grid) -> List[Cell]:
     cells = []
     for n in range(grid.n_max + 1):
         for chain in chains:
-            cells.append(_hankel_cell(chain[n]))
+            cells.append(chain[n].cell())
             if chain[n].spec.family is Family.CLASSIC:
                 cells.append(Cell({"family": "factorial", "n": n},
                                   chain[n].closed_form, factorial[n]))

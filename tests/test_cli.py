@@ -280,6 +280,32 @@ def test_a_value_past_the_digit_limit_exits_2_in_a_fresh_process(argv):
     assert err.endswith("; set PYTHONINTMAXSTRDIGITS=0 to lift it\n")
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python prints an int of any size")
+def test_a_closed_form_past_the_digit_limit_is_refused_before_any_route(
+        monkeypatch):
+    """H_100 of classic has more digits than the default limit: `hankel`
+    exits 2 with the one error line a computed report would give, and no
+    determinant route runs."""
+    from derange import hankel
+
+    def no_route(spec, n):
+        raise AssertionError("a Hankel route ran")
+
+    monkeypatch.setattr(hankel, "verify_hankel", no_route)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        code, err = run_quietly(["hankel", "--family", "classic", "--n", "100"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2
+    assert err == (f"error: Exceeds the limit "
+                   f"({sys.int_info.default_max_str_digits} digits) for "
+                   "integer string conversion; set PYTHONINTMAXSTRDIGITS=0 "
+                   "to lift it\n")
+
+
 @contextlib.contextmanager
 def failing_stdout(sink):
     """A file descriptor whose every write fails: /dev/full (no space left),
@@ -735,9 +761,9 @@ GOLDEN = {
         "95bb8a5f1179887b70f254c1b75d35ba522b013ed2ae1b18c746123563275052",
         "bf534c7ba0e6d80e91fbf243c5c7e87eb4022efaa52356c094dda2a1fbc1bd10"),
     "verify --suite hankel --nmax 3 --r 2 --x=-1/2": (
-        "f4e46921f157a69a18f939942072c94346b78b4fee8f31a0958975ed81851e7e",
-        "59ff2cc6303515b8e79449afa86dac4230dac67c6e8aa41d37ea8b900cc55baf",
-        "8e9923f1bf5e891b85961d413bcb8517047dfdb54d85615075122155d088f925"),
+        "f784bead1fc8b880cf672c6efd601870ff3432a826e17fdf6f8d7ed16bc8dafe",
+        "19f8ad3f602b11e9a5b12f74444828204340f965e67b9f6d291f3f5510cde355",
+        "a9dc1d8fb6854fb5fb54db65c4643172982aea54baa94251ce9dd1bfb1e8bdc0"),
     "verify --suite jfraction --nmax 4": (
         "eb8017c3f3e44d3f2f8d04823b06594d4d56709f5db335c51cf4317d85c7b2f0",
         "42999bac2b898faea91a1d625b15d0380e9173a791c4c97f7b0d9328607ec05c",
@@ -755,9 +781,9 @@ GOLDEN = {
         "0e5a34a8171b58b6b82a3798615538336422ab1f30dd4be662731f3da8deaf15",
         "f4c6e379c135359d490ea418e6b653a8fb87d464051372e3e1c71b322b29f671"),
     "verify --suite all": (
-        "2f5a11cc32c034d1f809b02bd290a31b98e05bfcbf2e64d5dd42530270ca38d6",
-        "6f8e18ed51cc84b59e6e0011d3a5ad25963cb73c50abfd9c85a7d94348fbd083",
-        "b78ab369ffad7b8484915b794f06e4fac2ccc8da082da7b25e90206298b02a48"),
+        "dedfafc15a41415bff38656fc0873c72dccdb992e2f54cd0361bb54bc71c3a5c",
+        "cf7b268d3112955a262e832c9275d97bf4bf64c60053c7a552ea8a476b1eabdb",
+        "e0f822ea8385c87832712b0b95a671f2743c8450b9d48ab99fa0a85e7b96de04"),
 }
 FORMATS = ("text", "json", "csv")
 WALL_TIME = re.compile(r',\n  "wall_time_s": [0-9.e+-]+')

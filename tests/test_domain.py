@@ -15,7 +15,6 @@ from derange.exact import DerangeDomainError
 
 GUARDS = {
     "factorial": (lambda: exact.factorial(-1), "factorial needs n >= 0, got -1"),
-    "binomial": (lambda: exact.binomial(-1, 0), "binomial needs n >= 0, got -1"),
     "D-convolution": (lambda: polys.generate_D_by_convolution(1, F(1), 0),
                       "count must be >= 1"),
     "d-convolution": (lambda: polys.generate_d_by_convolution(1, F(1), 0),

@@ -1,11 +1,11 @@
 from fractions import Fraction
 from itertools import permutations
-from math import gcd, prod
+from math import comb, gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from derange.exact import _laplace, binomial, factorial, rising_factorial
+from derange.exact import _laplace, factorial, rising_factorial
 
 
 class TestRisingFactorial:
@@ -34,25 +34,13 @@ class TestRisingFactorial:
         # rising(r, k) = C(r+k-1, k) * k! for r >= 1
         for r in range(1, 11):
             for k in range(21):
-                assert rising_factorial(r, k) == binomial(r + k - 1, k) * factorial(k)
+                assert rising_factorial(r, k) == comb(r + k - 1, k) * factorial(k)
 
 
 def test_factorial_values():
     assert factorial(0) == 1
     assert factorial(4) == 24
     assert factorial(10) == 3628800
-
-
-def test_binomial_values():
-    assert binomial(5, 2) == 10
-    assert binomial(7, 0) == 1
-    assert binomial(3, 5) == 0
-    assert binomial(3, -1) == 0
-
-
-@given(st.integers(0, 40), st.integers(-5, 45))
-def test_binomial_pascal(n, k):
-    assert binomial(n + 1, k) == binomial(n, k) + binomial(n, k - 1)
 
 
 @given(st.fractions(), st.fractions())

@@ -1,4 +1,6 @@
+import json
 import random
+from collections import Counter
 from fractions import Fraction as F
 from math import gcd, lcm
 
@@ -418,18 +420,18 @@ def _per_order(seq, n):
 def test_every_chain_entry_is_its_own_per_order_call(n_max, monkeypatch):
     """On the default and the --nmax 28 grids, each route's chain of
     leading minors, as hankel_reports reads it, equals the route's call for
-    that order alone, value and None alike. The ten r = 0 specs meet a
-    zero pivot at order 2, so their chains hold 10 (n_max - 1) entries past
-    it, 270 at n_max = 28; all but each last one come from per-order
-    Bareiss. Condensation degenerates on the 30 cells that
-    test_condensation_on_the_default_grid pins."""
+    that order alone, value and None alike. The ten r = 0 specs are rank
+    one: their elimination meets a zero pivot on a zero row at order 2, so
+    every later entry of their chains is an exact 0 with no row swap, and
+    per-order Bareiss never runs. Condensation degenerates on the 30 cells
+    that test_condensation_on_the_default_grid pins."""
     fallbacks = []
     real = hankel.det_bareiss
     monkeypatch.setattr(hankel, "det_bareiss",
                         lambda seq, n: fallbacks.append(n) or real(seq, n))
     specs = list(verify._closed_form_specs(verify.Grid(n_max=n_max)))
     chains = {spec: hankel_reports(spec, n_max) for spec in specs}
-    assert len(specs) == 44 and len(fallbacks) == 10 * (n_max - 2)
+    assert len(specs) == 44 and fallbacks == []
     monkeypatch.undo()
     degenerate = set()
     for spec, chain in chains.items():
@@ -478,8 +480,9 @@ def test_chains_match_the_references_order_by_order(case):
 def test_suites_make_one_route_call_per_spec(monkeypatch):
     """The hankel suite runs each route once per family spec (44) and
     Bareiss once more on the factorial moments; the derivative suite runs
-    one chain per (r, z) (12). Per-order Bareiss runs only on the r = 0
-    specs' orders 2..5, after their zero pivot."""
+    one chain per (r, z) (12). Per-order Bareiss runs only after a row
+    swap, and no spec of the default grid makes one: the r = 0 specs' zero
+    pivot sits on a zero row."""
     calls = dict.fromkeys(("hankel_reports", "bareiss_minors", "det_bareiss",
                            "det_jfraction", "condensation_minors",
                            "cofactor_minors", "derivative_hankel_chain"), 0)
@@ -497,7 +500,7 @@ def test_suites_make_one_route_call_per_spec(monkeypatch):
     verify.suite_hankel(verify.Grid())
     verify.suite_derivative_hankel(verify.Grid())
     assert calls == {"hankel_reports": 44, "bareiss_minors": 44 + 1 + 12,
-                     "det_bareiss": 10 * 4, "det_jfraction": 44,
+                     "det_bareiss": 0, "det_jfraction": 44,
                      "condensation_minors": 44, "cofactor_minors": 44,
                      "derivative_hankel_chain": 12}
 
@@ -667,14 +670,25 @@ class TestVerifyHankel:
 
     def test_oracles_run_up_to_the_cap(self):
         spec = FamilySpec(Family.GENERALIZED, 2, F(-3, 5))
+        head = {"family": "generalized", "r": "2", "x": "-3/5"}
         rep = verify_hankel(spec, ORACLE_CAP - 1)
         assert (rep.det_jfraction == rep.det_condensation == rep.det_cofactor
                 == rep.det_bareiss == rep.closed_form)
+        closed = str(rep.closed_form)
+        assert rep.cell().params == {
+            **head, "n": str(ORACLE_CAP - 1), "jfraction": closed,
+            "condensation": closed, "cofactor": closed}
         rep = verify_hankel(spec, ORACLE_CAP)
         assert rep.det_condensation is None and rep.det_cofactor is None
         assert rep.det_jfraction == rep.det_bareiss == rep.closed_form
-        assert rep.shown_dets() == {"jfraction": str(rep.closed_form),
-                                    "condensation": "n/a", "cofactor": "n/a"}
+        cell = rep.cell()
+        assert cell.params == {**head, "n": str(ORACLE_CAP),
+                               "jfraction": str(rep.closed_form),
+                               "condensation": "n/a", "cofactor": "n/a"}
+        assert cell.expected == cell.actual == str(rep.closed_form)
+        assert cell.verdict == "pass"
+        assert list(cell.params) == ["family", "n", "r", "x", "jfraction",
+                                     "condensation", "cofactor"]
 
     def test_a_wrong_jfraction_determinant_fails_the_cell(self, monkeypatch):
         real = hankel.det_jfraction
@@ -687,22 +701,71 @@ class TestVerifyHankel:
         real = hankel.det_jfraction
         monkeypatch.setattr(hankel, "det_jfraction",
                             lambda seq, n: _last_minor_seven(real(seq, n)))
-        cell = verify._hankel_cell(verify_hankel(FamilySpec(Family.CYCLIC, 2), 6))
+        cell = verify_hankel(FamilySpec(Family.CYCLIC, 2), 6).cell()
+        assert cell.verdict == "fail" and cell.actual == cell.expected
+        assert cell.params == {"family": "cyclic", "n": "6", "r": "2",
+                               "jfraction": "7", "condensation": "n/a",
+                               "cofactor": "n/a"}
+        # r = 0: H_2 = 0, so condensation degenerates and cofactor reads 0;
+        # Bareiss stays the cell's actual value
+        cell = verify_hankel(FamilySpec(Family.GENERALIZED, 0, F(2)), 3).cell()
         assert cell.verdict == "fail"
-        assert cell.actual == (f"bareiss={cell.expected} jfraction=7 "
-                               "condensation=n/a cofactor=n/a")
-        # r = 0: H_2 = 0, so condensation degenerates and cofactor reads 0
-        cell = verify._hankel_cell(
-            verify_hankel(FamilySpec(Family.GENERALIZED, 0, F(2)), 3))
-        assert cell.verdict == "fail"
-        assert cell.actual == ("bareiss=0 jfraction=7 "
-                               "condensation=degenerate cofactor=0")
+        assert cell.expected == cell.actual == "0"
+        assert cell.params == {"family": "generalized", "n": "3", "r": "0",
+                               "x": "2", "jfraction": "7",
+                               "condensation": "degenerate", "cofactor": "0"}
 
     def test_no_closed_form(self):
         with pytest.raises(
                 DerangeDomainError,
                 match=r"^no Hankel closed form for family r-derangement$"):
             verify_hankel(FamilySpec(Family.R_DERANGEMENT_NUMBERS, 2), 2)
+
+
+def _route_status(capsys):
+    """How often `verify --suite all --format json` shows each route as
+    degenerate or n/a, and its exit code."""
+    code = main(["verify", "--suite", "all", "--format", "json"])
+    cells = json.loads(capsys.readouterr().out)["cells"]
+    return code, Counter(
+        (name, value) for cell in cells for name, value in cell["params"].items()
+        if name in ("jfraction", "condensation", "cofactor")
+        and value in ("degenerate", "n/a"))
+
+
+def test_the_verify_report_shows_each_route_status(capsys):
+    """On the default grid the ten r = 0 specs have H_1 = 0, so the
+    J-fraction degenerates at their orders 2..6 (50 cells) and condensation
+    at 3..5 (30); at n = 6 neither oracle runs (44 cells each)."""
+    assert _route_status(capsys) == (0, {
+        ("jfraction", "degenerate"): 50, ("condensation", "degenerate"): 30,
+        ("condensation", "n/a"): 44, ("cofactor", "n/a"): 44})
+
+
+def test_a_condensation_that_always_degenerates_changes_the_report(
+        capsys, monkeypatch):
+    """A route with no value is left out of the verdict, so the cells still
+    pass; the report shows it on every cell where it ran (44 specs times
+    ORACLE_CAP orders)."""
+    monkeypatch.setattr(hankel, "condensation_minors",
+                        lambda seq, n: [None] * (n + 1))
+    code, status = _route_status(capsys)
+    assert code == 0
+    assert status[("condensation", "degenerate")] == 44 * ORACLE_CAP
+    assert status[("condensation", "n/a")] == 44
+
+
+def test_each_hankel_suite_cell_is_its_reports_cell():
+    """suite_hankel's cells, the factorial ones aside, are the cells of the
+    per-order reports, param for param, in grid order."""
+    grid = verify.Grid()
+    got = [cell for cell in verify.suite_hankel(grid)
+           if cell.params["family"] != "factorial"]
+    want = [verify_hankel(spec, n).cell() for n in range(grid.n_max + 1)
+            for spec in verify._closed_form_specs(grid)]
+    assert len(got) == len(want) == 44 * (grid.n_max + 1)
+    for have, cell in zip(got, want):
+        assert vars(have) == vars(cell), cell.params
 
 
 def test_factorial_hankel():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from derange import stochastic
-from derange.exact import DerangeDomainError, binomial
+from derange.exact import DerangeDomainError
 from derange.polys import eval_poly, generalized_D_poly
 from derange.stochastic import (
     _CHUNK,
@@ -190,7 +190,7 @@ def test_interleaved_generators_keep_their_own_workspace():
 
 def polynomial_coeffs(n, x):
     """mc_generalized_D's coefficients of sum_k C(n,k) x^k y^k, highest first."""
-    return [float(binomial(n, k) * x ** k) for k in range(n, -1, -1)]
+    return [float(math.comb(n, k) * x ** k) for k in range(n, -1, -1)]
 
 
 @pytest.mark.parametrize("x", [F(0), F(1, 2), F(-11, 13), F(3)])
