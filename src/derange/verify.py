@@ -4,8 +4,9 @@ Each suite walks its grid, compares two independently computed exact
 values per cell, and emits one Cell per comparison.  A failed identity is
 a "fail" cell, never an exception, and a cell above an oracle's size cap
 is "skipped" by testing the cap, not by catching the oracle's refusal.
-A Hankel cell is `HankelReport.cell`, the one `derange hankel` prints:
-Bareiss against the closed form, with every other route's status.
+Every Hankel cell is `HankelReport.cell`, the one `derange hankel` prints:
+Bareiss against the closed form, with every other route's status; the
+factorials are one more closed-form spec, not a cell of their own.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from math import perm
 from typing import List, NamedTuple, Optional
 
 from . import exact, hankel, oracle, polys, series
-from .exact import DerangeDomainError
+from .exact import DerangeDomainError, as_text
 from .series import Cell, Family, FamilySpec, spec_params
 
 DEFAULT_POINTS = (Fraction(1), Fraction(-1), Fraction(2),
@@ -110,8 +111,12 @@ def suite_reflection(grid: Grid) -> List[Cell]:
 
 
 def _closed_form_specs(grid: Grid):
-    """Every family spec of the grid whose Hankel determinant has a closed form."""
+    """Every family spec of the grid whose Hankel determinant has a closed
+    form. The second, order-r-poly at (r, x) = (1, 0) with EGF (1-z)^{-1},
+    is the factorials n! of the paper's remark, whose Hankel determinants
+    are classic's."""
     yield FamilySpec(Family.CLASSIC)
+    yield FamilySpec(Family.ORDER_R_POLY, 1, 0)
     for r in range(grid.r_max + 1):
         for x in grid.points:
             yield FamilySpec(Family.GENERALIZED, r, x)
@@ -122,21 +127,14 @@ def _closed_form_specs(grid: Grid):
 
 def suite_hankel(grid: Grid) -> List[Cell]:
     """Closed-form Hankel determinants of every family that has one, from one
-    hankel_reports call per spec, each report's own cell, and the factorial
-    matrix's beside classic, against classic's closed form, the generalized
-    one at (r, x) = (1, 1)."""
-    chains = [hankel.hankel_reports(spec, grid.n_max)
-              for spec in _closed_form_specs(grid)]
-    factorial = hankel.bareiss_minors(
-        [exact.factorial(k) for k in range(2 * grid.n_max + 1)], grid.n_max)
-    cells = []
-    for n in range(grid.n_max + 1):
-        for chain in chains:
-            cells.append(chain[n].cell())
-            if chain[n].spec.family is Family.CLASSIC:
-                cells.append(Cell({"family": "factorial", "n": n},
-                                  chain[n].closed_form, factorial[n]))
-    return cells
+    hankel_reports call per spec, each report's own cell. Every spec's top
+    closed form is made text first, so one past the digit limit refuses the
+    suite before any route runs."""
+    specs = list(_closed_form_specs(grid))
+    for spec in specs:
+        as_text(hankel.closed_form(spec, grid.n_max))
+    chains = [hankel.hankel_reports(spec, grid.n_max) for spec in specs]
+    return [chain[n].cell() for n in range(grid.n_max + 1) for chain in chains]
 
 
 def suite_jfraction(grid: Grid) -> List[Cell]:

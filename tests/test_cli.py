@@ -306,6 +306,36 @@ def test_a_closed_form_past_the_digit_limit_is_refused_before_any_route(
                    "to lift it\n")
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python prints an int of any size")
+@pytest.mark.parametrize("argv", ["verify --suite hankel --nmax 52",
+                                  "verify --suite all --nmax 61"])
+def test_a_suite_closed_form_past_the_digit_limit_is_refused_before_any_route(
+        monkeypatch, argv):
+    """At n = 52 a closed form of the hankel suite's grid has more digits
+    than the default limit: `verify` exits 2 with one error line, and no
+    determinant route runs."""
+    from derange import hankel
+
+    def no_route(*args):
+        raise AssertionError("a Hankel route ran")
+
+    for name in ("bareiss_minors", "det_jfraction", "condensation_minors",
+                 "cofactor_minors"):
+        monkeypatch.setattr(hankel, name, no_route)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        code, err = run_quietly(argv.split())
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2
+    assert err == (f"error: Exceeds the limit "
+                   f"({sys.int_info.default_max_str_digits} digits) for "
+                   "integer string conversion; set PYTHONINTMAXSTRDIGITS=0 "
+                   "to lift it\n")
+
+
 @contextlib.contextmanager
 def failing_stdout(sink):
     """A file descriptor whose every write fails: /dev/full (no space left),
@@ -761,13 +791,13 @@ GOLDEN = {
         "95bb8a5f1179887b70f254c1b75d35ba522b013ed2ae1b18c746123563275052",
         "bf534c7ba0e6d80e91fbf243c5c7e87eb4022efaa52356c094dda2a1fbc1bd10"),
     "verify --suite hankel --nmax 3 --r 2 --x=-1/2": (
-        "f784bead1fc8b880cf672c6efd601870ff3432a826e17fdf6f8d7ed16bc8dafe",
-        "19f8ad3f602b11e9a5b12f74444828204340f965e67b9f6d291f3f5510cde355",
-        "a9dc1d8fb6854fb5fb54db65c4643172982aea54baa94251ce9dd1bfb1e8bdc0"),
+        "2c3678974fcd40a0767c464ad7b27c6a586dd14a988cbc3a6560aaf8f998cf4a",
+        "3a75a5746a035273d11f990270e4f58ebf88db6b790371e146e939a96b782f0b",
+        "0c2fcb805968908cfeeaaf3333d27945a4613a8f27fd5245f8a091db88e9a901"),
     "verify --suite jfraction --nmax 4": (
-        "eb8017c3f3e44d3f2f8d04823b06594d4d56709f5db335c51cf4317d85c7b2f0",
-        "42999bac2b898faea91a1d625b15d0380e9173a791c4c97f7b0d9328607ec05c",
-        "cce0958f15d0e477a5d4f1d5f36e957d8c973d825e45f108ff4ad5c2050951d2"),
+        "ac6404fbbe88759b08e0e88c7805920edbfb2fb62466a517126b84b10406c5c2",
+        "2b2cb2831f58239fb666b435baa183769f7758b84c2f750123673695dcdac8d9",
+        "37c87ca2d56650b011016956e06ffefce4bef8c81b476db1e146d414c51584b4"),
     "verify --suite derivative-hankel --r 2 --z 1/2 --nmax 3": (
         "17dfa02077ebff93700eff888f08c56c218b64f14f27b7eb55cfbac0c36508ea",
         "783fa3d7ce29a408485d17d85b296ec6a0da93b9351160e5a310a55f6b5dc87a",
@@ -781,9 +811,9 @@ GOLDEN = {
         "0e5a34a8171b58b6b82a3798615538336422ab1f30dd4be662731f3da8deaf15",
         "f4c6e379c135359d490ea418e6b653a8fb87d464051372e3e1c71b322b29f671"),
     "verify --suite all": (
-        "dedfafc15a41415bff38656fc0873c72dccdb992e2f54cd0361bb54bc71c3a5c",
-        "cf7b268d3112955a262e832c9275d97bf4bf64c60053c7a552ea8a476b1eabdb",
-        "e0f822ea8385c87832712b0b95a671f2743c8450b9d48ab99fa0a85e7b96de04"),
+        "3ae70d11a1d367d66886494b8d1afa412db1c574ce592c35f8f7221ce25bd2b3",
+        "fc2acb6f3d4b53a7997854e21bb98361732db3df5d689ecc731dfba6532812f6",
+        "4f603048674bee501039540d42977f422a36f1eb61c144e849d34839f281520d"),
 }
 FORMATS = ("text", "json", "csv")
 WALL_TIME = re.compile(r',\n  "wall_time_s": [0-9.e+-]+')

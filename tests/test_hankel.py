@@ -400,7 +400,7 @@ def test_condensation_on_the_default_grid():
             calls += 1
             if got is None:
                 degenerate.add((spec, n))
-    assert calls == 264 and len(degenerate) == 30
+    assert calls == 270 and len(degenerate) == 30
     assert {(spec.family, spec.r) for spec, n in degenerate} == {
         (Family.GENERALIZED, 0), (Family.ORDER_R_POLY, 0)}
     assert {n for spec, n in degenerate} == {3, 4, 5}
@@ -431,7 +431,7 @@ def test_every_chain_entry_is_its_own_per_order_call(n_max, monkeypatch):
                         lambda seq, n: fallbacks.append(n) or real(seq, n))
     specs = list(verify._closed_form_specs(verify.Grid(n_max=n_max)))
     chains = {spec: hankel_reports(spec, n_max) for spec in specs}
-    assert len(specs) == 44 and fallbacks == []
+    assert len(specs) == 45 and fallbacks == []
     monkeypatch.undo()
     degenerate = set()
     for spec, chain in chains.items():
@@ -478,11 +478,10 @@ def test_chains_match_the_references_order_by_order(case):
 
 
 def test_suites_make_one_route_call_per_spec(monkeypatch):
-    """The hankel suite runs each route once per family spec (44) and
-    Bareiss once more on the factorial moments; the derivative suite runs
-    one chain per (r, z) (12). Per-order Bareiss runs only after a row
-    swap, and no spec of the default grid makes one: the r = 0 specs' zero
-    pivot sits on a zero row."""
+    """The hankel suite runs each route once per family spec (45, the
+    factorials among them); the derivative suite runs one chain per (r, z)
+    (12). Per-order Bareiss runs only after a row swap, and no spec of the
+    default grid makes one: the r = 0 specs' zero pivot sits on a zero row."""
     calls = dict.fromkeys(("hankel_reports", "bareiss_minors", "det_bareiss",
                            "det_jfraction", "condensation_minors",
                            "cofactor_minors", "derivative_hankel_chain"), 0)
@@ -499,9 +498,9 @@ def test_suites_make_one_route_call_per_spec(monkeypatch):
         monkeypatch.setattr(hankel, name, counted(name))
     verify.suite_hankel(verify.Grid())
     verify.suite_derivative_hankel(verify.Grid())
-    assert calls == {"hankel_reports": 44, "bareiss_minors": 44 + 1 + 12,
-                     "det_bareiss": 0, "det_jfraction": 44,
-                     "condensation_minors": 44, "cofactor_minors": 44,
+    assert calls == {"hankel_reports": 45, "bareiss_minors": 45 + 12,
+                     "det_bareiss": 0, "det_jfraction": 45,
+                     "condensation_minors": 45, "cofactor_minors": 45,
                      "derivative_hankel_chain": 12}
 
 
@@ -736,36 +735,75 @@ def _route_status(capsys):
 def test_the_verify_report_shows_each_route_status(capsys):
     """On the default grid the ten r = 0 specs have H_1 = 0, so the
     J-fraction degenerates at their orders 2..6 (50 cells) and condensation
-    at 3..5 (30); at n = 6 neither oracle runs (44 cells each)."""
+    at 3..5 (30); at n = 6 neither oracle runs (45 cells each)."""
     assert _route_status(capsys) == (0, {
         ("jfraction", "degenerate"): 50, ("condensation", "degenerate"): 30,
-        ("condensation", "n/a"): 44, ("cofactor", "n/a"): 44})
+        ("condensation", "n/a"): 45, ("cofactor", "n/a"): 45})
 
 
 def test_a_condensation_that_always_degenerates_changes_the_report(
         capsys, monkeypatch):
     """A route with no value is left out of the verdict, so the cells still
-    pass; the report shows it on every cell where it ran (44 specs times
+    pass; the report shows it on every cell where it ran (45 specs times
     ORACLE_CAP orders)."""
     monkeypatch.setattr(hankel, "condensation_minors",
                         lambda seq, n: [None] * (n + 1))
     code, status = _route_status(capsys)
     assert code == 0
-    assert status[("condensation", "degenerate")] == 44 * ORACLE_CAP
-    assert status[("condensation", "n/a")] == 44
+    assert status[("condensation", "degenerate")] == 45 * ORACLE_CAP
+    assert status[("condensation", "n/a")] == 45
 
 
 def test_each_hankel_suite_cell_is_its_reports_cell():
-    """suite_hankel's cells, the factorial ones aside, are the cells of the
-    per-order reports, param for param, in grid order."""
+    """suite_hankel's cells are the cells of the per-order reports, param
+    for param, in grid order."""
     grid = verify.Grid()
-    got = [cell for cell in verify.suite_hankel(grid)
-           if cell.params["family"] != "factorial"]
+    got = verify.suite_hankel(grid)
     want = [verify_hankel(spec, n).cell() for n in range(grid.n_max + 1)
             for spec in verify._closed_form_specs(grid)]
-    assert len(got) == len(want) == 44 * (grid.n_max + 1)
+    assert len(got) == len(want) == 45 * (grid.n_max + 1)
     for have, cell in zip(got, want):
         assert vars(have) == vars(cell), cell.params
+
+
+FACTORIALS = FamilySpec(Family.ORDER_R_POLY, 1, 0)
+
+
+def _factorial_cells(cells):
+    return [cell for cell in cells
+            if cell.params["family"] == "order-r-poly"
+            and cell.params["x"] == "0"]
+
+
+def test_the_factorials_have_classics_hankel_determinants():
+    """Order-r-poly at (r, x) = (1, 0) is the factorials of the paper's
+    remark, the spec after classic; each of its hankel suite cells has
+    classic's closed form, and every route that ran gave a number."""
+    grid = verify.Grid()
+    assert list(verify._closed_form_specs(grid))[:2] == [
+        FamilySpec(Family.CLASSIC), FACTORIALS]
+    assert egf_values(FACTORIALS, 2 * grid.n_max + 1) == [
+        factorial(k) for k in range(2 * grid.n_max + 1)]
+    cells = _factorial_cells(verify.suite_hankel(grid))
+    assert [cell.params["n"] for cell in cells] == [
+        str(n) for n in range(grid.n_max + 1)]
+    for n, cell in enumerate(cells):
+        closed = str(closed_form(FamilySpec(Family.CLASSIC), n))
+        assert cell.verdict == "pass" and cell.expected == cell.actual == closed
+        assert cell.params["jfraction"] == closed
+        for route in ("condensation", "cofactor"):
+            assert cell.params[route] == (closed if n < ORACLE_CAP else "n/a")
+
+
+def test_the_factorials_jfraction_is_laguerres():
+    """The factorials' J-fraction cells read b_k = 2k+1, lambda_k = k^2."""
+    grid = verify.Grid()
+    cells = _factorial_cells(verify.suite_jfraction(grid))
+    assert [(c.params["coefficient"], c.params["k"], c.actual)
+            for c in cells] == (
+        [("b", str(k), str(2 * k + 1)) for k in range(grid.n_max)]
+        + [("lambda", str(k), str(k * k)) for k in range(1, grid.n_max + 1)])
+    assert all(c.verdict == "pass" and c.expected == c.actual for c in cells)
 
 
 def test_factorial_hankel():
