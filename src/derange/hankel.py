@@ -2,8 +2,12 @@
 
 Each route returns the chain of leading minors H_0..H_n of the Hankel
 matrix of a_0..a_{2n}, H_k = det(a_{i+j})_{i,j<=k}, which it passes on
-its way to H_n; `hankel_reports` calls each route once and reads every
-order from the chains, and `verify_hankel` is its view of one order.
+its way to H_n. `chain_reports` is the one runner: it knows no family,
+calls each route once on any moments, and reads every order's report
+from the chains against a closed chain. Its views are the family
+reports (`hankel_reports`, and `verify_hankel` for one order) and the
+derivative Hankel identity (`derivative_hankel_chain`, and
+`verify_derivative_hankel` for one size).
 Bareiss is the authority (fraction-free, always defined): before any row
 swap its k-th pivot is H_k, scaled (Bareiss 1968), a zero pivot on a
 zero row makes every later order 0, and each order after a row swap is
@@ -25,7 +29,10 @@ The paper's determinant of the generalized polynomials at z is
 z^{n(n+1)} Pi_{k=1}^{n} rising(r,k) k!. Every family whose EGF is
 e^{cz}(1-xz)^{-r} has it at (r, z = x), since the e^{cz} factor is a
 binomial transform of the moments, which leaves every Hankel determinant
-as it is. The r-derangement families, with a z^s prefactor, have none.
+as it is. The r-derangement families, with a z^s prefactor, have none. The
+derivative identity's moments are g_m = e^{-z} d^m/dz^m (e^z (1-z)^{-r}),
+computed from that definition, and its closed chain is the generalized
+one at t = 1/(1-z) times t^{rm} for size m.
 """
 
 from __future__ import annotations
@@ -33,10 +40,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm, prod
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exact import DerangeDomainError, _laplace, factorial, rising_factorial
-from .polys import eval_poly, generalized_D_poly
+from .polys import eval_poly
 from .series import Cell, FamilySpec, egf_shape, egf_values, spec_params
 
 # Largest matrix size the oracles run on; cofactor refuses anything larger.
@@ -267,8 +274,8 @@ def jfraction_closed_form(spec: FamilySpec, n: int) -> Tuple[tuple, tuple]:
 
 
 class HankelReport(NamedTuple):
-    spec: FamilySpec
-    n: int
+    params: dict  # the cell's params before the route params
+    n: int  # the order k of H_k, the determinant of size k + 1
     det_bareiss: Fraction
     det_jfraction: Optional[Fraction]  # None after a zero leading minor
     det_condensation: Optional[Fraction]  # None above ORACLE_CAP or degenerate
@@ -284,35 +291,45 @@ class HankelReport(NamedTuple):
         routes = (("jfraction", self.det_jfraction, True),
                   ("condensation", self.det_condensation, oracles),
                   ("cofactor", self.det_cofactor, oracles))
-        return Cell({"family": self.spec.family.value, "n": self.n,
-                     **spec_params(self.spec),
+        return Cell({**self.params,
                      **{name: "n/a" if not ran else
                         "degenerate" if det is None else det
                         for name, det, ran in routes}},
                     self.closed_form, self.det_bareiss, self.verdict)
 
 
-def hankel_reports(spec: FamilySpec, n: int, lo: int = 0) -> List[HankelReport]:
-    """The reports of H_lo..H_n of the family's values from one chain per
-    route, the oracles' up to ORACLE_CAP and only when lo < ORACLE_CAP; a
-    report passes when every value it has equals the closed form."""
-    if n < 0:
-        raise DerangeDomainError("n must be >= 0")
-    _, x, r = _hankel_shape(spec)
-    closed = closed_form_chain(n, r, x, lo)
-    seq = egf_values(spec, 2 * n + 1)
+def chain_reports(moments: Sequence, closed: Sequence, params: Callable,
+                  lo: int = 0) -> List[HankelReport]:
+    """The reports of H_lo..H_n of the moments a_0..a_{2n} against the
+    closed chain H_lo..H_n, with params(k) the cell params of order k.
+    Each route runs once; the oracles' up to ORACLE_CAP and only when
+    lo < ORACLE_CAP. A report passes when every value it has equals its
+    closed form."""
+    n = (len(moments) - 1) // 2
     cond = cof = ()
     if lo < ORACLE_CAP:
         top = min(n, ORACLE_CAP - 1)
-        cond = condensation_minors(seq, top)
+        cond = condensation_minors(moments, top)
         # the index-reversed matrix's trailing minors are H_0..H_top
-        cof = cofactor_minors(hankel_matrix(_moments(seq, top)[::-1], top))
-    routes = zip_longest(bareiss_minors(seq, n, lo),
-                         det_jfraction(seq, n).minors[lo:], cond[lo:], cof[lo:],
-                         closed)
-    return [HankelReport(spec, k, *dets, cf, "pass" if all(
+        cof = cofactor_minors(hankel_matrix(_moments(moments, top)[::-1], top))
+    routes = zip_longest(bareiss_minors(moments, n, lo),
+                         det_jfraction(moments, n).minors[lo:], cond[lo:],
+                         cof[lo:], closed)
+    return [HankelReport(params(k), k, *dets, cf, "pass" if all(
         v == cf for v in dets if v is not None) else "fail")
         for k, (*dets, cf) in enumerate(routes, lo)]
+
+
+def hankel_reports(spec: FamilySpec, n: int, lo: int = 0) -> List[HankelReport]:
+    """The reports of H_lo..H_n of the family's values against the paper's
+    closed form at the family's (r, x)."""
+    if n < 0:
+        raise DerangeDomainError("n must be >= 0")
+    _, x, r = _hankel_shape(spec)
+    return chain_reports(
+        egf_values(spec, 2 * n + 1), closed_form_chain(n, r, x, lo),
+        lambda k: {"family": spec.family.value, "n": k, **spec_params(spec)},
+        lo)
 
 
 def verify_hankel(spec: FamilySpec, n: int) -> HankelReport:
@@ -320,30 +337,49 @@ def verify_hankel(spec: FamilySpec, n: int) -> HankelReport:
     return hankel_reports(spec, n, lo=n)[0]
 
 
-def reduced_derivative(n: int, r: int, z) -> Fraction:
-    """g_n(z) = e^{-z} d^n/dz^n (e^z/(1-z)^r), computed without the
-    transcendental factor as D_n^{(r)}(1/(1-z)) / (1-z)^r."""
+def _pole_free(z) -> Fraction:
+    """t = 1/(1-z), for z != 1."""
     z = Fraction(z)
     if z == 1:
         raise DerangeDomainError("z = 1 is a pole")
-    t = 1 / (1 - z)
-    return eval_poly(generalized_D_poly(n, r), t) * t ** r
+    return 1 / (1 - z)
 
 
-def derivative_hankel_chain(n: int, r: int, z) -> List[Tuple[Fraction, Fraction]]:
-    """The e^z-cancelled derivative Hankel identity (det(g_{i+j-2}(z)) by
-    Bareiss, its closed form) for each size m = 1..n, from one chain on
-    g_0..g_{2n-2}, g_m the generalized polynomial at t = 1/(1-z) times t^r:
-    the paper's Pi_{k<m} rising(r,k) k! / ((z-1)^{(m-1)m} (1-z)^{rm}), the
-    (1-z)^{-rm} what remains of (e^z/(1-z)^r)^m once e^{mz} cancels."""
+def reduced_derivatives(count: int, r: int, z) -> List[Fraction]:
+    """g_0..g_{count-1}, g_m = e^{-z} d^m/dz^m (e^z (1-z)^{-r}), from the
+    definition: g_m = (1 + d/dz)^m t^r for t = 1/(1-z), and d/dz t^a =
+    a t^{a+1}. So g_m = sum_j c_j t^{r+j} on int c_j, which one more
+    (1 + d/dz) maps to c_j + (r+j-1) c_{j-1}: one running pass, O(count^2)
+    integer steps, and each g_m evaluated once at t."""
+    t, c, g = _pole_free(z), [1], []
+    for _ in range(count):
+        g.append(eval_poly(c, t) * t ** r)
+        c = [a + (r + j - 1) * b
+             for j, (a, b) in enumerate(zip(c + [0], [0] + c))]
+    return g
+
+
+def derivative_closed_chain(n: int, r: int, z) -> List[Fraction]:
+    """The paper's det(g_{i+j})_{i,j<m} for sizes m = 1..n,
+    Pi_{k<m} rising(r,k) k! / ((z-1)^{(m-1)m} (1-z)^{rm}): the generalized
+    chain at t = 1/(1-z) times t^{rm}, what remains of (e^z/(1-z)^r)^m
+    once e^{mz} cancels."""
+    t = _pole_free(z)
+    return [closed * t ** (r * m) for m, closed in
+            enumerate(closed_form_chain(n - 1, r, t), 1)]
+
+
+def derivative_hankel_chain(n: int, r: int, z) -> List[HankelReport]:
+    """The reports of the e^z-cancelled derivative Hankel identity for
+    each size m = 1..n (report order m - 1), from one chain per route on
+    g_0..g_{2n-2}."""
     if n < 1:
         raise DerangeDomainError("n must be >= 1")
-    g = [reduced_derivative(m, r, z) for m in range(2 * n - 1)]
-    t = 1 / (1 - Fraction(z))
-    return [(det, closed * t ** (r * m)) for m, (det, closed) in enumerate(
-        zip(bareiss_minors(g, n - 1), closed_form_chain(n - 1, r, t)), 1)]
+    return chain_reports(
+        reduced_derivatives(2 * n - 1, r, z), derivative_closed_chain(n, r, z),
+        lambda k: {"identity": "derivative-hankel", "n": k + 1, "r": r, "z": z})
 
 
-def verify_derivative_hankel(n: int, r: int, z) -> Tuple[Fraction, Fraction]:
+def verify_derivative_hankel(n: int, r: int, z) -> HankelReport:
     """The derivative Hankel identity for matrix size n alone."""
     return derivative_hankel_chain(n, r, z)[-1]

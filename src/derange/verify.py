@@ -4,9 +4,10 @@ Each suite walks its grid, compares two independently computed exact
 values per cell, and emits one Cell per comparison.  A failed identity is
 a "fail" cell, never an exception, and a cell above an oracle's size cap
 is "skipped" by testing the cap, not by catching the oracle's refusal.
-Every Hankel cell is `HankelReport.cell`, the one `derange hankel` prints:
-Bareiss against the closed form, with every other route's status; the
-factorials are one more closed-form spec, not a cell of their own.
+Every Hankel cell, of a family or of the derivative identity, is
+`HankelReport.cell`, the one `derange hankel` prints: Bareiss against the
+closed form, with every other route's status; the factorials are one more
+closed-form spec, not a cell of their own.
 """
 
 from __future__ import annotations
@@ -160,18 +161,16 @@ def suite_jfraction(grid: Grid) -> List[Cell]:
 
 def suite_derivative_hankel(grid: Grid) -> List[Cell]:
     """The e^z-cancelled derivative Hankel identity on the (n, r, z) grid,
-    n >= 1; one derivative_hankel_chain call per (r, z) serves every n."""
-    cells = []
+    n >= 1, from one derivative_hankel_chain call per (r, z), each report's
+    own cell. Every (r, z) top closed form is made text first, so one past
+    the digit limit refuses the suite before any route runs."""
     if grid.n_max < 1:  # no matrix size on the grid
-        return cells
-    for r in range(1, grid.r_max + 1):
-        for z in grid.deriv_z:
-            chain = hankel.derivative_hankel_chain(grid.n_max, r, z)
-            for n, (det, closed) in enumerate(chain, 1):
-                cells.append(Cell(
-                    {"identity": "derivative-hankel", "n": n, "r": r, "z": z},
-                    closed, det))
-    return cells
+        return []
+    pairs = [(r, z) for r in range(1, grid.r_max + 1) for z in grid.deriv_z]
+    for r, z in pairs:
+        as_text(hankel.derivative_closed_chain(grid.n_max, r, z)[-1])
+    return [report.cell() for r, z in pairs
+            for report in hankel.derivative_hankel_chain(grid.n_max, r, z)]
 
 
 def suite_mgf(grid: Grid) -> List[Cell]:

@@ -20,7 +20,7 @@ from derange.hankel import (
     det_cofactor,
     det_condensation,
     hankel_matrix,
-    reduced_derivative,
+    reduced_derivatives,
     verify_derivative_hankel,
     verify_hankel,
 )
@@ -140,14 +140,15 @@ def test_criterion_09_derivative_hankel():
     for r in (1, 2, 3):
         for z in (F(0), F(1, 2), F(-1), F(2)):
             for n in range(1, 7):
-                det, closed = verify_derivative_hankel(n, r, z)
-                assert det == closed, (n, r, z)
+                rep = verify_derivative_hankel(n, r, z)
+                assert rep.verdict == "pass", (n, r, z)
+                assert rep.det_bareiss == rep.closed_form, (n, r, z)
     from test_hankel import _recentered_series
     for r in (1, 2, 3):
         for z in (F(0), F(1, 2), F(-1)):
             s = _recentered_series(r, z, 8)
-            for m in range(9):
-                assert reduced_derivative(m, r, z) == factorial(m) * s[m]
+            assert reduced_derivatives(9, r, z) == [
+                factorial(m) * s[m] for m in range(9)]
     report(9, "derivative Hankel identity and Taylor-recentering oracle, exact")
 
 

@@ -799,9 +799,9 @@ GOLDEN = {
         "2b2cb2831f58239fb666b435baa183769f7758b84c2f750123673695dcdac8d9",
         "37c87ca2d56650b011016956e06ffefce4bef8c81b476db1e146d414c51584b4"),
     "verify --suite derivative-hankel --r 2 --z 1/2 --nmax 3": (
-        "17dfa02077ebff93700eff888f08c56c218b64f14f27b7eb55cfbac0c36508ea",
-        "783fa3d7ce29a408485d17d85b296ec6a0da93b9351160e5a310a55f6b5dc87a",
-        "cd7a40663ac25bad24bfcbf68cb346a37c539f3152cb737961caf94984b7c93c"),
+        "0170a3c23011aceeb228f3c6864ef966eaa172d6445aa07e9c198a66d32efd73",
+        "ef1c9e512eae201dce884c5bdc57e2732ede08b30bc90bbc49dd54539dc72e27",
+        "ac1da215797fd45f8791f9ffbae726e1e81beef6388578523647ff1434dab75c"),
     "verify --suite mgf --r 1 --x 2": (
         "0c60d6cec1ea35c9e9b8e0c2ebb958b4c46bdc3847a920730dfe6f5672e2af2a",
         "a2ddfdd4e02ffb522a70ffd2f184b0a234ec2716fed13a99bed83ed5cd3d96d8",
@@ -811,9 +811,9 @@ GOLDEN = {
         "0e5a34a8171b58b6b82a3798615538336422ab1f30dd4be662731f3da8deaf15",
         "f4c6e379c135359d490ea418e6b653a8fb87d464051372e3e1c71b322b29f671"),
     "verify --suite all": (
-        "3ae70d11a1d367d66886494b8d1afa412db1c574ce592c35f8f7221ce25bd2b3",
-        "fc2acb6f3d4b53a7997854e21bb98361732db3df5d689ecc731dfba6532812f6",
-        "4f603048674bee501039540d42977f422a36f1eb61c144e849d34839f281520d"),
+        "778819540c1dd4d2366b563474f35bac77865f19d231d7cf9e63992cbc65f2b9",
+        "8b37f911e6bd22286e2915a4da4d7e0f8cca817b771364c420c3fc7cc0c85a9d",
+        "cf087b73cde55e18f31744baf03b28c448b176a919fc334dc2e24541f87c2332"),
 }
 FORMATS = ("text", "json", "csv")
 WALL_TIME = re.compile(r',\n  "wall_time_s": [0-9.e+-]+')

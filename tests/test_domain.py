@@ -24,6 +24,9 @@ GUARDS = {
     "geom_pow-r": (lambda: series.geom_pow(1, -1, 3), "r must be >= 0"),
     "closed_form_chain": (lambda: hankel.closed_form_chain(-1, 1, 1),
                           "n must be >= 0"),
+    "hankel_reports-lo": (
+        lambda: hankel.hankel_reports(series.FamilySpec(series.Family.CLASSIC),
+                                      3, 5), "need 0 <= lo <= 3, got 5"),
     "derivative_hankel_chain": (
         lambda: hankel.derivative_hankel_chain(0, 1, F(1, 2)), "n must be >= 1"),
     "erlang_moment_exact": (lambda: stochastic.erlang_moment_exact(0, 1),

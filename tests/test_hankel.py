@@ -1,15 +1,22 @@
+import ast
+import inspect
 import json
 import random
+import sys
 from collections import Counter
 from fractions import Fraction as F
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from derange import hankel, verify
+from derange import hankel, polys, verify
 from derange.cli import main
-from derange.exact import DerangeDomainError, factorial, rising_factorial
+from derange.exact import (
+    DerangeDomainError, as_text, factorial, rising_factorial,
+)
+from derange.polys import eval_poly, generalized_D_poly
 from derange.hankel import (
     ORACLE_CAP,
     closed_form,
@@ -21,10 +28,11 @@ from derange.hankel import (
     det_cofactor,
     det_condensation,
     det_jfraction,
+    derivative_closed_chain,
     derivative_hankel_chain,
     hankel_matrix,
     hankel_reports,
-    reduced_derivative,
+    reduced_derivatives,
     verify_derivative_hankel,
     verify_hankel,
 )
@@ -478,13 +486,15 @@ def test_chains_match_the_references_order_by_order(case):
 
 
 def test_suites_make_one_route_call_per_spec(monkeypatch):
-    """The hankel suite runs each route once per family spec (45, the
-    factorials among them); the derivative suite runs one chain per (r, z)
-    (12). Per-order Bareiss runs only after a row swap, and no spec of the
-    default grid makes one: the r = 0 specs' zero pivot sits on a zero row."""
-    calls = dict.fromkeys(("hankel_reports", "bareiss_minors", "det_bareiss",
-                           "det_jfraction", "condensation_minors",
-                           "cofactor_minors", "derivative_hankel_chain"), 0)
+    """The hankel suite runs the core once per family spec (45, the
+    factorials among them), the derivative suite once per (r, z) (12), and
+    the core runs each route once. Per-order Bareiss runs only after a row
+    swap, and no chain of the default grid makes one: the r = 0 specs'
+    zero pivot sits on a zero row."""
+    calls = dict.fromkeys(("chain_reports", "hankel_reports",
+                           "derivative_hankel_chain", "bareiss_minors",
+                           "det_bareiss", "det_jfraction",
+                           "condensation_minors", "cofactor_minors"), 0)
 
     def counted(name):
         real = getattr(hankel, name)
@@ -498,10 +508,29 @@ def test_suites_make_one_route_call_per_spec(monkeypatch):
         monkeypatch.setattr(hankel, name, counted(name))
     verify.suite_hankel(verify.Grid())
     verify.suite_derivative_hankel(verify.Grid())
-    assert calls == {"hankel_reports": 45, "bareiss_minors": 45 + 12,
-                     "det_bareiss": 0, "det_jfraction": 45,
-                     "condensation_minors": 45, "cofactor_minors": 45,
-                     "derivative_hankel_chain": 12}
+    assert calls == {"chain_reports": 45 + 12, "hankel_reports": 45,
+                     "derivative_hankel_chain": 12, "bareiss_minors": 45 + 12,
+                     "det_bareiss": 0, "det_jfraction": 45 + 12,
+                     "condensation_minors": 45 + 12,
+                     "cofactor_minors": 45 + 12}
+
+
+def test_one_function_runs_every_route():
+    """chain_reports is the only function of the package that calls all
+    four chain routes; every Hankel report comes from it."""
+    routes = {"bareiss_minors", "det_jfraction", "condensation_minors",
+              "cofactor_minors"}
+    callers = []
+    for path in sorted(Path(hankel.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                called = {getattr(call.func, "id", None)
+                          or getattr(call.func, "attr", None)
+                          for call in ast.walk(node)
+                          if isinstance(call, ast.Call)}
+                if routes <= called:
+                    callers.append(f"{path.stem}.{node.name}")
+    assert callers == ["hankel.chain_reports"]
 
 
 DEPTH_SPECS = {
@@ -745,12 +774,12 @@ def test_a_condensation_that_always_degenerates_changes_the_report(
         capsys, monkeypatch):
     """A route with no value is left out of the verdict, so the cells still
     pass; the report shows it on every cell where it ran (45 specs times
-    ORACLE_CAP orders)."""
+    ORACLE_CAP orders, and the 72 derivative cells, all below the cap)."""
     monkeypatch.setattr(hankel, "condensation_minors",
                         lambda seq, n: [None] * (n + 1))
     code, status = _route_status(capsys)
     assert code == 0
-    assert status[("condensation", "degenerate")] == 45 * ORACLE_CAP
+    assert status[("condensation", "degenerate")] == 45 * ORACLE_CAP + 72
     assert status[("condensation", "n/a")] == 45
 
 
@@ -816,15 +845,15 @@ class TestReducedDerivative:
     def test_zeroth(self):
         for r in range(4):
             for z in (F(0), F(1, 2), F(-1)):
-                assert reduced_derivative(0, r, z) == (1 - z) ** -r
+                assert reduced_derivatives(1, r, z) == [(1 - z) ** -r]
 
     def test_small_values(self):
-        assert reduced_derivative(1, 1, 0) == 2
-        assert reduced_derivative(2, 1, F(1, 2)) == 26
+        assert reduced_derivatives(2, 1, 0)[1] == 2
+        assert reduced_derivatives(3, 1, F(1, 2))[2] == 26
 
     def test_pole(self):
         with pytest.raises(DerangeDomainError, match=r"^z = 1 is a pole$"):
-            reduced_derivative(3, 2, 1)
+            reduced_derivatives(4, 2, 1)
 
 
 def _recentered_series(r, z, order):
@@ -843,20 +872,28 @@ def test_reduced_derivative_matches_recentering_oracle():
     for r in range(4):
         for z in (F(0), F(1, 2), F(-1)):
             s = _recentered_series(r, z, 8)
-            for m in range(9):
-                assert reduced_derivative(m, r, z) == factorial(m) * s[m], (m, r, z)
+            assert reduced_derivatives(9, r, z) == [
+                factorial(m) * s[m] for m in range(9)], (r, z)
+
+
+def _route_values(rep):
+    """Every value a report has: each route that gave one, and the closed
+    form."""
+    return {rep.det_bareiss, rep.det_jfraction, rep.det_condensation,
+            rep.det_cofactor, rep.closed_form} - {None}
 
 
 class TestDerivativeHankel:
     def test_single_entry(self):
         for r in range(4):
             for z in (F(0), F(1, 2), F(-1), F(2)):
-                det, closed = verify_derivative_hankel(1, r, z)
-                assert det == closed == (1 - z) ** -r
+                rep = verify_derivative_hankel(1, r, z)
+                assert _route_values(rep) == {(1 - z) ** -r}
+                assert rep.verdict == "pass"
 
     def test_2x2_at_origin(self):
-        det, closed = verify_derivative_hankel(2, 1, 0)
-        assert det == closed == 1  # det [[1,2],[2,5]]
+        rep = verify_derivative_hankel(2, 1, 0)
+        assert _route_values(rep) == {1}  # det [[1,2],[2,5]]
 
     def test_grid(self):
         # the paper's form: Pi rising(r,k) k! / ((z-1)^{(n-1)n} (1-z)^{rn})
@@ -867,7 +904,10 @@ class TestDerivativeHankel:
                     for k in range(1, n):
                         paper *= rising_factorial(r, k) * factorial(k)
                     paper /= (z - 1) ** ((n - 1) * n) * (1 - z) ** (r * n)
-                    assert verify_derivative_hankel(n, r, z) == (paper, paper)
+                    rep = verify_derivative_hankel(n, r, z)
+                    assert _route_values(rep) == {paper}, (n, r, z)
+                    assert rep.verdict == "pass"
+                    assert derivative_closed_chain(n, r, z)[-1] == paper
 
     def test_shared_derivatives_give_each_size_its_own_values(self):
         # the suite makes one chain per (r, z), from g_0..g_10, for n <= 6
@@ -876,22 +916,126 @@ class TestDerivativeHankel:
                 chain = derivative_hankel_chain(6, r, z)
                 assert len(chain) == 6
                 for n in range(1, 7):
-                    g = [reduced_derivative(m, r, z) for m in range(2 * n - 1)]
+                    g = reduced_derivatives(2 * n - 1, r, z)
                     assert chain[n - 1] == verify_derivative_hankel(n, r, z)
-                    assert chain[n - 1][0] == det_bareiss(g, n - 1)
+                    assert chain[n - 1].det_bareiss == det_bareiss(g, n - 1)
+                    assert chain[n - 1].params == {
+                        "identity": "derivative-hankel", "n": n, "r": r, "z": z}
 
     def test_consistency_with_generalized_closed_form(self):
         for r in (1, 2, 3):
             for z in (F(0), F(1, 2), F(-1), F(2)):
                 for n in range(1, 6):
-                    det, _ = verify_derivative_hankel(n, r, z)
+                    det = verify_derivative_hankel(n, r, z).det_bareiss
                     expected = closed_form_chain(n - 1, r, 1 / (1 - z))[-1]
                     expected /= (1 - z) ** (n * r)
                     assert det == expected
 
     def test_pole(self):
-        with pytest.raises(DerangeDomainError, match=r"^z = 1 is a pole$"):
-            verify_derivative_hankel(3, 1, 1)
+        for call in (lambda: verify_derivative_hankel(3, 1, 1),
+                     lambda: derivative_closed_chain(3, 1, 1)):
+            with pytest.raises(DerangeDomainError,
+                               match=r"^z = 1 is a pole$"):
+                call()
+
+
+def test_reduced_derivatives_are_the_explicit_formula_at_t():
+    """The operator recurrence gives g_m = D_m^{(r)}(t) t^r, t = 1/(1-z),
+    the paper's explicit formula, on 132 values."""
+    for r in (1, 2, 3):
+        for z in (F(0), F(1, 2), F(-1), F(2)):
+            t = 1 / (1 - z)
+            assert reduced_derivatives(11, r, z) == [
+                eval_poly(generalized_D_poly(m, r), t) * t ** r
+                for m in range(11)]
+
+
+def _explicit_mutants(real):
+    """Two mutants of the explicit formula generalized_D_poly: c_1 + 1, and
+    C(n,k) rising(r+1,k) in place of C(n,k) rising(r,k)."""
+    def c1_plus_one(n, r):
+        c = real(n, r)
+        return c[:1] + (c[1] + 1,) + c[2:] if n >= 1 else c
+    return {"c_1 + 1": c1_plus_one,
+            "rising(r+1, k)": lambda n, r: real(n, r + 1)}
+
+
+@pytest.mark.parametrize("name", ["c_1 + 1", "rising(r+1, k)"])
+def test_derivative_cells_do_not_read_the_explicit_formula(name, monkeypatch):
+    """With a mutant in every generalized_D_poly the package binds, the
+    derivative suite's 72 cells stay as they are: its moments come from
+    their definition, not from the formula the paper proves."""
+    want = [vars(c) for c in verify.suite_derivative_hankel(verify.Grid())]
+    mutant = _explicit_mutants(generalized_D_poly)[name]
+    bound = [module for module_name, module in sys.modules.items()
+             if module_name.startswith("derange")
+             and getattr(module, "generalized_D_poly", None)
+             is generalized_D_poly]
+    assert bound  # polys, at least
+    for module in bound:
+        monkeypatch.setattr(module, "generalized_D_poly", mutant)
+    assert polys.generalized_D_poly(2, 1) != (1, 2, 2)  # the mutant is live
+    got = [vars(c) for c in verify.suite_derivative_hankel(verify.Grid())]
+    assert len(got) == 72 and got == want
+
+
+def test_an_off_by_one_in_the_operator_recurrence_fails_a_cell(monkeypatch):
+    """r + j in place of r + j - 1 in the step c_j <- c_j + (r+j-1) c_{j-1}
+    leaves only g_0 = t^r as it is, so every cell of size 2 and up fails."""
+    source = inspect.getsource(hankel.reduced_derivatives)
+    assert source.count("(r + j - 1)") == 1
+    namespace = dict(vars(hankel))
+    exec(source.replace("(r + j - 1)", "(r + j)"), namespace)
+    monkeypatch.setattr(hankel, "reduced_derivatives",
+                        namespace["reduced_derivatives"])
+    cells = verify.suite_derivative_hankel(verify.Grid())
+    assert len(cells) == 72
+    assert [cell for cell in cells if cell.verdict == "fail"] == [
+        cell for cell in cells if cell.params["n"] != "1"]
+
+
+@pytest.mark.parametrize("name, failed", [("c_1 + 1", 240),
+                                          ("rising(r+1, k)", 238)])
+def test_explicit_formula_mutants_fail_three_path_d(name, failed, monkeypatch):
+    """Each explicit-formula mutant fails three-path-d cells, which compare
+    the explicit d_n (the reversed D_n tuple) with the order-r-poly EGF row
+    and its convolution."""
+    monkeypatch.setattr(polys, "generalized_D_poly",
+                        _explicit_mutants(polys.generalized_D_poly)[name])
+    cells = verify.suite_recurrences(verify.Grid())
+    assert sum(cell.verdict == "fail" for cell in cells
+               if cell.params["identity"] == "three-path-d") == failed
+
+
+def test_an_unprintable_derivative_grid_is_refused_before_any_route(
+        monkeypatch, capsys):
+    """At n_max = 55 a top closed form is past the digit limit; the suite
+    exits 2 with no route called, while its first chains would still fit."""
+    def no_route(*args):
+        raise AssertionError("a route ran")
+
+    for name in ("bareiss_minors", "det_jfraction", "condensation_minors",
+                 "cofactor_minors", "chain_reports", "reduced_derivatives"):
+        monkeypatch.setattr(hankel, name, no_route)
+    with pytest.raises(DerangeDomainError, match="^Exceeds the limit"):
+        verify.run_suite("derivative-hankel", verify.Grid(n_max=55))
+    assert main(["verify", "--suite", "derivative-hankel", "--nmax", "55"]) == 2
+    assert "Exceeds the limit" in capsys.readouterr().err
+    assert as_text(derivative_closed_chain(55, 1, 0)[-1])
+
+
+def test_every_derivative_cell_shows_each_route():
+    """The 72 derivative cells carry the jfraction, condensation and
+    cofactor params that every Hankel cell has, each equal to the closed
+    form on the default grid."""
+    cells = verify.suite_derivative_hankel(verify.Grid())
+    assert len(cells) == 72
+    for cell in cells:
+        assert list(cell.params) == ["identity", "n", "r", "z", "jfraction",
+                                     "condensation", "cofactor"]
+        assert cell.verdict == "pass"
+        assert {cell.params["jfraction"], cell.params["condensation"],
+                cell.params["cofactor"], cell.actual} == {cell.expected}
 
 
 def test_verify_hankel_paper_grid_sample():
