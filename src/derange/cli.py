@@ -32,8 +32,8 @@ from .series import Cell, Family, FamilySpec
 
 FAMILY_NAMES = {f.value: f for f in Family}
 # the keys of verify.SUITES, sorted, so that parsing argv needs no verify
-SUITE_NAMES = ("derivative-hankel", "hankel", "jfraction", "mgf", "oracles",
-               "recurrences", "reflection")
+SUITE_NAMES = ("derivative-hankel", "hankel", "mgf", "oracles", "recurrences",
+               "reflection")
 
 
 def __getattr__(name: str):

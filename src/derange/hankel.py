@@ -4,7 +4,8 @@ Each route returns the chain of leading minors H_0..H_n of the Hankel
 matrix of a_0..a_{2n}, H_k = det(a_{i+j})_{i,j<=k}, which it passes on
 its way to H_n. `chain_reports` is the one runner: it knows no family,
 calls each route once on any moments, and reads every order's report
-from the chains against a closed chain. Its views are the family
+from the chains against a closed chain, with the J-fraction coefficients
+of the step that reaches that order. Its views are the family
 reports (`hankel_reports`, and `verify_hankel` for one order) and the
 derivative Hankel identity (`derivative_hankel_chain`, and
 `verify_derivative_hankel` for one size).
@@ -282,6 +283,8 @@ class HankelReport(NamedTuple):
     det_cofactor: Optional[Fraction]  # None above ORACLE_CAP
     closed_form: Fraction
     verdict: str  # "pass" | "fail"
+    b: Optional[Fraction]  # b_{k-1} of the J-fraction step to order k
+    lam: Optional[Fraction]  # its lambda_k; each None at k = 0 or past the end
 
     def cell(self) -> Cell:
         """Bareiss against the closed form, with each other route's
@@ -303,8 +306,8 @@ def chain_reports(moments: Sequence, closed: Sequence, params: Callable,
     """The reports of H_lo..H_n of the moments a_0..a_{2n} against the
     closed chain H_lo..H_n, with params(k) the cell params of order k.
     Each route runs once; the oracles' up to ORACLE_CAP and only when
-    lo < ORACLE_CAP. A report passes when every value it has equals its
-    closed form."""
+    lo < ORACLE_CAP. A report passes when every determinant it has equals
+    its closed form; its J-fraction coefficients are read, not judged."""
     n = (len(moments) - 1) // 2
     cond = cof = ()
     if lo < ORACLE_CAP:
@@ -312,12 +315,13 @@ def chain_reports(moments: Sequence, closed: Sequence, params: Callable,
         cond = condensation_minors(moments, top)
         # the index-reversed matrix's trailing minors are H_0..H_top
         cof = cofactor_minors(hankel_matrix(_moments(moments, top)[::-1], top))
-    routes = zip_longest(bareiss_minors(moments, n, lo),
-                         det_jfraction(moments, n).minors[lo:], cond[lo:],
-                         cof[lo:], closed)
+    jf = det_jfraction(moments, n)
+    routes = zip_longest(bareiss_minors(moments, n, lo), jf.minors[lo:],
+                         cond[lo:], cof[lo:], closed, ((None,) + jf.b)[lo:],
+                         ((None,) + jf.lam)[lo:])
     return [HankelReport(params(k), k, *dets, cf, "pass" if all(
-        v == cf for v in dets if v is not None) else "fail")
-        for k, (*dets, cf) in enumerate(routes, lo)]
+        v == cf for v in dets if v is not None) else "fail", b, lam)
+        for k, (*dets, cf, b, lam) in enumerate(routes, lo)]
 
 
 def hankel_reports(spec: FamilySpec, n: int, lo: int = 0) -> List[HankelReport]:

@@ -7,7 +7,8 @@ is "skipped" by testing the cap, not by catching the oracle's refusal.
 Every Hankel cell, of a family or of the derivative identity, is
 `HankelReport.cell`, the one `derange hankel` prints: Bareiss against the
 closed form, with every other route's status; the factorials are one more
-closed-form spec, not a cell of their own.
+closed-form spec, not a cell of their own, and the J-fraction
+coefficient cells are read off the same reports.
 """
 
 from __future__ import annotations
@@ -128,34 +129,27 @@ def _closed_form_specs(grid: Grid):
 
 def suite_hankel(grid: Grid) -> List[Cell]:
     """Closed-form Hankel determinants of every family that has one, from one
-    hankel_reports call per spec, each report's own cell. Every spec's top
-    closed form is made text first, so one past the digit limit refuses the
-    suite before any route runs."""
+    hankel_reports call per spec, each report's own cell; then each b_k and
+    lambda_k that the reports read off the J-fraction (n = n_max) against its
+    closed form from the EGF shape, so a failure names the k, and a fraction
+    that ended too early reads "ended". Every spec's top closed form is made
+    text first, so one past the digit limit refuses the suite before any
+    route runs."""
     specs = list(_closed_form_specs(grid))
     for spec in specs:
         as_text(hankel.closed_form(spec, grid.n_max))
     chains = [hankel.hankel_reports(spec, grid.n_max) for spec in specs]
-    return [chain[n].cell() for n in range(grid.n_max + 1) for chain in chains]
-
-
-def suite_jfraction(grid: Grid) -> List[Cell]:
-    """Each J-fraction coefficient that the Chebyshev algorithm computes from
-    the 2n+1 Hankel moments (n = n_max), against its closed form read from
-    the family's EGF shape; one cell per b_k and per lambda_k, so a failure
-    names the k. A computed fraction that ended too early reads "ended"."""
-    cells = []
-    n = grid.n_max
-    for spec in _closed_form_specs(grid):
-        got = hankel.det_jfraction(series.egf_values(spec, 2 * n + 1), n)
-        want_b, want_lam = hankel.jfraction_closed_form(spec, n)
+    cells = [chain[n].cell() for n in range(grid.n_max + 1) for chain in chains]
+    for spec, chain in zip(specs, chains):
+        want_b, want_lam = hankel.jfraction_closed_form(spec, grid.n_max)
         params = {"identity": "jfraction", "family": spec.family.value,
                   **spec_params(spec)}
-        for name, want, have, first in (("b", want_b, got.b, 0),
-                                        ("lambda", want_lam, got.lam, 1)):
-            for i, value in enumerate(want):
-                actual = have[i] if i < len(have) else "ended"
-                cells.append(Cell({**params, "coefficient": name,
-                                   "k": i + first}, value, actual))
+        for name, want, first in (("b", want_b, 0), ("lambda", want_lam, 1)):
+            for k, value in enumerate(want, first):
+                rep = chain[k + 1 - first]  # b_k at order k + 1, lambda_k at k
+                have = rep.lam if first else rep.b
+                cells.append(Cell({**params, "coefficient": name, "k": k},
+                                  value, "ended" if have is None else have))
     return cells
 
 
@@ -217,7 +211,6 @@ SUITES = {
     "recurrences": suite_recurrences,
     "reflection": suite_reflection,
     "hankel": suite_hankel,
-    "jfraction": suite_jfraction,
     "derivative-hankel": suite_derivative_hankel,
     "mgf": suite_mgf,
     "oracles": suite_oracles,

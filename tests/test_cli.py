@@ -181,6 +181,10 @@ def test_usage_error_exit_code(capsys):
     assert main(["seq", "--family", "generalized", "--r", "2",
                  "--count", "3"]) == 2  # missing --x
     capsys.readouterr()
+    # the J-fraction coefficients are cells of the hankel suite, not a suite
+    assert main(["verify", "--suite", "jfraction"]) == 2
+    err = capsys.readouterr().err
+    assert "--suite: invalid choice" in err and "Traceback" not in err
 
 
 DOMAIN_ERRORS = [
@@ -791,13 +795,9 @@ GOLDEN = {
         "95bb8a5f1179887b70f254c1b75d35ba522b013ed2ae1b18c746123563275052",
         "bf534c7ba0e6d80e91fbf243c5c7e87eb4022efaa52356c094dda2a1fbc1bd10"),
     "verify --suite hankel --nmax 3 --r 2 --x=-1/2": (
-        "2c3678974fcd40a0767c464ad7b27c6a586dd14a988cbc3a6560aaf8f998cf4a",
-        "3a75a5746a035273d11f990270e4f58ebf88db6b790371e146e939a96b782f0b",
-        "0c2fcb805968908cfeeaaf3333d27945a4613a8f27fd5245f8a091db88e9a901"),
-    "verify --suite jfraction --nmax 4": (
-        "ac6404fbbe88759b08e0e88c7805920edbfb2fb62466a517126b84b10406c5c2",
-        "2b2cb2831f58239fb666b435baa183769f7758b84c2f750123673695dcdac8d9",
-        "37c87ca2d56650b011016956e06ffefce4bef8c81b476db1e146d414c51584b4"),
+        "cf727095dbad0940fe50faf3583df14bc5f2eacd654d25b410ba15949b2a1467",
+        "cfac34d26867ae6704a30ff403d46bacb150e743e758a19097ad2754ff47bb89",
+        "efc14b464abb903e0dbfea82aa2d4f6f9468ad4c52034c854715f3a6765d9913"),
     "verify --suite derivative-hankel --r 2 --z 1/2 --nmax 3": (
         "0170a3c23011aceeb228f3c6864ef966eaa172d6445aa07e9c198a66d32efd73",
         "ef1c9e512eae201dce884c5bdc57e2732ede08b30bc90bbc49dd54539dc72e27",
@@ -914,6 +914,15 @@ def test_readme_names_no_missing_file():
 
 def test_suite_choices_are_the_verify_suites():
     assert SUITE_NAMES == tuple(sorted(verify.SUITES))
+
+
+def test_readme_tables_loop_names_every_suite_in_order():
+    """The `for s in ...` loop under README's "## Tables" runs exactly the
+    verify suites, in the order of verify.SUITES."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("\n## Tables\n", 1)[1].split("\n## ", 1)[0]
+    (loop,) = re.findall(r"^for s in (.*); do$", block, re.MULTILINE)
+    assert loop.split() == list(verify.SUITES)
 
 
 def test_cli_still_names_verify_hankel():

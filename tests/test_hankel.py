@@ -486,11 +486,12 @@ def test_chains_match_the_references_order_by_order(case):
 
 
 def test_suites_make_one_route_call_per_spec(monkeypatch):
-    """The hankel suite runs the core once per family spec (45, the
-    factorials among them), the derivative suite once per (r, z) (12), and
-    the core runs each route once. Per-order Bareiss runs only after a row
-    swap, and no chain of the default grid makes one: the r = 0 specs'
-    zero pivot sits on a zero row."""
+    """Over every suite, the hankel suite runs the core once per family spec
+    (45, the factorials among them), the derivative suite once per (r, z)
+    (12), and the core runs each route once: 57 J-fraction calls, where a
+    suite of its own that ran it again on every spec made 102. Per-order
+    Bareiss runs only after a row swap, and no chain of the default grid
+    makes one: the r = 0 specs' zero pivot sits on a zero row."""
     calls = dict.fromkeys(("chain_reports", "hankel_reports",
                            "derivative_hankel_chain", "bareiss_minors",
                            "det_bareiss", "det_jfraction",
@@ -506,8 +507,7 @@ def test_suites_make_one_route_call_per_spec(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(hankel, name, counted(name))
-    verify.suite_hankel(verify.Grid())
-    verify.suite_derivative_hankel(verify.Grid())
+    verify.run_suite("all")
     assert calls == {"chain_reports": 45 + 12, "hankel_reports": 45,
                      "derivative_hankel_chain": 12, "bareiss_minors": 45 + 12,
                      "det_bareiss": 0, "det_jfraction": 45 + 12,
@@ -517,10 +517,11 @@ def test_suites_make_one_route_call_per_spec(monkeypatch):
 
 def test_one_function_runs_every_route():
     """chain_reports is the only function of the package that calls all
-    four chain routes; every Hankel report comes from it."""
+    four chain routes, and the only one that calls det_jfraction; every
+    Hankel report and every J-fraction coefficient cell comes from it."""
     routes = {"bareiss_minors", "det_jfraction", "condensation_minors",
               "cofactor_minors"}
-    callers = []
+    callers, jfraction_callers = [], []
     for path in sorted(Path(hankel.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.FunctionDef):
@@ -530,7 +531,30 @@ def test_one_function_runs_every_route():
                           if isinstance(call, ast.Call)}
                 if routes <= called:
                     callers.append(f"{path.stem}.{node.name}")
-    assert callers == ["hankel.chain_reports"]
+                if "det_jfraction" in called:
+                    jfraction_callers.append(f"{path.stem}.{node.name}")
+    assert callers == jfraction_callers == ["hankel.chain_reports"]
+
+
+def test_each_report_carries_its_orders_jfraction_coefficients():
+    """Report k holds b_{k-1} and lambda_k of the one det_jfraction call on
+    its moments, None at k = 0 and after the fraction has ended: the r = 0
+    specs end after lambda_1 = 0. A one-order report holds the same."""
+    grid = verify.Grid()
+    n = grid.n_max
+    for spec in verify._closed_form_specs(grid):
+        got = det_jfraction(egf_values(spec, 2 * n + 1), n)
+        reports = hankel_reports(spec, n)
+        ended = 1 if spec.r == 0 else n
+        assert len(got.b) == len(got.lam) == ended, spec
+        assert (reports[0].b, reports[0].lam) == (None, None)
+        for k, rep in enumerate(reports[1:], 1):
+            want = (got.b[k - 1], got.lam[k - 1]) if k <= ended else (None,) * 2
+            assert (rep.b, rep.lam) == want, (spec, k)
+            one = verify_hankel(spec, k)
+            assert (one.b, one.lam) == want, (spec, k)
+        if spec.r == 0:
+            assert reports[1].lam == 0
 
 
 DEPTH_SPECS = {
@@ -570,28 +594,39 @@ def test_order_r_numbers_have_the_order_d_closed_form(r):
         assert (got.b, got.lam) == hankel.jfraction_closed_form(spec, n), n
 
 
+def _cells_of(cells, identity):
+    """The cells of one identity; a family's Hankel cells have none."""
+    return [cell for cell in cells if cell.params.get("identity") == identity]
+
+
 def test_jfraction_suite_names_the_broken_k(monkeypatch, capsys):
+    """The hankel suite's J-fraction coefficient cells name the k where a
+    closed form breaks, and no other cell fails."""
     real = hankel.jfraction_closed_form
 
     def mutated(spec, n):  # lambda_3 off by a factor of 2
         b, lam = real(spec, n)
         return b, tuple(2 * v if k == 3 else v for k, v in enumerate(lam, 1))
 
-    assert all(c.verdict == "pass" for c in verify.suite_jfraction(verify.Grid()))
+    assert all(c.verdict == "pass" for c in verify.suite_hankel(verify.Grid()))
     monkeypatch.setattr(hankel, "jfraction_closed_form", mutated)
-    cells = verify.suite_jfraction(verify.Grid())
+    all_cells = verify.suite_hankel(verify.Grid())
+    cells = _cells_of(all_cells, "jfraction")
     failed = [c.params for c in cells if c.verdict == "fail"]
     reaching = [c for c in cells if c.params["coefficient"] == "lambda"
                 and c.params["k"] == "3"]
     assert failed and len(failed) == len(reaching)
+    assert sum(c.verdict == "fail" for c in all_cells) == len(failed)
     assert {(p["coefficient"], p["k"]) for p in failed} == {("lambda", "3")}
-    assert main(["verify", "--suite", "jfraction", "--nmax", "4"]) == 1
+    assert main(["verify", "--suite", "hankel", "--nmax", "4"]) == 1
     out = capsys.readouterr().out
     fails = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert fails and all("coefficient=lambda k=3 " in line for line in fails)
 
 
 def test_jfraction_suite_fails_a_fraction_that_ends_early(monkeypatch):
+    """A computed fraction cut after two steps fails the hankel suite's
+    coefficient cells past it as "ended", while its determinants pass."""
     real = hankel.det_jfraction
 
     def cut(seq, n):
@@ -599,10 +634,35 @@ def test_jfraction_suite_fails_a_fraction_that_ends_early(monkeypatch):
         return got._replace(b=got.b[:2], lam=got.lam[:2])
 
     monkeypatch.setattr(hankel, "det_jfraction", cut)
-    cells = verify.suite_jfraction(verify.Grid(n_max=4))
-    failed = [c for c in cells if c.verdict == "fail"]
-    assert failed and all(c.actual == "ended" for c in failed)
+    all_cells = verify.suite_hankel(verify.Grid(n_max=4))
+    failed = [c for c in all_cells if c.verdict == "fail"]
+    assert failed == [c for c in _cells_of(all_cells, "jfraction")
+                      if c.verdict == "fail"]
+    assert all(c.actual == "ended" for c in failed)
     assert {int(c.params["k"]) for c in failed} == {2, 3, 4}
+
+
+def test_a_lambda_closed_form_off_by_one_fails_each_k(monkeypatch):
+    """lambda_k = x^2 k (k + r) in place of x^2 k (k + r - 1) fails a
+    coefficient cell naming each k = 1..n_max, and no Hankel cell; on the
+    r = 0 specs, whose computed fraction ends at lambda_1 = 0, the b cells
+    past b_0 read "ended"."""
+    source = inspect.getsource(hankel.jfraction_closed_form)
+    assert source.count("k * (k + r - 1)") == 1
+    namespace = dict(vars(hankel))
+    exec(source.replace("k * (k + r - 1)", "k * (k + r)"), namespace)
+    monkeypatch.setattr(hankel, "jfraction_closed_form",
+                        namespace["jfraction_closed_form"])
+    grid = verify.Grid()
+    all_cells = verify.suite_hankel(grid)
+    cells = _cells_of(all_cells, "jfraction")
+    failed = [c for c in all_cells if c.verdict == "fail"]
+    assert failed == [c for c in cells if c.verdict == "fail"]
+    assert {c.params["k"] for c in failed
+            if c.params["coefficient"] == "lambda"} == {
+        str(k) for k in range(1, grid.n_max + 1)}
+    assert all(c.actual == "ended" and c.params["r"] == "0" for c in failed
+               if c.params["coefficient"] == "b")
 
 
 class TestClosedForms:
@@ -784,10 +844,14 @@ def test_a_condensation_that_always_degenerates_changes_the_report(
 
 
 def test_each_hankel_suite_cell_is_its_reports_cell():
-    """suite_hankel's cells are the cells of the per-order reports, param
-    for param, in grid order."""
+    """suite_hankel's determinant cells are the cells of the per-order
+    reports, param for param, in grid order, and its J-fraction coefficient
+    cells come after them."""
     grid = verify.Grid()
-    got = verify.suite_hankel(grid)
+    cells = verify.suite_hankel(grid)
+    got = _cells_of(cells, None)
+    assert cells[:len(got)] == got
+    assert cells[len(got):] == _cells_of(cells, "jfraction")
     want = [verify_hankel(spec, n).cell() for n in range(grid.n_max + 1)
             for spec in verify._closed_form_specs(grid)]
     assert len(got) == len(want) == 45 * (grid.n_max + 1)
@@ -813,7 +877,7 @@ def test_the_factorials_have_classics_hankel_determinants():
         FamilySpec(Family.CLASSIC), FACTORIALS]
     assert egf_values(FACTORIALS, 2 * grid.n_max + 1) == [
         factorial(k) for k in range(2 * grid.n_max + 1)]
-    cells = _factorial_cells(verify.suite_hankel(grid))
+    cells = _factorial_cells(_cells_of(verify.suite_hankel(grid), None))
     assert [cell.params["n"] for cell in cells] == [
         str(n) for n in range(grid.n_max + 1)]
     for n, cell in enumerate(cells):
@@ -825,9 +889,10 @@ def test_the_factorials_have_classics_hankel_determinants():
 
 
 def test_the_factorials_jfraction_is_laguerres():
-    """The factorials' J-fraction cells read b_k = 2k+1, lambda_k = k^2."""
+    """The factorials' J-fraction cells of the hankel suite read b_k = 2k+1,
+    lambda_k = k^2."""
     grid = verify.Grid()
-    cells = _factorial_cells(verify.suite_jfraction(grid))
+    cells = _factorial_cells(_cells_of(verify.suite_hankel(grid), "jfraction"))
     assert [(c.params["coefficient"], c.params["k"], c.actual)
             for c in cells] == (
         [("b", str(k), str(2 * k + 1)) for k in range(grid.n_max)]
