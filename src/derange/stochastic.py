@@ -7,15 +7,19 @@ stream so every estimate is a pure function of (seed, samples): uniform i,
 from i = 1, is the top 53 bits of the SplitMix64 finalizer of
 seed + i * _GAMMA (mod 2^64), times 2^-53. `_erlang_blocks` is the one
 implementation of that stream. A seed is one of 0..2^64-1: any other would
-alias one of those, so `mc_moment` and `mc_generalized_D` refuse it, with
-the sample count and r, in one request check.
+alias one of those. The stream has 2^64 distinct uniforms, and a request
+for more (samples * r > 2^64) would read its first ones again.
+`mc_moment` and `mc_generalized_D` refuse both, with the sample count and
+r, in one request check.
 
 The sampler streams: draws come in blocks of `_CHUNK` samples, each cut
 from its own slice of the stream, and the per-block (count, mean, M2) are
-merged in block order with the Chan-Golub-LeVeque update. Each stream
-allocates one workspace, O(_CHUNK * r) memory whatever the sample count,
-and computes every block in place in it, so a yielded block is a view that
-the next block overwrites: copy it to keep it.
+merged in block order with the Chan-Golub-LeVeque update. A block is
+drawn one column (one uniform of each draw) at a time, so each stream
+allocates one workspace of four _CHUNK-sized buffers, O(_CHUNK) memory
+whatever the sample count and r, and computes every block in place in it:
+a yielded block is a view that the next block overwrites, so copy it to
+keep it. A request costs time in proportion to samples * r.
 
 One pass over a stream serves every statistic asked of it: `_estimate`
 folds each block into one running (mean, M2) per statistic. The pass owns
@@ -90,38 +94,36 @@ def _erlang_blocks(r: int, samples: int, seed: int) -> Iterator[np.ndarray]:
     uniforms [j*_CHUNK*r, ...) of the stream, so the blocks concatenate to
     the draws of one sequential walk of it, r uniforms per draw.
 
-    The workspace is allocated once per call and every block is computed in
-    it in place; each yielded block is a view the next one overwrites. The
-    r exponentials of a draw are summed column by column, in draw order,
-    which is also numpy's row sum for r < 8. A workspace too large to
-    allocate is a domain error."""
+    A block is drawn one column at a time: column c holds uniform c of each
+    of its draws, whose counters are one constant plus the shared offsets
+    d*r*_GAMMA of draw d. The workspace is four _CHUNK-sized buffers,
+    allocated once per call whatever r, and every block is computed in it
+    in place; each yielded block is a view the next one overwrites. The r
+    exponentials of a draw are summed column by column, in draw order,
+    which is also numpy's row sum for r < 8."""
     block = min(_CHUNK, samples)
-    try:
-        base = np.arange(1, block * r + 1, dtype=np.uint64)
-        x = np.empty_like(base)
-        t = np.empty_like(base)
-        y = np.empty(block)
-    except (MemoryError, ValueError):  # ValueError: beyond numpy's size limit
-        raise DerangeDomainError(
-            f"r = {r} needs a sampler workspace of {8 * block * (3 * r + 1)} "
-            f"bytes, which cannot be allocated") from None
-    base *= np.uint64(_GAMMA)
+    offset = np.arange(block, dtype=np.uint64)
+    offset *= np.uint64(r * _GAMMA & _MASK)
+    x = np.empty_like(offset)
+    t = np.empty_like(offset)
+    y = np.empty(block)
     u = t.view(np.float64)
     for start in range(0, samples, _CHUNK):
         m = min(_CHUNK, samples - start)
-        n = m * r
-        xs, us, ys = x[:n], u[:n], y[:m]
-        # counter i of the stream is seed + i*GAMMA: shift base to this block
-        np.add(base[:n], np.uint64((start * r * _GAMMA + seed) & _MASK), out=xs)
-        _mix_inplace(xs, t[:n])
-        xs >>= np.uint64(11)
-        np.copyto(us, xs.view(np.int64))  # exact: xs < 2^53
-        us *= -2.0 ** -53  # -U, exactly
-        np.log1p(us, out=us)
-        cols = us.reshape(m, r)
-        np.copyto(ys, cols[:, 0])
-        for j in range(1, r):
-            ys += cols[:, j]
+        xs, ts, us, ys = x[:m], t[:m], u[:m], y[:m]
+        for c in range(r):
+            # counter i of the stream is seed + i*GAMMA, and draw d of the
+            # block reads i = (start + d)*r + c + 1 in this column
+            np.add(offset[:m], np.uint64((seed + (start * r + c + 1) * _GAMMA)
+                                         & _MASK), out=xs)
+            _mix_inplace(xs, ts)
+            xs >>= np.uint64(11)
+            np.copyto(us, xs.view(np.int64))  # exact: xs < 2^53
+            us *= -2.0 ** -53  # -U, exactly
+            if c == 0:
+                np.log1p(us, out=ys)
+            else:
+                ys += np.log1p(us, out=us)
         yield np.negative(ys, out=ys)
 
 
@@ -145,10 +147,11 @@ def _estimate(r: int, samples: int, seed: int,
         out = scratch[:b_count]
         for i, statistic in enumerate(statistics):
             s = statistic(y, out)
-            b_mean = float(s.mean())
+            # ndarray.mean without its wrapper: the same pairwise sum, divided
+            b_mean = float(np.add.reduce(s)) / b_count
             s -= b_mean
             # numpy's pairwise sum, not a BLAS dot, whose order may vary by build
-            b_m2 = float(np.square(s, out=s).sum())
+            b_m2 = float(np.add.reduce(np.square(s, out=s)))
             delta = b_mean - means[i]
             means[i] += delta * b_count / total
             m2s[i] += b_m2 + delta * delta * count * b_count / total
@@ -173,13 +176,17 @@ def _horner(coeffs: list[float], y: np.ndarray, out: np.ndarray) -> np.ndarray:
 def _check_request(samples: int, r: int, seed: int) -> None:
     """Refuse a sample count, r or seed that no stream serves: the stream
     is defined for seeds 0..2^64-1 only, and a seed outside them would
-    alias one inside."""
+    alias one inside; it has 2^64 distinct counters, and a request for more
+    than 2^64 uniforms would read the first ones again."""
     if samples < 2:
         raise DerangeDomainError("need samples >= 2")
     if r < 1:
         raise DerangeDomainError("need r >= 1")
     if not 0 <= seed <= _MASK:
         raise DerangeDomainError(f"need 0 <= seed < 2^64, got {seed}")
+    if samples * r > 1 << 64:
+        raise DerangeDomainError(
+            f"need samples * r <= 2^64, got {samples} * {r}")
 
 
 def mc_moment(r: int, k: int, samples: int, seed: int) -> MomentEstimate:

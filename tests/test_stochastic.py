@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -175,6 +176,23 @@ def test_successive_blocks_share_one_buffer():
     blocks = list(_erlang_blocks(BOUNDARY_R, 3 * _CHUNK + 5, BOUNDARY_SEED))
     assert len(blocks) == 4
     assert all(np.shares_memory(blocks[0], b) for b in blocks[1:])
+
+
+def test_the_sampler_workspace_does_not_grow_with_r():
+    # a block is drawn one column at a time in _CHUNK-sized buffers, so a
+    # moment-table pass allocates as much at r = 8 as at r = 1
+    def peak(r):
+        _moment_table.cache_clear()
+        tracemalloc.start()
+        try:
+            _moment_table(r, 3 * _CHUNK + 5, BOUNDARY_SEED)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            _moment_table.cache_clear()
+
+    peak(1)  # numpy's first-call allocations are not the workspace's
+    assert peak(8) <= peak(1) + 4096
 
 
 def test_interleaved_generators_keep_their_own_workspace():
@@ -496,3 +514,24 @@ def test_the_request_check_keeps_its_order():
         mc_generalized_D(9, 0, 1, 2, -1)
     with pytest.raises(DerangeDomainError, match="^need 0 <= seed"):
         mc_moment(1, 9, 2, -1)
+    with pytest.raises(DerangeDomainError, match="^need 0 <= seed"):
+        mc_moment(1 << 63, 9, 3, -1)
+    with pytest.raises(DerangeDomainError, match=r"^need samples \* r <= 2\^64"):
+        mc_moment(1 << 63, 9, 3, 0)
+    with pytest.raises(DerangeDomainError, match=r"^need samples \* r <= 2\^64"):
+        mc_generalized_D(9, 1 << 63, 1, 3, 0)
+
+
+def test_a_request_reads_at_most_the_streams_2_to_the_64_uniforms():
+    # uniform i is the mix of seed + i*GAMMA with GAMMA odd, so i = 1..2^64
+    # are distinct mod 2^64 and uniform 2^64 + 1 is uniform 1 again; the
+    # check is called alone, so nothing is drawn
+    for samples, r in [(2, 1 << 63), (1 << 32, 1 << 32), (1 << 64, 1)]:
+        stochastic._check_request(samples, r, 0)
+    # 2^64 + 1 = 274,177 * 67,280,421,310,721
+    for samples, r in [(274_177, 67_280_421_310_721), ((1 << 64) + 1, 1),
+                       (3, 1 << 63)]:
+        assert samples * r > 1 << 64
+        with pytest.raises(DerangeDomainError, match=(
+                rf"^need samples \* r <= 2\^64, got {samples} \* {r}$")):
+            stochastic._check_request(samples, r, 0)
