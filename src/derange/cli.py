@@ -3,16 +3,20 @@
 Exit codes: 0 all checks pass, 1 a verification/tolerance failure,
 2 usage or domain error, which `_emit` makes of a failed write to stdout or
 to --output.  Rationals cross the boundary as exact "p/q" strings.
-Seed precedence: --seed flag > DERANGE_SEED env var > 42.
 Each command imports only what it runs: `seq` and `poly` import neither
 `verify` nor `hankel`, numpy comes only with `mc`, the one command that
 samples, and json and csv only with a report in those formats.
+`mc` estimates D_n^{(r)}(x) when --n or --x is given, and the moments up
+to --k otherwise; its seed is --seed, 42 by default.
 `render_report` writes the cell report of `hankel`, `verify` and `mc` and
 returns their exit code; `hankel`'s one cell is `HankelReport.cell`, as in
 `verify`, and a closed form too long to print is refused before any route
-runs. `seq` and `poly` share `_write_values`. JSON has one writer, `_json`,
-for both: its bytes are those of `json.dumps(..., indent=2)`, but each cell
-is written from a template and each string by the json module's C escaper.
+runs. `seq` and `poly` share `_write_values`, and each stops at its first
+value too long to print: `seq` streams its values, and `poly` makes its
+largest coefficient into text before it computes any. JSON has one
+writer, `_json`, for both: its bytes are those of
+`json.dumps(..., indent=2)`, but each cell is written from a template and
+each string by the json module's C escaper.
 Every domain error reaches `main` as a DerangeDomainError, and `main` alone
 prints the `error:` line.
 """
@@ -27,7 +31,7 @@ import time
 from fractions import Fraction
 
 from . import polys, series
-from .exact import DerangeDomainError, as_text
+from .exact import DerangeDomainError, as_text, rising_factorial
 from .series import Cell, Family, FamilySpec
 
 FAMILY_NAMES = {f.value: f for f in Family}
@@ -49,16 +53,6 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}")
-
-
-def _default_seed() -> int:
-    env = os.environ.get("DERANGE_SEED")
-    if not env:
-        return 42
-    try:
-        return int(env)
-    except ValueError:
-        raise DerangeDomainError(f"DERANGE_SEED is not an integer: {env!r}")
 
 
 def _make_spec(args) -> FamilySpec:
@@ -164,9 +158,10 @@ def render_report(args, command: str, cells, **extra) -> int:
 
 def _write_values(args, head: dict, columns: tuple, values,
                   numbered: bool) -> int:
-    """Write a list of exact values in args.format. JSON is `head` with the
-    values under the plural of the value column; CSV has the index and
-    value columns; text has one "index value" line per value when
+    """Write exact values in args.format, each made into text in turn, so
+    the first one too long to print stops `values` there. JSON is `head`
+    with the values under the plural of the value column; CSV has the index
+    and value columns; text has one "index value" line per value when
     `numbered`, else every value on one line."""
     values = [as_text(v) for v in values]
     if args.format == "json":
@@ -182,7 +177,7 @@ def _write_values(args, head: dict, columns: tuple, values,
 
 
 def cmd_seq(args) -> int:
-    values = series.egf_values(_make_spec(args), args.count)
+    values = series.egf_stream(_make_spec(args), args.count)
     return _write_values(args, {"command": "seq", "family": args.family},
                          ("n", "value"), values, numbered=True)
 
@@ -192,6 +187,11 @@ def cmd_poly(args) -> int:
                     if args.which == "D" else
                     (Family.ORDER_R_POLY, polys.order_d_poly))
     FamilySpec.check_r(family, args.r)
+    if args.n >= 0:
+        # c_n = r^(n) is the largest coefficient, as c_{k+1}/c_k =
+        # (n-k)(r+k)/(k+1) >= 1 for r >= 1 (at r = 0 all but c_0 = 1 are
+        # 0), so one too long to print is refused before any is computed
+        as_text(rising_factorial(args.r, args.n))
     head = {"command": "poly", "which": args.which, "n": args.n, "r": args.r}
     return _write_values(args, head, ("k", "coeff"), make(args.n, args.r),
                          numbered=False)
@@ -222,33 +222,29 @@ def cmd_verify(args) -> int:
 def cmd_mc(args) -> int:
     from . import stochastic
 
-    seed = args.seed if args.seed is not None else _default_seed()
-
     def cell(est, target, **order) -> Cell:
         z, ok = stochastic.zscore_gate(est, target)
-        return Cell({"r": args.r, "samples": args.samples, "seed": seed,
+        return Cell({"r": args.r, "samples": args.samples, "seed": args.seed,
                      "stderr": est.stderr, "zscore": z, **order},
                     target, est.mean, "pass" if ok else "fail")
 
-    if args.dn:
+    if args.n is not None or args.x is not None:
         if args.k is not None:
-            raise DerangeDomainError("--dn takes no --k")
+            raise DerangeDomainError("--k takes no --n or --x")
         if args.n is None or args.x is None:
-            raise DerangeDomainError("--dn needs --n and --x")
+            raise DerangeDomainError("--n and --x go together")
         est = stochastic.mc_generalized_D(args.n, args.r, args.x,
-                                          args.samples, seed)
+                                          args.samples, args.seed)
         target = polys.eval_poly(polys.generalized_D_poly(args.n, args.r),
                                  args.x)
         cells = [cell(est, target, n=args.n, x=args.x)]
     else:
-        if args.n is not None or args.x is not None:
-            raise DerangeDomainError("--n and --x need --dn")
         if args.k is None:
-            raise DerangeDomainError("need --k (or --dn with --n/--x)")
+            raise DerangeDomainError("need --k, or --n and --x")
         # order K first: it checks the request and K, and draws the one
         # stream that every lower order is then read from
-        top = stochastic.mc_moment(args.r, args.k, args.samples, seed)
-        ests = [stochastic.mc_moment(args.r, k, args.samples, seed)
+        top = stochastic.mc_moment(args.r, args.k, args.samples, args.seed)
+        ests = [stochastic.mc_moment(args.r, k, args.samples, args.seed)
                 for k in range(args.k)] + [top]
         cells = [cell(est, stochastic.erlang_moment_exact(args.r, k), k=k)
                  for k, est in enumerate(ests)]
@@ -303,12 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mc", help="Monte Carlo moment estimate vs exact target")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--dn", action="store_true",
-                   help="estimate the generalized polynomial value instead")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=int, default=None,
+                   help="with --x, estimate D_n(x) instead of the moments")
     p.add_argument("--x", type=_fraction, default=None)
     p.add_argument("--samples", type=int, default=10 ** 6)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=42,
+                   help="the stream's seed, 0..2^64-1 (default: %(default)s)")
     common(p)
     p.set_defaults(fn=cmd_mc)
 

@@ -4,9 +4,10 @@ Every family's EGF is z^s e^{cz} (1-xz)^{-r}. `FAMILY_TABLE` has one row
 per family: the least r it takes (or none), whether it takes x, and its
 (c, x, r, s); `FamilySpec` checks its parameters against that row. The EGF
 is D-finite (Stanley 1980): b_n = n! [z^n] e^{cz}(1-xz)^{-r} obeys
-b_{n+1} = (c + x(n+r)) b_n - c x n b_{n-1}, b_0 = 1, which `egf_values`
-runs on integers. The Cauchy product of `series_exp` and `geom_pow` is the
-independent cross-check that `verify` and the tests use.
+b_{n+1} = (c + x(n+r)) b_n - c x n b_{n-1}, b_0 = 1, which `egf_stream`
+runs on integers, one value at a time, and `egf_values` lists. The Cauchy
+product of `series_exp` and `geom_pow` is the independent cross-check that
+`verify` and the tests use.
 
 `Cell`, one comparison of a report, which makes the text of its values
 and its default verdict, and `spec_params` live here, below `verify`, so
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from math import lcm, perm
 
@@ -162,8 +163,9 @@ def egf_shape(spec: FamilySpec) -> tuple:
     return Fraction(c), Fraction(x), r, shift
 
 
-def egf_values(spec: FamilySpec, count: int) -> list:
-    """First `count` values a_n = n! [z^n] F(z) of the family's EGF.
+def egf_stream(spec: FamilySpec, count: int) -> Iterator[Fraction]:
+    """The first `count` values a_n = n! [z^n] F(z) of the family's EGF, one
+    at a time, so a caller that stops early computes no more.
 
     b_n is homogeneous of degree n in (c, x), so with c = c'/d, x = x'/d
     the numerators B_n = d^n b_n obey the recurrence in the integers c', x'.
@@ -174,10 +176,15 @@ def egf_values(spec: FamilySpec, count: int) -> list:
     c, x, r, shift = egf_shape(spec)
     d = lcm(c.denominator, x.denominator)
     c, x = c.numerator * (d // c.denominator), x.numerator * (d // x.denominator)
-    out = [Fraction(0)] * min(shift, count)
+    for _ in range(min(shift, count)):
+        yield Fraction(0)
     prev, cur, denom = 0, 1, 1
     for m in range(count - shift):
-        out.append(Fraction(perm(m + shift, shift) * cur, denom))
+        yield Fraction(perm(m + shift, shift) * cur, denom)
         prev, cur = cur, (c + x * (m + r)) * cur - c * x * m * prev
         denom *= d
-    return out
+
+
+def egf_values(spec: FamilySpec, count: int) -> list:
+    """The first `count` values of `egf_stream`, as a list."""
+    return list(egf_stream(spec, count))

@@ -15,11 +15,13 @@ r, in one request check.
 The sampler streams: draws come in blocks of `_CHUNK` samples, each cut
 from its own slice of the stream, and the per-block (count, mean, M2) are
 merged in block order with the Chan-Golub-LeVeque update. A block is
-drawn one column (one uniform of each draw) at a time, so each stream
-allocates one workspace of four _CHUNK-sized buffers, O(_CHUNK) memory
-whatever the sample count and r, and computes every block in place in it:
-a yielded block is a view that the next block overwrites, so copy it to
-keep it. A request costs time in proportion to samples * r.
+drawn a few columns (a column is one uniform of each draw) a pass: as
+many as fill _CHUNK values, so one for a full block and thousands for a
+few samples at large r. Each stream allocates one workspace of four
+buffers of at most _CHUNK values, O(_CHUNK) memory whatever the sample
+count and r, and computes every block in place in it: a yielded block is
+a view that the next block overwrites, so copy it to keep it. A request
+costs time in proportion to samples * r.
 
 One pass over a stream serves every statistic asked of it: `_estimate`
 folds each block into one running (mean, M2) per statistic. The pass owns
@@ -94,36 +96,46 @@ def _erlang_blocks(r: int, samples: int, seed: int) -> Iterator[np.ndarray]:
     uniforms [j*_CHUNK*r, ...) of the stream, so the blocks concatenate to
     the draws of one sequential walk of it, r uniforms per draw.
 
-    A block is drawn one column at a time: column c holds uniform c of each
-    of its draws, whose counters are one constant plus the shared offsets
-    d*r*_GAMMA of draw d. The workspace is four _CHUNK-sized buffers,
-    allocated once per call whatever r, and every block is computed in it
-    in place; each yielded block is a view the next one overwrites. The r
-    exponentials of a draw are summed column by column, in draw order,
-    which is also numpy's row sum for r < 8."""
+    Column c of a block holds uniform c of each of its draws. A pass draws
+    g = min(_CHUNK // block, r) columns as the rows of a (g, block) array,
+    so a full block takes one column a pass and a few samples at large r
+    fill the workspace: row j of the pass at column c holds column c + j,
+    whose counters are one constant plus the shared offsets
+    j*_GAMMA + d*r*_GAMMA of draw d. The workspace is four buffers of at
+    most _CHUNK values, allocated once per call whatever r, and every block
+    is computed in it in place; each yielded block is a view the next one
+    overwrites. The r exponentials of a draw are summed column by column,
+    in draw order, which is also numpy's row sum for r < 8."""
     block = min(_CHUNK, samples)
+    g = min(_CHUNK // block, r)
     offset = np.arange(block, dtype=np.uint64)
     offset *= np.uint64(r * _GAMMA & _MASK)
-    x = np.empty_like(offset)
-    t = np.empty_like(offset)
+    offset = np.add.outer(np.arange(g, dtype=np.uint64) * np.uint64(_GAMMA),
+                          offset)
+    x = np.empty(offset.size, dtype=np.uint64)
+    t = np.empty_like(x)
     y = np.empty(block)
     u = t.view(np.float64)
     for start in range(0, samples, _CHUNK):
         m = min(_CHUNK, samples - start)
-        xs, ts, us, ys = x[:m], t[:m], u[:m], y[:m]
-        for c in range(r):
+        ys = y[:m]
+        for c in range(0, r, g):
+            rows = min(g, r - c)
+            xs, ts, us = x[:rows * m], t[:rows * m], u[:rows * m]
             # counter i of the stream is seed + i*GAMMA, and draw d of the
-            # block reads i = (start + d)*r + c + 1 in this column
-            np.add(offset[:m], np.uint64((seed + (start * r + c + 1) * _GAMMA)
-                                         & _MASK), out=xs)
+            # block reads i = (start + d)*r + c + j + 1 in row j
+            np.add(offset[:rows, :m],
+                   np.uint64((seed + (start * r + c + 1) * _GAMMA) & _MASK),
+                   out=xs.reshape(rows, m))
             _mix_inplace(xs, ts)
             xs >>= np.uint64(11)
             np.copyto(us, xs.view(np.int64))  # exact: xs < 2^53
             us *= -2.0 ** -53  # -U, exactly
-            if c == 0:
-                np.log1p(us, out=ys)
-            else:
-                ys += np.log1p(us, out=us)
+            if c == 0:  # column 0 starts the block
+                np.log1p(us[:m], out=ys)
+                us = us[m:]
+            for row in np.log1p(us, out=us).reshape(-1, m):
+                ys += row
         yield np.negative(ys, out=ys)
 
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from derange import cli, stochastic, verify
+from derange import cli, polys, series, stochastic, verify
 from derange.cli import SUITE_NAMES, build_parser, main
 from derange.series import Family
 
@@ -188,64 +188,53 @@ def test_usage_error_exit_code(capsys):
 
 
 DOMAIN_ERRORS = [
-    ({}, ["seq", "--family", "classic", "--count", "0"]),
-    ({}, ["poly", "--which", "D", "--n", "-1", "--r", "2"]),
-    ({}, ["hankel", "--family", "r-derangement", "--r", "2", "--n", "2"]),
-    ({}, ["mc", "--r", "0", "--k", "2", "--samples", "100"]),
-    ({}, ["mc", "--r", "2", "--k", "2", "--samples", "1"]),
-    ({}, ["verify", "--suite", "derivative-hankel", "--z", "1"]),
-    ({"DERANGE_SEED": "abc"}, ["mc", "--r", "2", "--k", "2", "--samples", "100"]),
-    ({}, ["verify", "--suite", "hankel", "--r", "-1"]),
-    ({}, ["mc", "--dn", "--r", "-1", "--n", "2", "--x", "1", "--samples", "100"]),
-    ({}, ["mc", "--dn", "--r", "0", "--n", "2", "--x", "1", "--samples", "100"]),
-    ({}, ["seq", "--family", "classic", "--count", "3",
-          "--output", "/nonexistent/dir/out.txt"]),
-    ({}, ["seq", "--family", "classic", "--r", "5", "--count", "3"]),
-    ({}, ["seq", "--family", "classic", "--x", "1", "--count", "3"]),
-    ({}, ["poly", "--which", "D", "--n", "3", "--r", "-2"]),
-    ({}, ["poly", "--which", "d", "--n", "3", "--r", "-1"]),
-    ({}, ["mc", "--dn", "--n", "2", "--r", "1", "--x", "1e400",
-          "--samples", "100"]),
-    ({}, ["mc", "--dn", "--n", "8", "--r", "1", "--x", "1e38",
-          "--samples", "100"]),
-    ({}, ["mc", "--dn", "--n", "8", "--r", "1", "--x", "1e30",
-          "--samples", "100"]),
-    ({}, ["hankel", "--family", "classic", "--n", "-1"]),
+    ["seq", "--family", "classic", "--count", "0"],
+    ["poly", "--which", "D", "--n", "-1", "--r", "2"],
+    ["hankel", "--family", "r-derangement", "--r", "2", "--n", "2"],
+    ["mc", "--r", "0", "--k", "2", "--samples", "100"],
+    ["mc", "--r", "2", "--k", "2", "--samples", "1"],
+    ["verify", "--suite", "derivative-hankel", "--z", "1"],
+    ["verify", "--suite", "hankel", "--r", "-1"],
+    ["mc", "--r", "-1", "--n", "2", "--x", "1", "--samples", "100"],
+    ["mc", "--r", "0", "--n", "2", "--x", "1", "--samples", "100"],
+    ["seq", "--family", "classic", "--count", "3",
+     "--output", "/nonexistent/dir/out.txt"],
+    ["seq", "--family", "classic", "--r", "5", "--count", "3"],
+    ["seq", "--family", "classic", "--x", "1", "--count", "3"],
+    ["poly", "--which", "D", "--n", "3", "--r", "-2"],
+    ["poly", "--which", "d", "--n", "3", "--r", "-1"],
+    ["mc", "--n", "2", "--r", "1", "--x", "1e400", "--samples", "100"],
+    ["mc", "--n", "8", "--r", "1", "--x", "1e38", "--samples", "100"],
+    ["mc", "--n", "8", "--r", "1", "--x", "1e30", "--samples", "100"],
+    ["hankel", "--family", "classic", "--n", "-1"],
     # the stream takes seeds 0..2^64-1 only; any other would alias one of them
-    ({}, ["mc", "--r", "2", "--k", "3", "--samples", "100", "--seed", "-1"]),
-    ({}, ["mc", "--dn", "--n", "2", "--r", "1", "--x", "1", "--samples", "100",
-          "--seed", str(2 ** 64)]),
-    ({"DERANGE_SEED": "-1"},
-     ["mc", "--dn", "--n", "2", "--r", "1", "--x", "1", "--samples", "100"]),
-    ({"DERANGE_SEED": str(2 ** 64)},
-     ["mc", "--r", "2", "--k", "3", "--samples", "100"]),
+    ["mc", "--r", "2", "--k", "3", "--samples", "100", "--seed", "-1"],
+    ["mc", "--n", "2", "--r", "1", "--x", "1", "--samples", "100",
+     "--seed", str(2 ** 64)],
     # the stream has 2^64 distinct uniforms, and samples * r past them would
     # read its first ones again: refused before anything is drawn
-    ({}, ["mc", "--r", str(10 ** 30), "--k", "1", "--samples", "2"]),
-    ({}, ["mc", "--dn", "--n", "2", "--x", "1", "--r", str(10 ** 30),
-          "--samples", "2"]),
-    # each mode refuses the flags it does not read
-    ({}, ["mc", "--r", "2", "--k", "3", "--x", "5", "--samples", "100"]),
-    ({}, ["mc", "--r", "2", "--k", "3", "--n", "2", "--samples", "100"]),
-    ({}, ["mc", "--r", "2", "--k", "3", "--dn", "--n", "2", "--x", "1",
-          "--samples", "100"]),
-    ({}, ["mc", "--r", "2", "--k", "-1", "--samples", "100"]),
-    ({}, ["mc", "--r", "2", "--k", "9", "--samples", "100"]),
-    ({}, ["mc", "--dn", "--r", "2", "--n", "-1", "--x", "1",
-          "--samples", "100"]),
-    ({}, ["mc", "--dn", "--r", "2", "--n", "9", "--x", "1",
-          "--samples", "100"]),
+    ["mc", "--r", str(10 ** 30), "--k", "1", "--samples", "2"],
+    ["mc", "--n", "2", "--x", "1", "--r", str(10 ** 30), "--samples", "2"],
+    # --n and --x choose D_n(x), --k the moments: both, one of --n and --x
+    # alone, or neither is refused
+    ["mc", "--r", "2", "--k", "3", "--x", "5", "--samples", "100"],
+    ["mc", "--r", "2", "--k", "3", "--n", "2", "--samples", "100"],
+    ["mc", "--r", "2", "--k", "3", "--n", "2", "--x", "1", "--samples", "100"],
+    ["mc", "--r", "2", "--x", "1", "--samples", "100"],
+    ["mc", "--r", "2", "--samples", "100"],
+    ["mc", "--r", "2", "--k", "-1", "--samples", "100"],
+    ["mc", "--r", "2", "--k", "9", "--samples", "100"],
+    ["mc", "--r", "2", "--n", "-1", "--x", "1", "--samples", "100"],
+    ["mc", "--r", "2", "--n", "9", "--x", "1", "--samples", "100"],
     # a grid on which the suite checks nothing is refused, not passed
-    ({}, ["verify", "--suite", "reflection", "--x", "0"]),
-    ({}, ["verify", "--suite", "derivative-hankel", "--r", "0"]),
+    ["verify", "--suite", "reflection", "--x", "0"],
+    ["verify", "--suite", "derivative-hankel", "--r", "0"],
 ]
 
 
-@pytest.mark.parametrize("env,argv", DOMAIN_ERRORS,
-                         ids=[" ".join(a) for _, a in DOMAIN_ERRORS])
-def test_domain_error_exits_2(capsys, monkeypatch, env, argv):
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
+@pytest.mark.parametrize("argv", DOMAIN_ERRORS,
+                         ids=[" ".join(a) for a in DOMAIN_ERRORS])
+def test_domain_error_exits_2(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -313,6 +302,57 @@ def test_a_closed_form_past_the_digit_limit_is_refused_before_any_route(
                    f"({sys.int_info.default_max_str_digits} digits) for "
                    "integer string conversion; set PYTHONINTMAXSTRDIGITS=0 "
                    "to lift it\n")
+
+
+@contextlib.contextmanager
+def default_digit_limit():
+    """The default int-to-str digit limit, whatever the environment sets."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python prints an int of any size")
+def test_seq_stops_at_its_first_value_past_the_digit_limit(monkeypatch):
+    """Value 1,559 of classic is the first past the default limit: `seq`
+    exits 2 once the recurrence has yielded it, not after all 20,000."""
+    stream, yielded = series.egf_stream, []
+
+    def counting(spec, count):
+        for value in stream(spec, count):
+            yielded.append(None)
+            yield value
+
+    monkeypatch.setattr(series, "egf_stream", counting)
+    with default_digit_limit():
+        code, err = run_quietly(["seq", "--family", "classic",
+                                 "--count", "20000"])
+    assert code == 2
+    assert err.startswith("error: Exceeds the limit")
+    assert 0 < len(yielded) <= 1560
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python prints an int of any size")
+@pytest.mark.parametrize("which", ["D", "d"])
+def test_poly_refuses_before_it_builds_the_polynomial(monkeypatch, which):
+    """The largest coefficient, r^(n), is made into text first: at n =
+    20,000 it is past the default limit, and no coefficient is computed."""
+    def no_poly(n, r):
+        raise AssertionError("the polynomial was built")
+
+    for name in ("generalized_D_poly", "order_d_poly"):
+        monkeypatch.setattr(polys, name, no_poly)
+    with default_digit_limit():
+        code, err = run_quietly(["poly", "--which", which, "--r", "5",
+                                 "--n", "20000"])
+    assert code == 2
+    assert err.startswith("error: Exceeds the limit")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
@@ -632,7 +672,7 @@ def test_mc_zeroth_moment(capsys):
 
 
 def test_mc_dn_target(capsys):
-    code, out = run(capsys, "mc", "--dn", "--n", "2", "--r", "1", "--x", "1",
+    code, out = run(capsys, "mc", "--n", "2", "--r", "1", "--x", "1",
                     "--samples", "20000", "--seed", "42")
     assert code == 0
 
@@ -640,8 +680,39 @@ def test_mc_dn_target(capsys):
 def test_mc_missing_flags(capsys):
     assert main(["mc", "--r", "2"]) == 2
     capsys.readouterr()
-    assert main(["mc", "--r", "2", "--dn", "--samples", "100"]) == 2
+    assert main(["mc", "--r", "2", "--n", "2", "--samples", "100"]) == 2
     capsys.readouterr()
+
+
+def test_mc_n_and_x_print_the_report_of_the_removed_dn_flag(capsys):
+    # the bytes of `mc --dn --n 2 --r 1 --x 1 --samples 1000 --seed 7`
+    # before --dn was dropped, since --n and --x alone choose D_n(x)
+    code, out = run(capsys, "mc", "--n", "2", "--x", "1", "--r", "1",
+                    "--samples", "1000", "--seed", "7")
+    assert code == 0
+    assert out == (
+        "pass  r=1 samples=1000 seed=7 stderr=0.2025348379851736 "
+        "zscore=-0.5235546983244975 n=2 x=1  estimate=4.8939619339984715 "
+        "target=5\n"
+        "summary: pass=1 fail=0 skipped=0\n")
+
+
+def test_mc_has_no_dn_flag(capsys):
+    assert main(["mc", "--dn", "--n", "2", "--r", "1", "--x", "1",
+                 "--samples", "100"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: derange ")
+    assert err.endswith("\nderange: error: unrecognized arguments: --dn\n")
+    assert "Traceback" not in err
+
+
+def test_mc_seed_comes_from_argv_alone(capsys, monkeypatch):
+    monkeypatch.setenv("DERANGE_SEED", "7")
+    _, out = run(capsys, "mc", "--r", "1", "--k", "1", "--samples", "1000",
+                 "--format", "json")
+    assert json.loads(out)["cells"][0]["params"]["seed"] == "42"
+    code, out = run(capsys, "mc", "--help")
+    assert code == 0 and "(default: 42)" in " ".join(out.split())
 
 
 def test_mc_reports_every_order_up_to_k(capsys):
@@ -685,17 +756,6 @@ def test_mc_draws_one_stream_for_every_order(capsys, monkeypatch, r):
                     "--samples", "2000", "--seed", "7")
     assert code == 0 and len(out.splitlines()) == 9 + 1
     assert drawn == [(r, 2000, 7)]
-
-
-def test_seed_env_precedence(capsys, monkeypatch):
-    monkeypatch.setenv("DERANGE_SEED", "7")
-    _, out_env = run(capsys, "mc", "--r", "1", "--k", "1", "--samples", "1000",
-                     "--format", "json")
-    assert json.loads(out_env)["cells"][0]["params"]["seed"] == "7"
-    # explicit flag wins over the env var
-    _, out_flag = run(capsys, "mc", "--r", "1", "--k", "1", "--samples", "1000",
-                      "--seed", "42", "--format", "json")
-    assert json.loads(out_flag)["cells"][0]["params"]["seed"] == "42"
 
 
 # SHA-256 of stdout in text, json and csv for fixed argv; every run exits
@@ -869,7 +929,6 @@ def readme_cli_lines():
 
 def test_readme_cli_lines_exit_0(capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)  # for the lines that write a report file
-    monkeypatch.delenv("DERANGE_SEED", raising=False)
     lines = readme_cli_lines()
     assert lines
     for line in lines:

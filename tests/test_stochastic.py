@@ -162,14 +162,33 @@ def test_block_kernel_is_the_allocating_pipeline_bit_for_bit(r):
         assert all(bits(a) == bits(b) for a, b in zip(new, old))
 
 
-@pytest.mark.parametrize("r", [8, 11])
-def test_block_kernel_sums_columns_in_draw_order(r):
-    samples = 2 * _CHUNK + 3
+@pytest.mark.parametrize("samples,r", [
+    pytest.param(2 * _CHUNK + 3, 8, id="8"),
+    pytest.param(2 * _CHUNK + 3, 11, id="11"),
+    # a few samples take many columns a pass; the last shape ends on a
+    # partial pass of _CHUNK // 5000 = 3 columns
+    *[pytest.param(samples, r, id=f"{samples}-{r}")
+      for samples, r in [(2, 3 * _CHUNK), (3, 40), (100, 8), (5000, 7)]]])
+def test_block_kernel_sums_columns_in_draw_order(samples, r):
     logs = np.log1p(-_uniforms(BOUNDARY_SEED, samples * r)).reshape(samples, r)
     y = logs[:, 0].copy()
     for j in range(1, r):
         y += logs[:, j]
     assert bits(np.concatenate(blocks_of(r, samples, BOUNDARY_SEED))) == bits(-y)
+
+
+def test_a_few_samples_draw_a_workspace_of_columns_a_pass(monkeypatch):
+    # 2 samples fill the workspace with _CHUNK // 2 columns a pass, so r =
+    # 3 * _CHUNK columns take 6 passes, not one pass a column
+    mixes, mix = [], stochastic._mix_inplace
+
+    def counting(x, t):
+        mixes.append(x.size)
+        mix(x, t)
+
+    monkeypatch.setattr(stochastic, "_mix_inplace", counting)
+    blocks_of(3 * _CHUNK, 2, BOUNDARY_SEED)
+    assert mixes == [_CHUNK] * 6
 
 
 def test_successive_blocks_share_one_buffer():
