@@ -4,8 +4,9 @@ Exit codes: 0 all checks pass, 1 a verification/tolerance failure,
 2 usage or domain error, which `_emit` makes of a failed write to stdout or
 to --output.  Rationals cross the boundary as exact "p/q" strings.
 Each command imports only what it runs: `seq` and `poly` import neither
-`verify` nor `hankel`, numpy comes only with `mc`, the one command that
-samples, and json and csv only with a report in those formats.
+`verify` nor `hankel`, `polys` comes only with `poly` and `mc`, numpy only
+with `mc`, the one command that samples, and json and csv only with a
+report in those formats.
 `mc` estimates D_n^{(r)}(x) when --n or --x is given, and the moments up
 to --k otherwise; its seed is --seed, 42 by default.
 `render_report` writes the cell report of `hankel`, `verify` and `mc` and
@@ -30,7 +31,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import polys, series
+from . import series
 from .exact import DerangeDomainError, as_text, rising_factorial
 from .series import Cell, Family, FamilySpec
 
@@ -183,6 +184,8 @@ def cmd_seq(args) -> int:
 
 
 def cmd_poly(args) -> int:
+    from . import polys
+
     family, make = ((Family.GENERALIZED, polys.generalized_D_poly)
                     if args.which == "D" else
                     (Family.ORDER_R_POLY, polys.order_d_poly))
@@ -220,7 +223,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    from . import stochastic
+    from . import polys, stochastic
 
     def cell(est, target, **order) -> Cell:
         z, ok = stochastic.zscore_gate(est, target)

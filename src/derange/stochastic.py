@@ -19,13 +19,15 @@ drawn a few columns (a column is one uniform of each draw) a pass: as
 many as fill _CHUNK values, so one for a full block and thousands for a
 few samples at large r. Each stream allocates one workspace of four
 buffers of at most _CHUNK values, O(_CHUNK) memory whatever the sample
-count and r, and computes every block in place in it: a yielded block is
-a view that the next block overwrites, so copy it to keep it. A request
-costs time in proportion to samples * r.
+count and r, and computes every block in place in it: a yielded block and
+its scratch are views that the next block overwrites, so copy one to keep
+it. A request costs time in proportion to samples * r.
 
 One pass over a stream serves every statistic asked of it: `_estimate`
 folds each block into one running (mean, M2) per statistic. The pass owns
-one `_CHUNK`-float scratch buffer and calls each statistic as
+one `_CHUNK`-float scratch buffer, the float64 view of the stream's uniform
+buffer, which is free once a block's columns are summed: `_erlang_blocks`
+yields it with each block, and `_estimate` calls each statistic as
 statistic(y, out), with its values written to out, so the draws y stay
 intact until the last statistic has read them. The moment table draws each
 (r, samples, seed) stream once for every order k = 1.._KMAX, and
@@ -40,8 +42,8 @@ import functools
 import math
 import sys
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,8 +62,7 @@ _CHUNK = 1 << 14
 _KMAX = 8
 
 
-@dataclass(frozen=True)
-class MomentEstimate:
+class MomentEstimate(NamedTuple):
     mean: float
     stderr: float
 
@@ -91,8 +92,11 @@ def _mix_inplace(x: np.ndarray, t: np.ndarray) -> None:
     x ^= np.right_shift(x, np.uint64(31), out=t)
 
 
-def _erlang_blocks(r: int, samples: int, seed: int) -> Iterator[np.ndarray]:
-    """Erlang(r) draws in blocks of at most _CHUNK samples. Block j reads
+def _erlang_blocks(r: int, samples: int, seed: int
+                   ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Erlang(r) draws in blocks of at most _CHUNK samples, each yielded
+    with a scratch buffer of its size: the float64 view of the uniform
+    buffer, free once the block's columns are summed. Block j reads
     uniforms [j*_CHUNK*r, ...) of the stream, so the blocks concatenate to
     the draws of one sequential walk of it, r uniforms per draw.
 
@@ -103,9 +107,10 @@ def _erlang_blocks(r: int, samples: int, seed: int) -> Iterator[np.ndarray]:
     whose counters are one constant plus the shared offsets
     j*_GAMMA + d*r*_GAMMA of draw d. The workspace is four buffers of at
     most _CHUNK values, allocated once per call whatever r, and every block
-    is computed in it in place; each yielded block is a view the next one
-    overwrites. The r exponentials of a draw are summed column by column,
-    in draw order, which is also numpy's row sum for r < 8."""
+    is computed in it in place; each yielded block and scratch is a view
+    the next block overwrites. The r exponentials of a draw are summed
+    column by column, in draw order, which is also numpy's row sum for
+    r < 8."""
     block = min(_CHUNK, samples)
     g = min(_CHUNK // block, r)
     offset = np.arange(block, dtype=np.uint64)
@@ -136,7 +141,7 @@ def _erlang_blocks(r: int, samples: int, seed: int) -> Iterator[np.ndarray]:
                 us = us[m:]
             for row in np.log1p(us, out=us).reshape(-1, m):
                 ys += row
-        yield np.negative(ys, out=ys)
+        yield np.negative(ys, out=ys), u[:m]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the m2 check below reports it
@@ -148,15 +153,14 @@ def _estimate(r: int, samples: int, seed: int,
     over the draws, one block at a time: each block's (count, mean, M2) of
     every statistic is folded into that statistic's running totals with the
     Chan-Golub-LeVeque update, in block order. Each statistic is called as
-    statistic(y, out) and returns its values in out, one scratch buffer of
-    the block's size that the pass allocates once, so no statistic writes
-    to the block y that the next statistic reads."""
+    statistic(y, out) and returns its values in out, the scratch that
+    `_erlang_blocks` yields with the block, so the pass allocates no buffer
+    of its own and no statistic writes to the block y that the next
+    statistic reads."""
     count, means, m2s = 0, [0.0] * len(statistics), [0.0] * len(statistics)
-    scratch = np.empty(min(_CHUNK, samples))
-    for y in _erlang_blocks(r, samples, seed):
+    for y, out in _erlang_blocks(r, samples, seed):
         b_count = y.size
         total = count + b_count
-        out = scratch[:b_count]
         for i, statistic in enumerate(statistics):
             s = statistic(y, out)
             # ndarray.mean without its wrapper: the same pairwise sum, divided

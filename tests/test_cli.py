@@ -9,7 +9,6 @@ import re
 import shlex
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from fractions import Fraction as F
@@ -731,7 +730,7 @@ def test_mc_fails_each_order_outside_the_gate(capsys, monkeypatch):
     def far_off(r, k, samples, seed):  # every k >= 1 estimate 100 stderr off
         est = real(r, k, samples, seed)
         mean = stochastic.erlang_moment_exact(r, k) + 100 * est.stderr
-        return est if k == 0 else replace(est, mean=mean)
+        return est if k == 0 else est._replace(mean=mean)
 
     monkeypatch.setattr(stochastic, "mc_moment", far_off)
     code, out = run(capsys, "mc", "--r", "2", "--k", "2", "--samples", "2000",
@@ -884,15 +883,17 @@ def test_output_file_has_the_stdout_bytes(tmp_path, capsys, argv, fmt):
 # what a text-format command that verifies nothing must not import
 NOTHING_VERIFIED = {"dataclasses", "inspect", "derange.hankel",
                     "derange.oracle", "derange.verify", "json", "csv"}
-# per command: `hankel` loads its own layer only, and `mc` (whose numpy
-# brings dataclasses and inspect) loads no exact check at all
+# per command: `seq` loads no polynomial layer, `hankel` loads its own
+# layer only, and `mc` (whose numpy brings inspect) loads no exact check
+# at all, nor dataclasses
 NOT_IMPORTED = {
-    "seq --family classic --count 5": NOTHING_VERIFIED,
+    "seq --family classic --count 5": NOTHING_VERIFIED | {"derange.polys"},
     "poly --which D --n 4 --r 2": NOTHING_VERIFIED,
     "hankel --family cyclic --r 2 --n 3 --format text":
         NOTHING_VERIFIED - {"derange.hankel"},
     "mc --r 2 --k 3 --samples 2000":
-        {"derange.hankel", "derange.oracle", "derange.verify"},
+        {"derange.hankel", "derange.oracle", "derange.verify", "dataclasses",
+         "copy"},
 }
 
 

@@ -125,7 +125,7 @@ def sequential_draws(samples):
 def blocks_of(r, samples, seed):
     """Every block of one _erlang_blocks call, each copied out of the
     workspace the next block overwrites."""
-    return [b.copy() for b in _erlang_blocks(r, samples, seed)]
+    return [block.copy() for block, scratch in _erlang_blocks(r, samples, seed)]
 
 
 def test_sample_erlang_matches_vectorized_stream():
@@ -192,14 +192,17 @@ def test_a_few_samples_draw_a_workspace_of_columns_a_pass(monkeypatch):
 
 
 def test_successive_blocks_share_one_buffer():
-    blocks = list(_erlang_blocks(BOUNDARY_R, 3 * _CHUNK + 5, BOUNDARY_SEED))
+    blocks = [block for block, scratch in
+              _erlang_blocks(BOUNDARY_R, 3 * _CHUNK + 5, BOUNDARY_SEED)]
     assert len(blocks) == 4
     assert all(np.shares_memory(blocks[0], b) for b in blocks[1:])
 
 
 def test_the_sampler_workspace_does_not_grow_with_r():
     # a block is drawn one column at a time in _CHUNK-sized buffers, so a
-    # moment-table pass allocates as much at r = 8 as at r = 1
+    # moment-table pass allocates as much at r = 8 as at r = 1: four
+    # buffers (offsets, counters, uniforms that are then the statistics'
+    # scratch, and the block) and a few KB of small objects
     def peak(r):
         _moment_table.cache_clear()
         tracemalloc.start()
@@ -211,7 +214,25 @@ def test_the_sampler_workspace_does_not_grow_with_r():
             _moment_table.cache_clear()
 
     peak(1)  # numpy's first-call allocations are not the workspace's
+    assert peak(1) <= 4 * _CHUNK * 8 + 8192
     assert peak(8) <= peak(1) + 4096
+
+
+def test_every_statistic_writes_to_the_one_scratch_of_the_pass():
+    # the scratch is the sampler's uniform buffer, one buffer for the whole
+    # pass, never the block the statistics read
+    outs = []
+
+    def statistic(y, out):
+        assert not np.shares_memory(out, y)
+        assert not outs or out.base is outs[0].base
+        outs.append(out)
+        return np.multiply(y, 1.0, out=out)
+
+    samples = 3 * _CHUNK + 5
+    [est] = _estimate(BOUNDARY_R, samples, BOUNDARY_SEED, [statistic])
+    assert [out.size for out in outs] == [_CHUNK] * 3 + [5]
+    assert est == mc_moment(BOUNDARY_R, 1, samples, BOUNDARY_SEED)
 
 
 def test_interleaved_generators_keep_their_own_workspace():
@@ -219,7 +240,7 @@ def test_interleaved_generators_keep_their_own_workspace():
     alone_a = blocks_of(3, samples, 42)
     alone_b = blocks_of(5, samples, 7)
     both = zip(_erlang_blocks(3, samples, 42), _erlang_blocks(5, samples, 7))
-    for i, (a, b) in enumerate(both):
+    for i, ((a, scratch_a), (b, scratch_b)) in enumerate(both):
         assert bits(a) == bits(alone_a[i])
         assert bits(b) == bits(alone_b[i])
     assert i == len(alone_a) - 1
