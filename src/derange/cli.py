@@ -249,7 +249,7 @@ def cmd_mc(args) -> int:
         top = stochastic.mc_moment(args.r, args.k, args.samples, args.seed)
         ests = [stochastic.mc_moment(args.r, k, args.samples, args.seed)
                 for k in range(args.k)] + [top]
-        cells = [cell(est, stochastic.erlang_moment_exact(args.r, k), k=k)
+        cells = [cell(est, rising_factorial(args.r, k), k=k)
                  for k, est in enumerate(ests)]
     return render_report(args, "mc", cells)
 

@@ -6,10 +6,11 @@ C(n,k) * rising(r,k), each one the previous times the ratio
 (n-k)(r+k)/(k+1)) and their reflections x^n D_n(1/x), the order-r
 derangement polynomials, whose tuples are the same integers reversed.
 The cross-order shift recurrences are exposed as a verifier rather than a
-generator; the fixed-order convolution recurrences generate. Evaluation
-of int coefficients and the convolution recurrences run on integer
-numerators over one common denominator and build a Fraction only for each
-result. Evaluation folds the coefficients eight at a time, so a long
+generator, which compares coefficient tuples and so checks each one for
+every x at once; the fixed-order convolution recurrences generate.
+Evaluation of int coefficients and the convolution recurrences run on
+integer numerators over one common denominator and build a Fraction only
+for each result. Evaluation folds the coefficients eight at a time, so a long
 tuple costs one product of two large integers per block of eight
 coefficients, not one per coefficient.
 """
@@ -124,32 +125,24 @@ def _convolution(r: int, a: int, b: int, q: int, count: int) -> List[Fraction]:
     return vals
 
 
-def verify_shift_recurrences(n_max: int, r_max: int,
-                             xs: Sequence) -> Tuple[int, list]:
+def verify_shift_recurrences(n_max: int, r_max: int) -> Tuple[int, list]:
     """Check the cross-order recurrences
     D_{n+1}^{(r)} = D_n^{(r)} + r x D_n^{(r+1)}  and
     d_{n+1}^{(r)} = x d_n^{(r)} + r d_n^{(r+1)}
-    over the full (n, r, x) grid, exactly: (checks made, the failed cells
-    as (identity, n, r, x, lhs, rhs)). Each value the checks read is
-    evaluated once: D[r, n] and d[r, n] hold the values at every x, for
-    r <= r_max + 1 and n <= n_max + 1 but the corner that no check reads."""
-    xs = [Fraction(x) for x in xs]
-    D, d = {}, {}
-    for r in range(r_max + 2):
-        for n in range(n_max + 2 - (r > r_max)):
-            D[r, n] = [eval_poly(generalized_D_poly(n, r), x) for x in xs]
-            d[r, n] = [eval_poly(order_d_poly(n, r), x) for x in xs]
+    as equalities of coefficient tuples, so each check holds for every x:
+    multiplying by x prepends a 0. Each (n, r) with n <= n_max, r <= r_max
+    is checked once per identity: (checks made, the failed checks as
+    (identity, n, r)). Nothing is evaluated."""
     checked, failures = 0, []
     for r in range(r_max + 1):
         for n in range(n_max + 1):
-            for x, Dn1, Dn, Dn_up, dn1, dn, dn_up in zip(
-                    xs, D[r, n + 1], D[r, n], D[r + 1, n],
-                    d[r, n + 1], d[r, n], d[r + 1, n]):
-                checked += 2
-                rhs = Dn + r * x * Dn_up
-                if Dn1 != rhs:
-                    failures.append(("D-shift", n, r, x, Dn1, rhs))
-                rhs = x * dn + r * dn_up
-                if dn1 != rhs:
-                    failures.append(("d-shift", n, r, x, dn1, rhs))
+            D, D_up = generalized_D_poly(n, r), generalized_D_poly(n, r + 1)
+            if generalized_D_poly(n + 1, r) != tuple(
+                    a + r * b for a, b in zip(D + (0,), (0,) + D_up)):
+                failures.append(("D-shift", n, r))
+            d, d_up = order_d_poly(n, r), order_d_poly(n, r + 1)
+            if order_d_poly(n + 1, r) != tuple(
+                    a + r * b for a, b in zip((0,) + d, d_up + (0,))):
+                failures.append(("d-shift", n, r))
+            checked += 2
     return checked, failures

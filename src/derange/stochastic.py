@@ -1,4 +1,4 @@
-"""Erlang moments, exact and Monte Carlo.
+"""Erlang moments by Monte Carlo.
 
 The sum of r independent Exp(1) draws has k-th moment rising(r, k); the
 Monte Carlo layer estimates it and the moment-expansion reconstruction of
@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exact import DerangeDomainError, rising_factorial
+from .exact import DerangeDomainError
 from .polys import eval_poly, generalized_D_poly
 
 _MASK = (1 << 64) - 1
@@ -65,13 +65,6 @@ _KMAX = 8
 class MomentEstimate(NamedTuple):
     mean: float
     stderr: float
-
-
-def erlang_moment_exact(r: int, k: int) -> int:
-    """E[(X_1 + ... + X_r)^k] for iid Exp(1): the rising factorial r^(k)."""
-    if r < 1 or k < 0:
-        raise DerangeDomainError("need r >= 1, k >= 0")
-    return rising_factorial(r, k)
 
 
 def zscore_gate(est: MomentEstimate, target) -> tuple[float, bool]:

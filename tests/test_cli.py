@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from derange import cli, polys, series, stochastic, verify
 from derange.cli import SUITE_NAMES, build_parser, main
+from derange.exact import rising_factorial
 from derange.series import Family
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -729,7 +730,7 @@ def test_mc_fails_each_order_outside_the_gate(capsys, monkeypatch):
 
     def far_off(r, k, samples, seed):  # every k >= 1 estimate 100 stderr off
         est = real(r, k, samples, seed)
-        mean = stochastic.erlang_moment_exact(r, k) + 100 * est.stderr
+        mean = rising_factorial(r, k) + 100 * est.stderr
         return est if k == 0 else est._replace(mean=mean)
 
     monkeypatch.setattr(stochastic, "mc_moment", far_off)
@@ -818,9 +819,9 @@ GOLDEN = {
         "d38f01d631c88d8f3c3c66257f5af9f1733ce6c9ad533696494f97055984181b",
         "137f23f3043867782f02639ddc1421d5c02ec5e148ea8a09850643690e161bec"),
     "verify --suite recurrences --nmax 2 --r 1": (
-        "0b26cdca3c3f2cb604be1ab7143fa8e65b405afae779e4fbbe416ce226574ad0",
-        "4620e2c7a2180652e9b08c57cac0d99a804168c0c0a03b02a9aff3aad0da2f09",
-        "0b84dda1e2f2211ed4582fcb519e7a63da834c33be5208de3560354fa4aab761"),
+        "e978da606680c312c24708469ffe855978221ef4a137d562288e3a38d02e1799",
+        "85981b11d29bb4317efc415f8c12c11f4094566d2c5797ba5f3e630754a2ae29",
+        "f31e403deca688883e98a8c5e244a3700ccd355765aeba2cf5d9ceab07df4a58"),
     "verify --suite reflection --nmax 2": (
         "bd7f34564a45d2f269d607f1b105f125959975cb1ae43fbf6bb1470e98ff6316",
         "95bb8a5f1179887b70f254c1b75d35ba522b013ed2ae1b18c746123563275052",
@@ -842,9 +843,9 @@ GOLDEN = {
         "0e5a34a8171b58b6b82a3798615538336422ab1f30dd4be662731f3da8deaf15",
         "f4c6e379c135359d490ea418e6b653a8fb87d464051372e3e1c71b322b29f671"),
     "verify --suite all": (
-        "778819540c1dd4d2366b563474f35bac77865f19d231d7cf9e63992cbc65f2b9",
-        "8b37f911e6bd22286e2915a4da4d7e0f8cca817b771364c420c3fc7cc0c85a9d",
-        "cf087b73cde55e18f31744baf03b28c448b176a919fc334dc2e24541f87c2332"),
+        "c8dbd499eecddcff9401b350e37f886fd2a35b9ca57c254b30952698f31a6aea",
+        "0eefdc1fe2a1637ca60d1fd23da95fc6e40208acb421829b433e0a6f8dc8b9e4",
+        "0be3fecd5454d432128f3d6268b274e22e46417753e67ab1acb518a8a232ab68"),
 }
 FORMATS = ("text", "json", "csv")
 WALL_TIME = re.compile(r',\n  "wall_time_s": [0-9.e+-]+')

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 import pytest
 
 import derange
-from derange import exact, hankel, polys, series, stochastic, verify
+from derange import exact, hankel, polys, series, verify
 from derange.exact import DerangeDomainError
 
 GUARDS = {
@@ -29,8 +29,6 @@ GUARDS = {
                                       3, 5), "need 0 <= lo <= 3, got 5"),
     "derivative_hankel_chain": (
         lambda: hankel.derivative_hankel_chain(0, 1, F(1, 2)), "n must be >= 1"),
-    "erlang_moment_exact": (lambda: stochastic.erlang_moment_exact(0, 1),
-                            "need r >= 1, k >= 0"),
     "run_suite": (lambda: verify.run_suite("all", verify.Grid(points=())),
                   "grid needs at least one x and one z point"),
 }

@@ -11,6 +11,7 @@ from derange.exact import _laplace, factorial, rising_factorial
 class TestRisingFactorial:
     def test_empty_product(self):
         assert rising_factorial(5, 0) == 1
+        assert rising_factorial(7, 0) == 1
 
     def test_zero_base(self):
         assert rising_factorial(0, 3) == 0

@@ -219,43 +219,61 @@ def test_shift_recurrence_single_cell():
 
 
 def test_shift_recurrences_grid():
-    checked, failures = verify_shift_recurrences(30, 5, XS)
+    checked, failures = verify_shift_recurrences(30, 5)
     assert not failures, failures[:3]
-    assert checked == 2 * 31 * 6 * 5
+    assert checked == 2 * 31 * 6
 
 
-def test_shift_recurrences_evaluate_each_value_once(monkeypatch):
-    # the default grid reads 39 (n, r) values of each family at 5 points
-    calls = []
-    real = polys.eval_poly
+def test_shift_recurrences_evaluate_nothing(monkeypatch):
+    # the recurrences are checked on coefficient tuples, at no point x
+    def refuse(coeffs, x):
+        raise AssertionError("eval_poly called")
 
-    def counted(coeffs, x):
-        calls.append(x)
-        return real(coeffs, x)
-
-    monkeypatch.setattr(polys, "eval_poly", counted)
+    monkeypatch.setattr(polys, "eval_poly", refuse)
     grid = verify.Grid()
-    checked, failures = verify_shift_recurrences(grid.n_max, grid.r_max,
-                                                 grid.points)
-    assert (checked, failures) == (280, [])
-    assert len(calls) == 390
+    assert verify_shift_recurrences(grid.n_max, grid.r_max) == (56, [])
 
 
-def test_the_recurrences_cell_names_its_first_five_failures(monkeypatch):
-    # d_4^{(1)} is read by one check only, at n = 3 (n_max), r = 1
-    real = polys.order_d_poly
+# P(x) = 30x^6 - 7x^5 - 140x^4 + 140x^2 + 7x - 30 vanishes at 1, -1, 2,
+# 1/2, -3/5 and -5/3: at every default grid x and at its reciprocal
+P_COEFFS = (-30, 7, 140, 0, -140, -7, 30)
+
+
+def test_a_mutant_that_vanishes_on_the_grid_fails_the_shift_cell(monkeypatch):
+    # D_6^{(1)} + P agrees with D_6^{(1)} at every grid point, so only the
+    # coefficient check can see it; order_d_poly reads the mutant too
+    real = polys.generalized_D_poly
 
     def broken(n, r):
         coeffs = real(n, r)
-        return (coeffs[0] + 1,) + coeffs[1:] if (n, r) == (4, 1) else coeffs
+        if (n, r) == (6, 1):
+            coeffs = tuple(c + p for c, p in zip(coeffs, P_COEFFS))
+        return coeffs
 
-    monkeypatch.setattr(polys, "order_d_poly", broken)
-    points = (F(2), F(-1), F(1, 2), F(3), F(-3, 5), F(5))
-    grid = verify.Grid(n_max=3, r_max=2, points=points)
+    monkeypatch.setattr(polys, "generalized_D_poly", broken)
+    [failed] = [c for c in verify.run_suite("all") if c.verdict != "pass"]
+    assert failed.params["identity"] == "shift-recurrences"
+    assert failed.actual == (
+        "4 failures of 56: D-shift n=5 r=1, d-shift n=5 r=1, "
+        "D-shift n=6 r=1, d-shift n=6 r=1")
+
+
+def test_the_recurrences_cell_names_its_first_five_failures(monkeypatch):
+    # D_4^{(r)}, and d_4^{(r)} that reverses it, are read by one check
+    # each, at n = 3 (n_max): six failed checks over r = 0, 1, 2
+    real = polys.generalized_D_poly
+
+    def broken(n, r):
+        coeffs = real(n, r)
+        return (coeffs[0] + 1,) + coeffs[1:] if n == 4 else coeffs
+
+    monkeypatch.setattr(polys, "generalized_D_poly", broken)
+    grid = verify.Grid(n_max=3, r_max=2)
     [failed] = [c for c in verify.suite_recurrences(grid) if c.verdict == "fail"]
-    assert failed.expected == "0 failures of 144"
-    assert failed.actual == "6 failures of 144: " + ", ".join(
-        f"d-shift n=3 r=1 x={x}" for x in points[:5])
+    assert failed.expected == "0 failures of 24"
+    assert failed.actual == (
+        "6 failures of 24: D-shift n=3 r=0, d-shift n=3 r=0, "
+        "D-shift n=3 r=1, d-shift n=3 r=1, D-shift n=3 r=2")
 
 
 def test_the_recurrences_cell_names_a_broken_D_shift(monkeypatch):
@@ -269,14 +287,12 @@ def test_the_recurrences_cell_names_a_broken_D_shift(monkeypatch):
     monkeypatch.setattr(polys, "generalized_D_poly", broken)
     # order_d_poly reads generalized_D_poly; keep d on the true coefficients
     monkeypatch.setattr(polys, "order_d_poly", lambda n, r: real(n, r)[::-1])
-    points = (F(2), F(-1), F(1, 2), F(3), F(-3, 5), F(5))
-    grid = verify.Grid(n_max=3, r_max=2, points=points)
+    grid = verify.Grid(n_max=3, r_max=2)
     [shift] = [c for c in verify.suite_recurrences(grid)
                if c.params.get("identity") == "shift-recurrences"]
     assert shift.verdict == "fail"
-    assert shift.expected == "0 failures of 144"
-    assert shift.actual == "6 failures of 144: " + ", ".join(
-        f"D-shift n=3 r=1 x={x}" for x in points[:5])
+    assert shift.expected == "0 failures of 24"
+    assert shift.actual == "1 failures of 24: D-shift n=3 r=1"
 
 
 def test_reflection_identity_grid():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from derange import stochastic
-from derange.exact import DerangeDomainError
+from derange.exact import DerangeDomainError, rising_factorial
 from derange.polys import eval_poly, generalized_D_poly
 from derange.stochastic import (
     _CHUNK,
@@ -20,7 +20,6 @@ from derange.stochastic import (
     _horner,
     _mix_inplace,
     _moment_table,
-    erlang_moment_exact,
     mc_generalized_D,
     mc_moment,
     zscore_gate,
@@ -78,12 +77,6 @@ def sample_erlang(r: int, rng: SplitMix64) -> float:
     if r < 1:
         raise DerangeDomainError("need r >= 1")
     return sum(-math.log1p(-rng.next_float()) for _ in range(r))
-
-
-def test_erlang_moment_exact():
-    assert erlang_moment_exact(7, 0) == 1
-    assert erlang_moment_exact(1, 3) == 6
-    assert erlang_moment_exact(2, 3) == 24
 
 
 class TestSplitMix64:
@@ -460,7 +453,7 @@ class TestMcMoment:
     @pytest.mark.parametrize("r,k", [(1, 2), (2, 3), (3, 1), (5, 4)])
     def test_hits_exact_moment(self, r, k):
         est = mc_moment(r, k, SMALL, 42)
-        assert zscore_gate(est, erlang_moment_exact(r, k))[1]
+        assert zscore_gate(est, rising_factorial(r, k))[1]
 
     def test_k_cap(self):
         with pytest.raises(ValueError):
