@@ -25,12 +25,16 @@ it. A request costs time in proportion to samples * r.
 
 One pass over a stream serves every statistic asked of it: `_estimate`
 folds each block into one running (mean, M2) per statistic. The pass owns
-one `_CHUNK`-float scratch buffer, the float64 view of the stream's uniform
-buffer, which is free once a block's columns are summed: `_erlang_blocks`
-yields it with each block, and `_estimate` calls each statistic as
-statistic(y, out), with its values written to out, so the draws y stay
-intact until the last statistic has read them. The moment table draws each
-(r, samples, seed) stream once for every order k = 1.._KMAX, and
+two `_CHUNK`-float buffers, the float64 views of the stream's uniform and
+counter buffers, both free once a block's columns are summed:
+`_erlang_blocks` yields them with each block. `_estimate` calls each
+statistic as statistic(y, out), in order, with the counter view as out,
+and takes the statistic's deviations in the uniform view. So the draws y
+stay intact until the last statistic has read them, and out still holds
+a statistic's values when the next one is called. The moment table
+raises each order k from order k - 1 in out by one multiply, so its bits
+depend on numpy's float64 log1p kernel but on no power kernel. It draws
+each (r, samples, seed) stream once for every order k = 1.._KMAX, and
 `mc_moment` indexes it. The table is memoized for the last stream only: a
 sweep that walks k innermost draws each r once, and nothing carries over
 between sweeps. `mc_generalized_D` is not memoized.
@@ -86,12 +90,13 @@ def _mix_inplace(x: np.ndarray, t: np.ndarray) -> None:
 
 
 def _erlang_blocks(r: int, samples: int, seed: int
-                   ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+                   ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Erlang(r) draws in blocks of at most _CHUNK samples, each yielded
-    with a scratch buffer of its size: the float64 view of the uniform
-    buffer, free once the block's columns are summed. Block j reads
-    uniforms [j*_CHUNK*r, ...) of the stream, so the blocks concatenate to
-    the draws of one sequential walk of it, r uniforms per draw.
+    with two scratch buffers of its size: the float64 views of the uniform
+    and the counter buffers, free once the block's columns are summed.
+    Block j reads uniforms [j*_CHUNK*r, ...) of the stream, so the blocks
+    concatenate to the draws of one sequential walk of it, r uniforms per
+    draw.
 
     Column c of a block holds uniform c of each of its draws. A pass draws
     g = min(_CHUNK // block, r) columns as the rows of a (g, block) array,
@@ -114,6 +119,7 @@ def _erlang_blocks(r: int, samples: int, seed: int
     t = np.empty_like(x)
     y = np.empty(block)
     u = t.view(np.float64)
+    v = x.view(np.float64)
     for start in range(0, samples, _CHUNK):
         m = min(_CHUNK, samples - start)
         ys = y[:m]
@@ -134,7 +140,7 @@ def _erlang_blocks(r: int, samples: int, seed: int
                 us = us[m:]
             for row in np.log1p(us, out=us).reshape(-1, m):
                 ys += row
-        yield np.negative(ys, out=ys), u[:m]
+        yield np.negative(ys, out=ys), u[:m], v[:m]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the m2 check below reports it
@@ -145,22 +151,24 @@ def _estimate(r: int, samples: int, seed: int,
     """Mean and standard error of each statistic(Y_r), all from one pass
     over the draws, one block at a time: each block's (count, mean, M2) of
     every statistic is folded into that statistic's running totals with the
-    Chan-Golub-LeVeque update, in block order. Each statistic is called as
-    statistic(y, out) and returns its values in out, the scratch that
-    `_erlang_blocks` yields with the block, so the pass allocates no buffer
-    of its own and no statistic writes to the block y that the next
-    statistic reads."""
+    Chan-Golub-LeVeque update, in block order. The statistics are called in
+    order as statistic(y, out) and return their values, in out or in y
+    itself; out is the counter view that `_erlang_blocks` yields with the
+    block, and each statistic's deviations go to the uniform view, so out
+    still holds the values of the statistic before when the next one is
+    called. The pass allocates no buffer of its own, and no statistic
+    writes to the block y that the next statistic reads."""
     count, means, m2s = 0, [0.0] * len(statistics), [0.0] * len(statistics)
-    for y, out in _erlang_blocks(r, samples, seed):
+    for y, scratch, out in _erlang_blocks(r, samples, seed):
         b_count = y.size
         total = count + b_count
         for i, statistic in enumerate(statistics):
             s = statistic(y, out)
             # ndarray.mean without its wrapper: the same pairwise sum, divided
             b_mean = float(np.add.reduce(s)) / b_count
-            s -= b_mean
+            d = np.subtract(s, b_mean, out=scratch)
             # numpy's pairwise sum, not a BLAS dot, whose order may vary by build
-            b_m2 = float(np.add.reduce(np.square(s, out=s)))
+            b_m2 = float(np.add.reduce(np.square(d, out=d)))
             delta = b_mean - means[i]
             means[i] += delta * b_count / total
             m2s[i] += b_m2 + delta * delta * count * b_count / total
@@ -212,10 +220,22 @@ def mc_moment(r: int, k: int, samples: int, seed: int) -> MomentEstimate:
 @functools.lru_cache(maxsize=1)
 def _moment_table(r: int, samples: int, seed: int) -> tuple[MomentEstimate, ...]:
     """The estimates of E[Y_r^k] for k = 1.._KMAX from one pass over the
-    stream, each order raised from the draws into the pass's scratch."""
-    return tuple(_estimate(r, samples, seed, [
-        lambda y, out, k=k: np.power(y, k, out=out)
-        for k in range(1, _KMAX + 1)]))
+    stream. Order 1 is the draws themselves, order 2 is y*y, and each order
+    above is the one below times y, in place in the pass's out buffer: the
+    k-fold product y*y*...*y taken left to right, one multiply an order
+    rather than one pow call. Its relative error is at most about
+    (k - 1) * 2^-53 (Higham 2002, section 3.1)."""
+    def first(y, out):
+        return y
+
+    def second(y, out):
+        return np.multiply(y, y, out=out)
+
+    def next_order(y, out):
+        return np.multiply(out, y, out=out)
+
+    return tuple(_estimate(r, samples, seed,
+                           [first, second] + [next_order] * (_KMAX - 2)))
 
 
 def mc_generalized_D(n: int, r: int, x, samples: int, seed: int) -> MomentEstimate:

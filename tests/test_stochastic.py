@@ -2,6 +2,7 @@ import functools
 import math
 import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,7 +119,7 @@ def sequential_draws(samples):
 def blocks_of(r, samples, seed):
     """Every block of one _erlang_blocks call, each copied out of the
     workspace the next block overwrites."""
-    return [block.copy() for block, scratch in _erlang_blocks(r, samples, seed)]
+    return [block.copy() for block, *_ in _erlang_blocks(r, samples, seed)]
 
 
 def test_sample_erlang_matches_vectorized_stream():
@@ -185,7 +186,7 @@ def test_a_few_samples_draw_a_workspace_of_columns_a_pass(monkeypatch):
 
 
 def test_successive_blocks_share_one_buffer():
-    blocks = [block for block, scratch in
+    blocks = [block for block, *_ in
               _erlang_blocks(BOUNDARY_R, 3 * _CHUNK + 5, BOUNDARY_SEED)]
     assert len(blocks) == 4
     assert all(np.shares_memory(blocks[0], b) for b in blocks[1:])
@@ -211,21 +212,43 @@ def test_the_sampler_workspace_does_not_grow_with_r():
     assert peak(8) <= peak(1) + 4096
 
 
-def test_every_statistic_writes_to_the_one_scratch_of_the_pass():
-    # the scratch is the sampler's uniform buffer, one buffer for the whole
-    # pass, never the block the statistics read
-    outs = []
+def test_every_statistic_writes_to_the_one_scratch_of_the_pass(monkeypatch):
+    # the statistics write to the float64 view of the sampler's counter
+    # buffer, one buffer for the whole pass, and the deviations go to its
+    # uniform buffer: neither is the block the statistics read, and the
+    # values a statistic leaves survive to the next one, which is how the
+    # moment table raises each order from the one below
+    counters, scratches, outs = [], [], []
+    mix, draw = stochastic._mix_inplace, stochastic._erlang_blocks
+
+    def mixing(x, t):
+        counters.append(x.base)
+        mix(x, t)
+
+    def drawing(r, samples, seed):
+        for y, scratch, out in draw(r, samples, seed):
+            scratches.append(scratch)
+            yield y, scratch, out
 
     def statistic(y, out):
+        assert out.base is counters[-1]
         assert not np.shares_memory(out, y)
-        assert not outs or out.base is outs[0].base
+        assert not np.shares_memory(out, scratches[-1])
         outs.append(out)
         return np.multiply(y, 1.0, out=out)
 
+    def survivor(y, out):
+        assert bits(out) == bits(y)
+        return out
+
+    monkeypatch.setattr(stochastic, "_mix_inplace", mixing)
+    monkeypatch.setattr(stochastic, "_erlang_blocks", drawing)
     samples = 3 * _CHUNK + 5
-    [est] = _estimate(BOUNDARY_R, samples, BOUNDARY_SEED, [statistic])
+    est, again = _estimate(BOUNDARY_R, samples, BOUNDARY_SEED,
+                           [statistic, survivor])
     assert [out.size for out in outs] == [_CHUNK] * 3 + [5]
-    assert est == mc_moment(BOUNDARY_R, 1, samples, BOUNDARY_SEED)
+    assert all(base is counters[0] for base in counters)
+    assert est == again == mc_moment(BOUNDARY_R, 1, samples, BOUNDARY_SEED)
 
 
 def test_interleaved_generators_keep_their_own_workspace():
@@ -233,7 +256,7 @@ def test_interleaved_generators_keep_their_own_workspace():
     alone_a = blocks_of(3, samples, 42)
     alone_b = blocks_of(5, samples, 7)
     both = zip(_erlang_blocks(3, samples, 42), _erlang_blocks(5, samples, 7))
-    for i, ((a, scratch_a), (b, scratch_b)) in enumerate(both):
+    for i, ((a, *_), (b, *_)) in enumerate(both):
         assert bits(a) == bits(alone_a[i])
         assert bits(b) == bits(alone_b[i])
     assert i == len(alone_a) - 1
@@ -256,42 +279,46 @@ def test_inplace_horner_is_polyval_bit_for_bit(x):
 
 GOLDEN_SAMPLES = 3 * _CHUNK + 5
 # (mean, stderr) as float.hex at GOLDEN_SAMPLES samples, seed 42, recorded
-# from the allocating sampler that preceded the in-place block kernel.
-# The bits depend on the SIMD kernel numpy dispatches float64 log1p and
-# power to, not on the stream alone: with both at X86_V4 (numpy 2.4.6 on
-# an AVX-512 Xeon), np.log1p differs from math.log1p in 1,249 of the
-# 16,384 elements of the first r = 1 block at seed 42, and np.power(y, 3)
-# from math.pow in 882. A host that dispatches to another kernel (an older
-# CPU, or NPY_DISABLE_CPU_FEATURES) can move these bits with the sampler
-# unchanged; the assertion names the kernels it ran.
+# from the allocating sampler that preceded the in-place block kernel, and
+# again at k >= 3 where they moved when each order became the one below
+# times y, in place of one np.power call an order. The bits depend on the
+# SIMD kernel numpy dispatches float64 log1p to, not on the stream alone:
+# at X86_V4 (numpy 2.4.6 on an AVX-512 Xeon), np.log1p differs from
+# math.log1p in 1,249 of the 16,384 elements of the first r = 1 block at
+# seed 42. A multiply is correctly rounded on every kernel, so log1p is
+# the one kernel the bits depend on. A host that dispatches it to another
+# kernel (an older CPU, or NPY_DISABLE_CPU_FEATURES) can move these bits
+# with the sampler unchanged; the assertion names the kernel it ran, and
+# `python tests/test_stochastic.py` prints both dicts from the current
+# build.
 GOLDEN_MOMENTS = {  # (r, k)
     (1, 1): ("0x1.fe3cc6ed95e8cp-1", "0x1.24fa3bc4a0f54p-8"),
     (1, 2): ("0x1.f9bba4a655778p+0", "0x1.4e04b2aa0ef36p-6"),
     (1, 3): ("0x1.7af6b62295d55p+2", "0x1.139f926b9f5afp-3"),
     (1, 4): ("0x1.85545e8a890c2p+4", "0x1.496e11859f166p+0"),
-    (1, 5): ("0x1.08213bb26a7cbp+7", "0x1.e107d5ef6ddb9p+3"),
-    (1, 6): ("0x1.ceb1860e6a7a2p+9", "0x1.7ba56e35cc2eep+7"),
+    (1, 5): ("0x1.08213bb26a7cbp+7", "0x1.e107d5ef6ddb8p+3"),
+    (1, 6): ("0x1.ceb1860e6a7a0p+9", "0x1.7ba56e35cc2eep+7"),
     (1, 7): ("0x1.f6f8b086ed6c9p+12", "0x1.3504bf8200c2ep+11"),
-    (1, 8): ("0x1.4047cb78e2d7cp+16", "0x1.fe791ed6d0247p+14"),
+    (1, 8): ("0x1.4047cb78e2d7cp+16", "0x1.fe791ed6d0246p+14"),
     (2, 1): ("0x1.fcdc584182f8bp+0", "0x1.a02487534dc06p-8"),
     (2, 2): ("0x1.7bb7b6e2a468ep+2", "0x1.514f062d77625p-5"),
     (2, 3): ("0x1.7a7b921d2524cp+4", "0x1.39b4661b0d968p-2"),
-    (2, 4): ("0x1.da2a2d9981663p+6", "0x1.67bbcff2cd20bp+1"),
+    (2, 4): ("0x1.da2a2d9981662p+6", "0x1.67bbcff2cd20bp+1"),
     (2, 5): ("0x1.681f4559cea38p+9", "0x1.e9052592dd6a0p+4"),
     (2, 6): ("0x1.434f0cb72c881p+12", "0x1.73c221db28812p+8"),
-    (2, 7): ("0x1.4f695e56e6f1fp+15", "0x1.2e9073d2313c8p+12"),
-    (2, 8): ("0x1.88e11f23be8f6p+18", "0x1.00abfdbd143f2p+16"),
+    (2, 7): ("0x1.4f695e56e6f1fp+15", "0x1.2e9073d2313c7p+12"),
+    (2, 8): ("0x1.88e11f23be8f6p+18", "0x1.00abfdbd143f0p+16"),
     (3, 1): ("0x1.7e29ad2550da5p+1", "0x1.fef8379092443p-8"),
     (3, 2): ("0x1.7cdf600494bc2p+3", "0x1.0d6d0ca9a83abp-4"),
     (3, 3): ("0x1.da862c1b53ea0p+5", "0x1.23ecd1b41c4efp-1"),
     (3, 4): ("0x1.62592c832d204p+8", "0x1.676121b48466dp+2"),
-    (3, 5): ("0x1.33fc8d962c0a2p+11", "0x1.f435a27b21108p+5"),
+    (3, 5): ("0x1.33fc8d962c0a3p+11", "0x1.f435a27b21108p+5"),
     (3, 6): ("0x1.30a9b5898be3cp+14", "0x1.7e738e32ae1ccp+9"),
     (3, 7): ("0x1.50b813e046169p+17", "0x1.380999073cd44p+13"),
     (3, 8): ("0x1.9910baf315b70p+20", "0x1.09d85babeedfcp+17"),
     (4, 1): ("0x1.fe784e3bb3ca4p+1", "0x1.26fbd75ad08c7p-7"),
     (4, 2): ("0x1.3e359bea1aff9p+4", "0x1.80402c6dcff83p-4"),
-    (4, 3): ("0x1.db9fba44a5b7cp+6", "0x1.e778cfb4751bep-1"),
+    (4, 3): ("0x1.db9fba44a5b7dp+6", "0x1.e778cfb4751bfp-1"),
     (4, 4): ("0x1.9e1156ced0ad9p+9", "0x1.55140b252cc51p+3"),
     (4, 5): ("0x1.9b42e12549e82p+12", "0x1.0aa584391b10bp+7"),
     (4, 6): ("0x1.ca93584fb039dp+15", "0x1.ca137022c5508p+10"),
@@ -300,10 +327,10 @@ GOLDEN_MOMENTS = {  # (r, k)
     (5, 1): ("0x1.3efb9d8fd3743p+2", "0x1.487c3b2b088f2p-7"),
     (5, 2): ("0x1.dc7f73f9ad3cep+4", "0x1.fc0c626fbf516p-4"),
     (5, 3): ("0x1.9e6f91b7f91c1p+7", "0x1.6e7752bd593f0p+0"),
-    (5, 4): ("0x1.9acab54d41d23p+10", "0x1.1ae71a81504eap+4"),
+    (5, 4): ("0x1.9acab54d41d24p+10", "0x1.1ae71a81504eap+4"),
     (5, 5): ("0x1.c8747b2d6f15ep+13", "0x1.e02d92bb0cd55p+7"),
-    (5, 6): ("0x1.189b41c3f269cp+17", "0x1.bf7ce69696733p+11"),
-    (5, 7): ("0x1.79adf710204bbp+20", "0x1.c48189eb2c480p+15"),
+    (5, 6): ("0x1.189b41c3f269dp+17", "0x1.bf7ce69696733p+11"),
+    (5, 7): ("0x1.79adf710204bcp+20", "0x1.c48189eb2c481p+15"),
     (5, 8): ("0x1.13b13aa00b317p+24", "0x1.e897057426f95p+19"),
 }
 GOLDEN_POLYNOMIAL = {  # (n, x) at r = 3
@@ -327,28 +354,57 @@ GOLDEN_POLYNOMIAL = {  # (n, x) at r = 3
 
 
 def _dispatch() -> dict:
-    """The CPU target numpy runs each float64 kernel of the goldens on."""
+    """The CPU target numpy runs float64 log1p on, the one kernel that the
+    goldens depend on: the moments are products and the polynomial values
+    Horner steps, whose multiplies and adds are correctly rounded."""
     try:
         from numpy.lib.introspect import opt_func_info
     except ImportError:  # numpy before 2.0 has no introspection
         return {"numpy": np.__version__}
-    info = opt_func_info(func_name="^(log1p|power)$", signature="float64")
+    info = opt_func_info(func_name="^log1p$", signature="float64")
     return {name: [target["current"] for target in sigs.values()]
             for name, sigs in info.items()}
 
 
-def test_golden_estimates():
-    # any change to the stream, the block kernel or the merge order moves a
-    # bit; so does another SIMD dispatch of log1p or power (see GOLDEN_SAMPLES)
+def golden_estimates() -> tuple[dict, dict]:
+    """Every golden's (mean, stderr) as float.hex, from the current build."""
     def pinned(est):
         return est.mean.hex(), est.stderr.hex()
+    return ({(r, k): pinned(mc_moment(r, k, GOLDEN_SAMPLES, 42))
+             for r, k in GOLDEN_MOMENTS},
+            {(n, x): pinned(mc_generalized_D(n, 3, x, GOLDEN_SAMPLES, 42))
+             for n, x in GOLDEN_POLYNOMIAL})
+
+
+def golden_source(moments: dict, polynomial: dict) -> str:
+    """The two golden dicts as this file writes them."""
+    def entry(key, pair):
+        return f'    {key}: ("{pair[0]}", "{pair[1]}"),'
+    return "\n".join([
+        "GOLDEN_MOMENTS = {  # (r, k)",
+        *[entry(f"({r}, {k})", pair) for (r, k), pair in moments.items()],
+        "}",
+        "GOLDEN_POLYNOMIAL = {  # (n, x) at r = 3",
+        *[entry(f'({n}, F("{x}"))', pair)
+          for (n, x), pair in polynomial.items()],
+        "}"])
+
+
+def test_golden_estimates():
+    # any change to the stream, the block kernel or the merge order moves a
+    # bit; so does another SIMD dispatch of log1p (see GOLDEN_SAMPLES)
+    moments, polynomial = golden_estimates()
     dispatch = _dispatch()
     for (r, k), want in GOLDEN_MOMENTS.items():
-        assert pinned(mc_moment(r, k, GOLDEN_SAMPLES, 42)) == want, (
-            r, k, dispatch)
+        assert moments[r, k] == want, (r, k, dispatch)
     for (n, x), want in GOLDEN_POLYNOMIAL.items():
-        assert pinned(mc_generalized_D(n, 3, x, GOLDEN_SAMPLES, 42)) == want, (
-            n, x, dispatch)
+        assert polynomial[n, x] == want, (n, x, dispatch)
+
+
+def test_the_golden_printer_writes_this_files_dicts():
+    # so the script's output can replace the dicts above as it stands
+    source = Path(__file__).read_text()
+    assert golden_source(GOLDEN_MOMENTS, GOLDEN_POLYNOMIAL) + "\n" in source
 
 
 def two_pass(values):
@@ -361,25 +417,39 @@ def two_pass(values):
 
 @pytest.mark.parametrize("samples", BOUNDARY_SAMPLES)
 def test_mc_moment_matches_two_pass_reference(samples):
-    k = 4
-    est = mc_moment(BOUNDARY_R, k, samples, BOUNDARY_SEED)
-    mean, stderr = two_pass([y ** k for y in sequential_draws(samples)])
-    assert est.mean == pytest.approx(mean, rel=1e-12, abs=0)
-    assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=0)
+    # every order, so a product chain that skips or repeats a factor fails
+    ests = [mc_moment(BOUNDARY_R, k, samples, BOUNDARY_SEED)
+            for k in range(1, _KMAX + 1)]
+    for k, est in enumerate(ests, 1):
+        mean, stderr = two_pass([y ** k for y in sequential_draws(samples)])
+        assert est.mean == pytest.approx(mean, rel=1e-12, abs=0), k
+        assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=0), k
     _moment_table.cache_clear()  # compare two computations, not one memo
-    assert est == mc_moment(BOUNDARY_R, k, samples, BOUNDARY_SEED)
+    assert ests == [mc_moment(BOUNDARY_R, k, samples, BOUNDARY_SEED)
+                    for k in range(1, _KMAX + 1)]
+
+
+def left_to_right_power(k):
+    """The statistic y*y*...*y, k factors multiplied left to right in out."""
+    def statistic(y, out):
+        np.copyto(out, y)
+        for _ in range(k - 1):
+            out *= y
+        return out
+    return statistic
 
 
 @pytest.mark.parametrize("samples", BOUNDARY_SAMPLES)
 def test_moment_table_is_the_single_statistic_pass_bit_for_bit(samples):
-    # one pass for every order against one pass per order, raised in place
+    # one pass for every order, each raised from the order below, against
+    # one pass per order that forms the whole k-fold product
     for r in range(1, 6):
         _moment_table.cache_clear()
         table = _moment_table(r, samples, BOUNDARY_SEED)
         assert len(table) == _KMAX
         for k in range(1, _KMAX + 1):
             [alone] = _estimate(r, samples, BOUNDARY_SEED,
-                                [lambda y, out: np.power(y, k, out=out)])
+                                [left_to_right_power(k)])
             assert table[k - 1] == alone, (r, k)
             assert mc_moment(r, k, samples, BOUNDARY_SEED) == alone, (r, k)
 
@@ -568,3 +638,9 @@ def test_a_request_reads_at_most_the_streams_2_to_the_64_uniforms():
         with pytest.raises(DerangeDomainError, match=(
                 rf"^need samples \* r <= 2\^64, got {samples} \* {r}$")):
             stochastic._check_request(samples, r, 0)
+
+
+if __name__ == "__main__":
+    # re-record the goldens after a kernel move: paste the output over the
+    # two dicts (from a checkout, run with PYTHONPATH=src)
+    print(golden_source(*golden_estimates()))
