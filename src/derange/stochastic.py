@@ -1,9 +1,9 @@
 """Erlang moments by Monte Carlo.
 
-The sum of r independent Exp(1) draws has k-th moment rising(r, k); the
-Monte Carlo layer estimates it and the moment-expansion reconstruction of
-the generalized polynomials, against a counter-based SplitMix64 uniform
-stream so every estimate is a pure function of (seed, samples): uniform i,
+The sum Y_r of r independent Exp(1) draws has k-th moment rising(r, k);
+the Monte Carlo layer estimates these moments and the generalized
+polynomials, against a counter-based SplitMix64 uniform stream so every
+estimate is a pure function of (seed, samples): uniform i,
 from i = 1, is the top 53 bits of the SplitMix64 finalizer of
 seed + i * _GAMMA (mod 2^64), times 2^-53. `_erlang_blocks` is the one
 implementation of that stream. A seed is one of 0..2^64-1: any other would
@@ -23,21 +23,20 @@ count and r, and computes every block in place in it: a yielded block and
 its scratch are views that the next block overwrites, so copy one to keep
 it. A request costs time in proportion to samples * r.
 
-One pass over a stream serves every statistic asked of it: `_estimate`
-folds each block into one running (mean, M2) per statistic. The pass owns
-two `_CHUNK`-float buffers, the float64 views of the stream's uniform and
-counter buffers, both free once a block's columns are summed:
-`_erlang_blocks` yields them with each block. `_estimate` calls each
-statistic as statistic(y, out), in order, with the counter view as out,
-and takes the statistic's deviations in the uniform view. So the draws y
-stay intact until the last statistic has read them, and out still holds
-a statistic's values when the next one is called. The moment table
-raises each order k from order k - 1 in out by one multiply, so its bits
-depend on numpy's float64 log1p kernel but on no power kernel. It draws
-each (r, samples, seed) stream once for every order k = 1.._KMAX, and
-`mc_moment` indexes it. The table is memoized for the last stream only: a
-sweep that walks k innermost draws each r once, and nothing carries over
-between sweeps. `mc_generalized_D` is not memoized.
+Every estimate is a power of one affine statistic of the draws: D_n^{(r)}(x)
+= E[(1 + x*Y_r)^n] and E[Y_r^k] = rising(r, k) are E[(c + x*Y_r)^k] at
+(c, x) = (1, x) and (0, 1). `_estimate` is the one estimator: one pass
+over a stream writes z = c + x*y over each block and raises it one
+multiply an order, folding each order asked for into its running (mean,
+M2). The powers and the deviations go to the float64 views of the
+stream's counter and uniform buffers, both free once a block's columns
+are summed, so a pass holds the stream's four buffers and no more. The
+bits of an estimate depend on numpy's float64 log1p kernel but on no
+power kernel. The moment table is the (0, 1) pass over every order
+k = 1.._KMAX, and `mc_moment` indexes it; it is memoized for the last
+stream only: a sweep that walks k innermost draws each r once, and
+nothing carries over between sweeps. `mc_generalized_D` is the (1, x)
+pass at order n alone, and is not memoized.
 """
 
 from __future__ import annotations
@@ -45,13 +44,13 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from .exact import DerangeDomainError
+from .exact import DerangeDomainError, as_text
 from .polys import eval_poly, generalized_D_poly
 
 _MASK = (1 << 64) - 1
@@ -144,50 +143,47 @@ def _erlang_blocks(r: int, samples: int, seed: int
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the m2 check below reports it
-def _estimate(r: int, samples: int, seed: int,
-              statistics: Sequence[Callable[[np.ndarray, np.ndarray],
-                                            np.ndarray]]
-              ) -> list[MomentEstimate]:
-    """Mean and standard error of each statistic(Y_r), all from one pass
-    over the draws, one block at a time: each block's (count, mean, M2) of
-    every statistic is folded into that statistic's running totals with the
-    Chan-Golub-LeVeque update, in block order. The statistics are called in
-    order as statistic(y, out) and return their values, in out or in y
-    itself; out is the counter view that `_erlang_blocks` yields with the
-    block, and each statistic's deviations go to the uniform view, so out
-    still holds the values of the statistic before when the next one is
-    called. The pass allocates no buffer of its own, and no statistic
-    writes to the block y that the next statistic reads."""
-    count, means, m2s = 0, [0.0] * len(statistics), [0.0] * len(statistics)
-    for y, scratch, out in _erlang_blocks(r, samples, seed):
-        b_count = y.size
+def _estimate(r: int, samples: int, seed: int, c: float, x: float,
+              orders: Sequence[int]) -> list[MomentEstimate]:
+    """Mean and standard error of (c + x*Y_r)^k for each k of the ascending
+    orders, all from one pass over the draws, one block at a time. The block
+    y becomes z = c + x*y in place (left as it is for (0, 1)), and each
+    order is the one below times z: order 1 is z, order 2 is z*z into the
+    counter view that `_erlang_blocks` yields with the block, and each
+    order above is that view times z, in place. So order k is the k-fold
+    product z*z*...*z taken left to right, with relative error at most
+    about (k - 1) * 2^-53 (Higham 2002, section 3.1). Each order asked for
+    has its block (count, mean, M2) folded into its running totals with
+    the Chan-Golub-LeVeque update, in block order, its deviations taken in
+    the uniform view. The pass allocates no buffer of its own."""
+    count, means, m2s = 0, [0.0] * len(orders), [0.0] * len(orders)
+    for z, scratch, out in _erlang_blocks(r, samples, seed):
+        if (c, x) != (0, 1):
+            z *= x
+            z += c
+        b_count = z.size
         total = count + b_count
-        for i, statistic in enumerate(statistics):
-            s = statistic(y, out)
+        power, i = z, 0
+        for k in range(1, orders[-1] + 1):
+            if k > 1:
+                power = np.multiply(power, z, out=out)
+            if k != orders[i]:
+                continue
             # ndarray.mean without its wrapper: the same pairwise sum, divided
-            b_mean = float(np.add.reduce(s)) / b_count
-            d = np.subtract(s, b_mean, out=scratch)
+            b_mean = float(np.add.reduce(power)) / b_count
+            d = np.subtract(power, b_mean, out=scratch)
             # numpy's pairwise sum, not a BLAS dot, whose order may vary by build
             b_m2 = float(np.add.reduce(np.square(d, out=d)))
             delta = b_mean - means[i]
             means[i] += delta * b_count / total
             m2s[i] += b_m2 + delta * delta * count * b_count / total
+            i += 1
         count = total
     if not all(map(math.isfinite, m2s)):  # an overflow leaves inf or nan
         raise DerangeDomainError(
             f"the estimate from {samples} samples overflows a float")
     return [MomentEstimate(mean, math.sqrt(m2 / (count - 1)) / math.sqrt(count))
             for mean, m2 in zip(means, m2s)]
-
-
-def _horner(coeffs: list[float], y: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """np.polyval(coeffs, y) computed in out: the same operations in the
-    same order, without polyval's temporary arrays."""
-    out.fill(coeffs[0])
-    for c in coeffs[1:]:
-        out *= y
-        out += c
-    return out
 
 
 def _check_request(samples: int, r: int, seed: int) -> None:
@@ -219,28 +215,15 @@ def mc_moment(r: int, k: int, samples: int, seed: int) -> MomentEstimate:
 
 @functools.lru_cache(maxsize=1)
 def _moment_table(r: int, samples: int, seed: int) -> tuple[MomentEstimate, ...]:
-    """The estimates of E[Y_r^k] for k = 1.._KMAX from one pass over the
-    stream. Order 1 is the draws themselves, order 2 is y*y, and each order
-    above is the one below times y, in place in the pass's out buffer: the
-    k-fold product y*y*...*y taken left to right, one multiply an order
-    rather than one pow call. Its relative error is at most about
-    (k - 1) * 2^-53 (Higham 2002, section 3.1)."""
-    def first(y, out):
-        return y
-
-    def second(y, out):
-        return np.multiply(y, y, out=out)
-
-    def next_order(y, out):
-        return np.multiply(out, y, out=out)
-
-    return tuple(_estimate(r, samples, seed,
-                           [first, second] + [next_order] * (_KMAX - 2)))
+    """The estimates of E[Y_r^k] for k = 1.._KMAX: the (c, x) = (0, 1) pass
+    of `_estimate`, so order k is the k-fold product y*y*...*y."""
+    return tuple(_estimate(r, samples, seed, 0, 1, range(1, _KMAX + 1)))
 
 
 def mc_generalized_D(n: int, r: int, x, samples: int, seed: int) -> MomentEstimate:
-    """Plug-in estimator of sum_k C(n,k) x^k E[Y_r^k] from one shared sample
-    set, with the standard error of the per-draw statistic."""
+    """The estimate of D_n^{(r)}(x) = E[(1 + x*Y_r)^n]: the (1, x) pass of
+    `_estimate` at order n alone, so the statistic is the n-fold product of
+    z = 1 + x*y and no coefficient of the expanded polynomial is formed."""
     _check_request(samples, r, seed)
     if n < 0 or n > _KMAX:
         raise DerangeDomainError(f"need 0 <= n <= {_KMAX}")
@@ -251,9 +234,7 @@ def mc_generalized_D(n: int, r: int, x, samples: int, seed: int) -> MomentEstima
     # the estimate sums `samples` squares in floats: refuse what overflows
     if eval_poly(generalized_D_poly(2 * n, r), x) * samples > sys.float_info.max:
         raise DerangeDomainError(
-            f"D_{n}({x}) at r = {r} is out of float range for "
+            f"D_{n}({as_text(x)}) at r = {r} is out of float range for "
             f"{samples} samples")
-    coeffs = [float(math.comb(n, k) * x ** k) for k in range(n, -1, -1)]
-    [est] = _estimate(r, samples, seed,
-                      [lambda y, out: _horner(coeffs, y, out)])
+    [est] = _estimate(r, samples, seed, 1, float(x), [n])
     return est

@@ -267,11 +267,14 @@ def test_mc_refusal_in_a_fresh_process_exits_2(argv):
     "poly --which D --n 3000 --r 5",
     "hankel --family generalized --r 3 --x 7/3 --n 50",
     "hankel --family generalized --r 3 --x 7/3 --n 50 --format json",
+    "mc --r 1 --n 1 --x 1e5000 --samples 2",
+    "mc --r 1 --n 1 --x=-1e5000 --samples 2",
 ])
 def test_a_value_past_the_digit_limit_exits_2_in_a_fresh_process(argv):
-    """Each command prints a value of more than 4,300 digits, the default
-    int-to-str limit: one error line and exit 2, not a ValueError traceback
-    and exit 1, which would read as a failed identity."""
+    """Each command prints, or names in its refusal, a value of more than
+    4,300 digits, the default int-to-str limit: one error line and exit 2,
+    not a ValueError traceback and exit 1, which would read as a failed
+    identity."""
     err = assert_one_error_line(fresh_process(*CLI, *argv.split()))
     limit = sys.int_info.default_max_str_digits
     assert err.startswith(f"error: Exceeds the limit ({limit} digits)")

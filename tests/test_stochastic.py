@@ -1,5 +1,7 @@
+import ast
 import functools
 import math
+import sys
 import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
@@ -18,7 +20,6 @@ from derange.stochastic import (
     MomentEstimate,
     _erlang_blocks,
     _estimate,
-    _horner,
     _mix_inplace,
     _moment_table,
     mc_generalized_D,
@@ -212,43 +213,82 @@ def test_the_sampler_workspace_does_not_grow_with_r():
     assert peak(8) <= peak(1) + 4096
 
 
+def test_a_polynomial_pass_holds_the_same_four_buffers():
+    # z = 1 + x*y is written over the block and its powers into the counter
+    # view, so a polynomial pass allocates no more than a moment-table pass
+    def peak(r):
+        tracemalloc.start()
+        try:
+            mc_generalized_D(_KMAX, r, F(-11, 13), 3 * _CHUNK + 5,
+                             BOUNDARY_SEED)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # numpy's first-call allocations are not the workspace's
+    assert peak(1) <= 4 * _CHUNK * 8 + 8192
+    assert peak(8) <= 4 * _CHUNK * 8 + 8192
+
+
 def test_every_statistic_writes_to_the_one_scratch_of_the_pass(monkeypatch):
-    # the statistics write to the float64 view of the sampler's counter
-    # buffer, one buffer for the whole pass, and the deviations go to its
-    # uniform buffer: neither is the block the statistics read, and the
-    # values a statistic leaves survive to the next one, which is how the
-    # moment table raises each order from the one below
-    counters, scratches, outs = [], [], []
+    # once a block is folded, the block holds z = c + x*y, the float64 view
+    # of the counter buffer holds the top order's z*z*...*z taken left to
+    # right, and the uniform view holds that order's squared deviations:
+    # neither view shares memory with the block, and both are the same
+    # buffers on every block, for the moment pass and a polynomial pass
+    counters, uniforms, views = [], [], []
     mix, draw = stochastic._mix_inplace, stochastic._erlang_blocks
 
-    def mixing(x, t):
-        counters.append(x.base)
-        mix(x, t)
+    def mixing(xs, ts):
+        counters.append(xs.base)
+        uniforms.append(ts.base)
+        mix(xs, ts)
 
     def drawing(r, samples, seed):
         for y, scratch, out in draw(r, samples, seed):
-            scratches.append(scratch)
+            z = y.copy() if (c, x) == (0, 1) else y * x + c
             yield y, scratch, out
-
-    def statistic(y, out):
-        assert out.base is counters[-1]
-        assert not np.shares_memory(out, y)
-        assert not np.shares_memory(out, scratches[-1])
-        outs.append(out)
-        return np.multiply(y, 1.0, out=out)
-
-    def survivor(y, out):
-        assert bits(out) == bits(y)
-        return out
+            power = z.copy()
+            for _ in range(orders[-1] - 1):
+                power *= z
+            mean = float(np.add.reduce(power)) / z.size
+            assert bits(y) == bits(z)
+            assert bits(out) == bits(power)
+            assert bits(scratch) == bits(np.square(power - mean))
+            views.append((y, scratch, out))
 
     monkeypatch.setattr(stochastic, "_mix_inplace", mixing)
     monkeypatch.setattr(stochastic, "_erlang_blocks", drawing)
-    samples = 3 * _CHUNK + 5
-    est, again = _estimate(BOUNDARY_R, samples, BOUNDARY_SEED,
-                           [statistic, survivor])
-    assert [out.size for out in outs] == [_CHUNK] * 3 + [5]
-    assert all(base is counters[0] for base in counters)
-    assert est == again == mc_moment(BOUNDARY_R, 1, samples, BOUNDARY_SEED)
+    for c, x, orders in [(0, 1, range(1, _KMAX + 1)), (1, -11 / 13, [5])]:
+        for seen in (counters, uniforms, views):
+            seen.clear()
+        _estimate(BOUNDARY_R, 3 * _CHUNK + 5, BOUNDARY_SEED, c, x, orders)
+        assert [y.size for y, *_ in views] == [_CHUNK] * 3 + [5]
+        assert all(base is counters[0] for base in counters)
+        assert all(base is uniforms[0] for base in uniforms)
+        for y, scratch, out in views:
+            assert out.base is counters[0] and scratch.base is uniforms[0]
+            assert not np.shares_memory(out, y)
+            assert not np.shares_memory(scratch, y)
+            assert not np.shares_memory(out, scratch)
+
+
+def test_one_pass_draws_every_stream():
+    """`_estimate` is the only code of the package that reads
+    `_erlang_blocks`, and only `_moment_table` and `mc_generalized_D` read
+    `_estimate`: every estimate is a power of c + x*Y_r from that pass."""
+    readers = {"_erlang_blocks": [], "_estimate": []}
+    for path in sorted(Path(stochastic.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            names = {getattr(node, "id", None) or getattr(node, "attr", None)
+                     for node in ast.walk(top)
+                     if isinstance(node, (ast.Name, ast.Attribute))}
+            owner = getattr(top, "name", "<module>")
+            for name in readers.keys() & names:
+                readers[name].append(f"{path.stem}.{owner}")
+    assert readers == {
+        "_erlang_blocks": ["stochastic._estimate"],
+        "_estimate": ["stochastic._moment_table", "stochastic.mc_generalized_D"]}
 
 
 def test_interleaved_generators_keep_their_own_workspace():
@@ -262,26 +302,14 @@ def test_interleaved_generators_keep_their_own_workspace():
     assert i == len(alone_a) - 1
 
 
-def polynomial_coeffs(n, x):
-    """mc_generalized_D's coefficients of sum_k C(n,k) x^k y^k, highest first."""
-    return [float(math.comb(n, k) * x ** k) for k in range(n, -1, -1)]
-
-
-@pytest.mark.parametrize("x", [F(0), F(1, 2), F(-11, 13), F(3)])
-def test_inplace_horner_is_polyval_bit_for_bit(x):
-    y = np.concatenate([[0.0], blocks_of(BOUNDARY_R, 999, BOUNDARY_SEED)[0]])
-    for n in range(9):
-        coeffs = polynomial_coeffs(n, x)
-        out = np.empty_like(y)
-        assert _horner(coeffs, y, out) is out
-        assert bits(out) == bits(np.polyval(coeffs, y))
-
-
 GOLDEN_SAMPLES = 3 * _CHUNK + 5
 # (mean, stderr) as float.hex at GOLDEN_SAMPLES samples, seed 42, recorded
 # from the allocating sampler that preceded the in-place block kernel, and
 # again at k >= 3 where they moved when each order became the one below
-# times y, in place of one np.power call an order. The bits depend on the
+# times y, in place of one np.power call an order. The polynomial values
+# at (5, 1/2), (7, 1/2) and n = 5..8 at -11/13 were recorded again when
+# the statistic became the n-fold product of 1 + x*y in place of Horner's
+# rule on the expanded coefficients. The bits depend on the
 # SIMD kernel numpy dispatches float64 log1p to, not on the stream alone:
 # at X86_V4 (numpy 2.4.6 on an AVX-512 Xeon), np.log1p differs from
 # math.log1p in 1,249 of the 16,384 elements of the first r = 1 block at
@@ -290,7 +318,7 @@ GOLDEN_SAMPLES = 3 * _CHUNK + 5
 # kernel (an older CPU, or NPY_DISABLE_CPU_FEATURES) can move these bits
 # with the sampler unchanged; the assertion names the kernel it ran, and
 # `python tests/test_stochastic.py` prints both dicts from the current
-# build.
+# build, and each entry that moved as old -> new.
 GOLDEN_MOMENTS = {  # (r, k)
     (1, 1): ("0x1.fe3cc6ed95e8cp-1", "0x1.24fa3bc4a0f54p-8"),
     (1, 2): ("0x1.f9bba4a655778p+0", "0x1.4e04b2aa0ef36p-6"),
@@ -338,25 +366,25 @@ GOLDEN_POLYNOMIAL = {  # (n, x) at r = 3
     (2, F("1/2")): ("0x1.bd848694f2cb3p+2", "0x1.88388a9aed718p-6"),
     (3, F("1/2")): ("0x1.5d1d1f7f8bea0p+4", "0x1.096b906ae0779p-3"),
     (4, F("1/2")): ("0x1.328452fad1337p+6", "0x1.76e0aefb38cd7p-1"),
-    (5, F("1/2")): ("0x1.2c183c14e46c3p+8", "0x1.1fada46410029p+2"),
+    (5, F("1/2")): ("0x1.2c183c14e46c2p+8", "0x1.1fada46410029p+2"),
     (6, F("1/2")): ("0x1.456e4e2f6ef36p+10", "0x1.dfe01e6a34c2dp+4"),
-    (7, F("1/2")): ("0x1.83d066892fd01p+12", "0x1.ac59c18ad7454p+7"),
+    (7, F("1/2")): ("0x1.83d066892fd01p+12", "0x1.ac59c18ad7453p+7"),
     (8, F("1/2")): ("0x1.f780ade0ef36ap+14", "0x1.91ed8663ac6d0p+10"),
     (1, F("-11/13")): ("-0x1.86bcaedcb0367p+0", "0x1.b05be03f40afep-8"),
     (2, F("-11/13")): ("0x1.1e05e043631f8p+2", "0x1.1e1bc1a0a2987p-5"),
     (3, F("-11/13")): ("-0x1.0f2d841cafa8ep+4", "0x1.d4deaefd9e1c8p-3"),
     (4, F("-11/13")): ("0x1.3fbacd1264f3bp+6", "0x1.c990f2107104fp+0"),
-    (5, F("-11/13")): ("-0x1.be42916285ebfp+8", "0x1.ff3b9773b4b76p+3"),
-    (6, F("-11/13")): ("0x1.65f67cc8a9e39p+11", "0x1.3914bbbc14cacp+7"),
-    (7, F("-11/13")): ("-0x1.424b4526bd49fp+14", "0x1.96d57850b317ap+10"),
-    (8, F("-11/13")): ("0x1.3f318b26b08b0p+17", "0x1.129baf9448340p+14"),
+    (5, F("-11/13")): ("-0x1.be42916285ebep+8", "0x1.ff3b9773b4b75p+3"),
+    (6, F("-11/13")): ("0x1.65f67cc8a9e37p+11", "0x1.3914bbbc14cacp+7"),
+    (7, F("-11/13")): ("-0x1.424b4526bd49ep+14", "0x1.96d57850b3179p+10"),
+    (8, F("-11/13")): ("0x1.3f318b26b08adp+17", "0x1.129baf944833fp+14"),
 }
 
 
 def _dispatch() -> dict:
     """The CPU target numpy runs float64 log1p on, the one kernel that the
-    goldens depend on: the moments are products and the polynomial values
-    Horner steps, whose multiplies and adds are correctly rounded."""
+    goldens depend on: the moments and the polynomial values are products
+    of c + x*y, whose multiplies and adds are correctly rounded."""
     try:
         from numpy.lib.introspect import opt_func_info
     except ImportError:  # numpy before 2.0 has no introspection
@@ -376,18 +404,30 @@ def golden_estimates() -> tuple[dict, dict]:
              for n, x in GOLDEN_POLYNOMIAL})
 
 
+def golden_key(key) -> str:
+    """A golden's key as this file writes it: (r, k) or (n, F("x"))."""
+    a, b = key
+    return f'({a}, F("{b}"))' if isinstance(b, F) else f"({a}, {b})"
+
+
 def golden_source(moments: dict, polynomial: dict) -> str:
     """The two golden dicts as this file writes them."""
     def entry(key, pair):
-        return f'    {key}: ("{pair[0]}", "{pair[1]}"),'
+        return f'    {golden_key(key)}: ("{pair[0]}", "{pair[1]}"),'
     return "\n".join([
         "GOLDEN_MOMENTS = {  # (r, k)",
-        *[entry(f"({r}, {k})", pair) for (r, k), pair in moments.items()],
+        *[entry(key, pair) for key, pair in moments.items()],
         "}",
         "GOLDEN_POLYNOMIAL = {  # (n, x) at r = 3",
-        *[entry(f'({n}, F("{x}"))', pair)
-          for (n, x), pair in polynomial.items()],
+        *[entry(key, pair) for key, pair in polynomial.items()],
         "}"])
+
+
+def golden_changes(old: dict, new: dict) -> list[str]:
+    """One line for each entry of old whose bits differ in new, as
+    old -> new (mean, stderr)."""
+    return [f"{golden_key(key)}: {old[key]} -> {new[key]}"
+            for key in old if new[key] != old[key]]
 
 
 def test_golden_estimates():
@@ -405,6 +445,15 @@ def test_the_golden_printer_writes_this_files_dicts():
     # so the script's output can replace the dicts above as it stands
     source = Path(__file__).read_text()
     assert golden_source(GOLDEN_MOMENTS, GOLDEN_POLYNOMIAL) + "\n" in source
+
+
+def test_the_golden_printer_names_each_moved_entry():
+    key = 5, F(1, 2)
+    moved = dict(GOLDEN_POLYNOMIAL)
+    moved[key] = ("0x1.0p+0", GOLDEN_POLYNOMIAL[key][1])
+    assert golden_changes(GOLDEN_MOMENTS, dict(GOLDEN_MOMENTS)) == []
+    assert golden_changes(GOLDEN_POLYNOMIAL, moved) == [
+        f'(5, F("1/2")): {GOLDEN_POLYNOMIAL[key]} -> {moved[key]}']
 
 
 def two_pass(values):
@@ -429,27 +478,17 @@ def test_mc_moment_matches_two_pass_reference(samples):
                     for k in range(1, _KMAX + 1)]
 
 
-def left_to_right_power(k):
-    """The statistic y*y*...*y, k factors multiplied left to right in out."""
-    def statistic(y, out):
-        np.copyto(out, y)
-        for _ in range(k - 1):
-            out *= y
-        return out
-    return statistic
-
-
 @pytest.mark.parametrize("samples", BOUNDARY_SAMPLES)
 def test_moment_table_is_the_single_statistic_pass_bit_for_bit(samples):
-    # one pass for every order, each raised from the order below, against
-    # one pass per order that forms the whole k-fold product
+    # a pass that folds order k alone gives the table's entry k: the chain
+    # runs up to order k either way, and folding the orders below touches
+    # neither the running power nor order k's totals
     for r in range(1, 6):
         _moment_table.cache_clear()
         table = _moment_table(r, samples, BOUNDARY_SEED)
         assert len(table) == _KMAX
         for k in range(1, _KMAX + 1):
-            [alone] = _estimate(r, samples, BOUNDARY_SEED,
-                                [left_to_right_power(k)])
+            [alone] = _estimate(r, samples, BOUNDARY_SEED, 0, 1, [k])
             assert table[k - 1] == alone, (r, k)
             assert mc_moment(r, k, samples, BOUNDARY_SEED) == alone, (r, k)
 
@@ -487,15 +526,21 @@ def test_a_polynomial_value_is_drawn_every_call(streams):
 
 @pytest.mark.parametrize("samples", BOUNDARY_SAMPLES)
 def test_mc_generalized_D_matches_two_pass_reference(samples):
-    n, x = 5, F(1, 2)
-    est = mc_generalized_D(n, BOUNDARY_R, x, samples, BOUNDARY_SEED)
-    coeffs = polynomial_coeffs(n, x)[::-1]
-    stat = [math.fsum(c * y ** k for k, c in enumerate(coeffs))
-            for y in sequential_draws(samples)]
-    mean, stderr = two_pass(stat)
-    assert est.mean == pytest.approx(mean, rel=1e-12, abs=0)
-    assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=0)
-    assert est == mc_generalized_D(n, BOUNDARY_R, x, samples, BOUNDARY_SEED)
+    # every degree at two points, against the expanded polynomial
+    # sum_k C(n,k) x^k y^k, each draw's terms summed by math.fsum: a wrong
+    # affine step, or a chain that skips or repeats a factor of 1 + x*y,
+    # fails
+    y = np.array(sequential_draws(samples))
+    for x in (F(1, 2), F(-11, 13)):
+        for n in range(1, _KMAX + 1):
+            est = mc_generalized_D(n, BOUNDARY_R, x, samples, BOUNDARY_SEED)
+            terms = np.column_stack([float(math.comb(n, k) * x ** k) * y ** k
+                                     for k in range(n + 1)])
+            mean, stderr = two_pass(list(map(math.fsum, terms.tolist())))
+            assert est.mean == pytest.approx(mean, rel=1e-12, abs=0), n
+            assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=0), n
+            assert est == mc_generalized_D(n, BOUNDARY_R, x, samples,
+                                           BOUNDARY_SEED)
 
 
 def test_sample_erlang_mean():
@@ -642,5 +687,10 @@ def test_a_request_reads_at_most_the_streams_2_to_the_64_uniforms():
 
 if __name__ == "__main__":
     # re-record the goldens after a kernel move: paste the output over the
-    # two dicts (from a checkout, run with PYTHONPATH=src)
-    print(golden_source(*golden_estimates()))
+    # two dicts (from a checkout, run with PYTHONPATH=src); each entry that
+    # moved goes to stderr as old -> new
+    moments, polynomial = golden_estimates()
+    print(golden_source(moments, polynomial))
+    for line in (golden_changes(GOLDEN_MOMENTS, moments)
+                 + golden_changes(GOLDEN_POLYNOMIAL, polynomial)):
+        print(line, file=sys.stderr)
