@@ -9,22 +9,24 @@ of the step that reaches that order. Its views are the family
 reports (`hankel_reports`, and `verify_hankel` for one order) and the
 derivative Hankel identity (`derivative_hankel_chain`, and
 `verify_derivative_hankel` for one size).
-Bareiss is the authority (fraction-free, always defined): before any row
-swap its k-th pivot is H_k, scaled (Bareiss 1968), a zero pivot on a
-zero row makes every later order 0, and each order after a row swap is
-eliminated alone. The J-fraction route is the independent check at every
-size: the Chebyshev algorithm (Gautschi 2004) turns the moments into the
-Jacobi continued-fraction coefficients (b_k, lambda_k) in O(n^2) integer
+Bareiss is the authority (fraction-free, always defined): one
+elimination reads every order, its k-th pivot H_k, scaled, while every
+row swap so far stays inside that leading block (Bareiss 1968). A zero
+k-th pivot whose column has its first nonzero entry below it at row i
+makes H_k..H_{i-1} 0, and a column with none makes H_k..H_n 0. The
+J-fraction route is the independent check at every size: the Chebyshev
+algorithm (Gautschi 2004) turns the moments into the Jacobi
+continued-fraction coefficients (b_k, lambda_k) in O(n^2) integer
 operations, and H_k is the running product of the orthogonal
 polynomials' norms (Flajolet 1980). Two oracles run up to ORACLE_CAP:
 Dodgson condensation, the Desnanot-Jacobi recurrence of the paper's
 inductive proofs, and Laplace cofactor expansion by `exact._laplace`,
 with no division and no pivot. No two routes share a kernel. A None in a
-chain is an order the route has no value at: condensation past a zero
-divisor, the J-fraction past a zero leading minor. `HankelReport.cell`
-is the one text of a report, for `derange hankel` and `verify` alike: it
-shows such an order as "degenerate", and a route that did not run as
-"n/a".
+chain is an order the route has no value at, which Bareiss never has:
+condensation past a zero divisor, the J-fraction past a zero norm.
+`HankelReport.cell` is the one text of a report, for `derange hankel`
+and `verify` alike: it shows such an order as "degenerate", and a route
+that did not run as "n/a".
 
 The paper's determinant of the generalized polynomials at z is
 z^{n(n+1)} Pi_{k=1}^{n} rising(r,k) k!. Every family whose EGF is
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exact import DerangeDomainError, _laplace, factorial, rising_factorial
@@ -55,6 +57,8 @@ Matrix = List[List[Fraction]]
 
 def _moments(seq: Sequence, n: int) -> List[Fraction]:
     """seq[0..2n], the moments of H_n, as Fractions (a Fraction as it is)."""
+    if n < 0:
+        raise DerangeDomainError("n must be >= 0")
     if len(seq) < 2 * n + 1:
         raise DerangeDomainError(f"need {2 * n + 1} terms, got {len(seq)}")
     return [v if isinstance(v, Fraction) else Fraction(v)
@@ -67,18 +71,27 @@ def hankel_matrix(seq: Sequence, n: int) -> Matrix:
     return [[moments[i + j] for j in range(n + 1)] for i in range(n + 1)]
 
 
-def _bareiss(seq: Sequence, n: int, lo: int) -> List[Optional[Fraction]]:
-    """H_lo..H_n of seq[0..2n] by one-step fraction-free Bareiss elimination:
-    H_k from the k-th pivot until a row swap, None after it, and H_n last.
-    Entry (i, j) is s_i s_j a_{i+j} / g, for s_i the lcm of the
-    denominators of a_i..a_{i+n} and g the gcd of all entries, so every
-    division is exact and the k-th pivot is H_k g^{k+1} / Pi_{i<=k} s_i^2.
-    Every stage of a symmetric matrix is symmetric, so only entries with
-    j >= i are eliminated. A zero pivot before any swap whose row is zero
-    makes column k zero, so H_k..H_n are all 0; any other zero pivot
-    copies the upper triangle into the lower one once, and elimination
-    goes on with row swaps."""
+def det_bareiss(seq: Sequence, n: int) -> Fraction:
+    """H_n of seq[0..2n] by fraction-free Bareiss elimination."""
+    return bareiss_minors(seq, n, n)[-1]
+
+
+def bareiss_minors(seq: Sequence, n: int, lo: int = 0) -> List[Fraction]:
+    """H_lo..H_n of seq[0..2n] from the pivots of one fraction-free
+    Bareiss elimination. Entry (i, j) is s_i s_j a_{i+j} / g, for s_i the
+    lcm of the denominators of a_i..a_{i+n} and g the gcd of all entries,
+    so every division is exact, and while every row swap so far stays in
+    rows 0..k the k-th pivot is +-H_k g^{k+1} / Pi_{i<=k} s_i^2. Every
+    stage of a symmetric matrix is symmetric, so until the first swap only
+    entries with j >= i are eliminated. A zero k-th pivot whose column has
+    its first nonzero entry below it at row i makes H_k..H_{i-1} 0, since
+    column k of each of those leading blocks is zero from row k down once
+    reduced (Sylvester's identity); the first such pivot copies the upper
+    triangle into the lower one once, and rows k and i swap. With no such
+    row, H_k..H_n are all 0."""
     moments = _moments(seq, n)
+    if not 0 <= lo <= n:
+        raise DerangeDomainError(f"need 0 <= lo <= {n}, got {lo}")
     size = n + 1
     dens = [v.denominator for v in moments]
     s = [lcm(*dens[i:i + size]) for i in range(size)]
@@ -88,27 +101,23 @@ def _bareiss(seq: Sequence, n: int, lo: int) -> List[Optional[Fraction]]:
     if g > 1:
         a = [[v // g for v in row] for row in a]
     minors, scale = [], 1
-    sign, prev, sym = 1, 1, True
-    for k in range(size - 1):
-        if sym:
-            scale *= s[k] * s[k]
-            if k >= lo:
-                minors.append(Fraction(a[k][k] * g ** (k + 1), scale))
+    sign, prev, sym, reach = 1, 1, True, 0  # every swap is in rows 0..reach
+    for k in range(size):
+        scale *= s[k] * s[k]
+        if k >= lo:
+            minors.append(Fraction(sign * a[k][k] * g ** (k + 1), scale)
+                          if k >= reach else Fraction(0))
         if a[k][k] == 0:
-            if sym:
-                if not any(a[k][k:]):  # so H_k..H_n are all 0
-                    return minors + [Fraction(0)] * (n + 1 - lo - len(minors))
-                for i in range(k + 1, size):  # the lower triangle is stale
+            if sym:  # the lower triangle is stale
+                for i in range(k + 1, size):
                     for j in range(k, i):
                         a[i][j] = a[j][i]
                 sym = False
-            for i in range(k + 1, size):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:  # the matrix is singular
-                return minors + [None] * (n - lo - len(minors)) + [Fraction(0)]
+            i = next((i for i in range(k + 1, size) if a[i][k]), size)
+            if i == size:  # so H_k..H_n are all 0
+                return minors + [Fraction(0)] * (n + 1 - lo - len(minors))
+            a[k], a[i] = a[i], a[k]
+            sign, reach = -sign, max(reach, i)
         rk, akk = a[k], a[k][k]
         for i in range(k + 1, size):
             ri = a[i]
@@ -116,22 +125,7 @@ def _bareiss(seq: Sequence, n: int, lo: int) -> List[Optional[Fraction]]:
             ri[j0:] = [(v * akk - aik * w) // prev
                        for v, w in zip(ri[j0:], rk[j0:])]
         prev = akk
-    return minors + [None] * (n - lo - len(minors)) + [
-        Fraction(sign * a[-1][-1] * g ** size, prod(s) ** 2)]
-
-
-def det_bareiss(seq: Sequence, n: int) -> Fraction:
-    """H_n of seq[0..2n] by fraction-free Bareiss elimination."""
-    return _bareiss(seq, n, n)[-1]
-
-
-def bareiss_minors(seq: Sequence, n: int, lo: int = 0) -> List[Fraction]:
-    """H_lo..H_n of seq[0..2n]: the pivots of one elimination, and
-    det_bareiss for each order after the first row swap."""
-    if not 0 <= lo <= n:
-        raise DerangeDomainError(f"need 0 <= lo <= {n}, got {lo}")
-    return [det_bareiss(seq, k) if v is None else v
-            for k, v in enumerate(_bareiss(seq, n, lo), lo)]
+    return minors
 
 
 def condensation_minors(seq: Sequence, n: int) -> List[Optional[Fraction]]:

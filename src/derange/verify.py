@@ -218,13 +218,18 @@ SUITES = {
 
 
 def run_suite(name: str, grid: Optional[Grid] = None) -> List[Cell]:
-    """Cells of one suite, or of every suite for "all"; a run that checks
-    nothing on the grid is an error, not a pass."""
+    """Cells of one suite, or of every suite for "all", on the grid's
+    points as Fractions; a run that checks nothing on the grid is an
+    error, not a pass."""
+    if name != "all" and name not in SUITES:
+        raise DerangeDomainError(f"unknown suite {name}")
     grid = grid or Grid()
     if min(grid.n_max, grid.r_max) < 0:
         raise DerangeDomainError("grid needs n_max, r_max >= 0")
     if not grid.points or not grid.deriv_z:
         raise DerangeDomainError("grid needs at least one x and one z point")
+    grid = grid._replace(points=tuple(map(Fraction, grid.points)),
+                         deriv_z=tuple(map(Fraction, grid.deriv_z)))
     fns = SUITES.values() if name == "all" else [SUITES[name]]
     cells = [cell for fn in fns for cell in fn(grid)]
     if not cells:

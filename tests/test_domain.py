@@ -31,6 +31,7 @@ GUARDS = {
         lambda: hankel.derivative_hankel_chain(0, 1, F(1, 2)), "n must be >= 1"),
     "run_suite": (lambda: verify.run_suite("all", verify.Grid(points=())),
                   "grid needs at least one x and one z point"),
+    "run_suite-name": (lambda: verify.run_suite("bogus"), "unknown suite bogus"),
 }
 
 

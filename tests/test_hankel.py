@@ -59,6 +59,12 @@ class TestHankelMatrix:
                                match=r"^need 5 terms, got 3$"):
                 route([1, 2, 3], 2)
 
+    def test_negative_order(self):
+        for route in (hankel_matrix, det_bareiss, bareiss_minors,
+                      det_condensation, condensation_minors, det_jfraction):
+            with pytest.raises(DerangeDomainError, match=r"^n must be >= 0$"):
+                route([1, 2, 3], -1)
+
 
 def _integer_rows(m):
     """An integer matrix a and a rational scale with det(m) = scale * det(a):
@@ -335,6 +341,9 @@ def test_jfraction_matches_cofactor(case):
 @example((4, [F(2), F(1), F(1, 2), F(-1), F(3), F(0), F(7), F(1), F(-5)]))
 @example((3, [F(0)] * 7))                           # all zero
 @example((3, [F(0), F(0), F(0), F(0), F(0), F(0), F(1)]))  # no pivot in column 0
+@example((3, [F(1), F(1), F(1), F(1), F(2), F(3), F(5)]))  # swap two rows down
+@example((3, [F(0), F(0), F(1), F(0), F(0), F(0), F(1)]))  # first pivot zero
+@example((3, [F(0), F(0), F(0), F(-1), F(0), F(0), F(0)]))  # a swap in a swap
 @settings(max_examples=300, deadline=None)
 def test_bareiss_matches_general_reference(case):
     n, seq = case
@@ -430,8 +439,8 @@ def test_every_chain_entry_is_its_own_per_order_call(n_max, monkeypatch):
     leading minors, as hankel_reports reads it, equals the route's call for
     that order alone, value and None alike. The ten r = 0 specs are rank
     one: their elimination meets a zero pivot on a zero row at order 2, so
-    every later entry of their chains is an exact 0 with no row swap, and
-    per-order Bareiss never runs. Condensation degenerates on the 30 cells
+    every later entry of their chains is an exact 0 with no row swap. No
+    chain calls det_bareiss. Condensation degenerates on the 30 cells
     that test_condensation_on_the_default_grid pins."""
     fallbacks = []
     real = hankel.det_bareiss
@@ -463,6 +472,9 @@ def test_every_chain_entry_is_its_own_per_order_call(n_max, monkeypatch):
 @example((3, [F(1), F(1), F(2), F(0), F(5), F(1), F(1)]))  # H_1^(3) = 0
 @example((2, [F(0), F(1), F(0), F(0), F(1)]))  # H_1^(2) = 0 divides
 @example((3, [F(1)] * 7))                       # rank one
+@example((3, [F(1), F(1), F(1), F(1), F(2), F(3), F(5)]))  # H = 1, 0, 0, -1
+@example((3, [F(0), F(0), F(1), F(0), F(0), F(0), F(1)]))  # H = 0, 0, -1, -1
+@example((3, [F(0), F(0), F(0), F(-1), F(0), F(0), F(0)]))  # a swap in a swap
 @settings(max_examples=200, deadline=None)
 def test_chains_match_the_references_order_by_order(case):
     """Every order of each chain against the test's matrix references; a
@@ -485,13 +497,28 @@ def test_chains_match_the_references_order_by_order(case):
         assert jfraction.minors[k] == det_jfraction(seq, k).minors[-1]
 
 
+@pytest.mark.parametrize("n, seq, minors", [
+    (2, [1, 1, 1, 2, 5], [1, 0, -1]),  # the swap's order is the last one
+    (3, [1, 1, 1, 1, 2, 3, 5], [1, 0, 0, -1]),  # an order between them
+])
+def test_bareiss_minors_is_one_elimination(n, seq, minors, monkeypatch):
+    """A chain with a row swap at order 1 is read from one elimination:
+    the moments are read once, and det_bareiss never runs."""
+    calls = []
+    for name in ("_moments", "det_bareiss"):
+        real = getattr(hankel, name)
+        monkeypatch.setattr(hankel, name, lambda *args, name=name, real=real:
+                            calls.append(name) or real(*args))
+    assert bareiss_minors(seq, n) == minors
+    assert calls == ["_moments"]
+
+
 def test_suites_make_one_route_call_per_spec(monkeypatch):
     """Over every suite, the hankel suite runs the core once per family spec
     (45, the factorials among them), the derivative suite once per (r, z)
     (12), and the core runs each route once: 57 J-fraction calls, where a
-    suite of its own that ran it again on every spec made 102. Per-order
-    Bareiss runs only after a row swap, and no chain of the default grid
-    makes one: the r = 0 specs' zero pivot sits on a zero row."""
+    suite of its own that ran it again on every spec made 102. Each chain
+    is one Bareiss elimination, and none calls det_bareiss."""
     calls = dict.fromkeys(("chain_reports", "hankel_reports",
                            "derivative_hankel_chain", "bareiss_minors",
                            "det_bareiss", "det_jfraction",

@@ -295,6 +295,17 @@ def test_the_recurrences_cell_names_a_broken_D_shift(monkeypatch):
     assert shift.actual == "1 failures of 24: D-shift n=3 r=1"
 
 
+@pytest.mark.parametrize("suite", sorted(verify.SUITES))
+def test_int_grid_points_give_the_fraction_cells(suite):
+    """A grid of int points checks what the same grid of Fractions does,
+    cell for cell, exactly: 1 / x is no float."""
+    ints = verify.Grid(n_max=3, r_max=2, points=(3, -2), deriv_z=(0, 2))
+    fracs = ints._replace(points=(F(3), F(-2)), deriv_z=(F(0), F(2)))
+    got, want = (verify.run_suite(suite, grid) for grid in (ints, fracs))
+    assert [vars(c) for c in got] == [vars(c) for c in want]
+    assert all(c.verdict != "fail" for c in got)
+
+
 def test_reflection_identity_grid():
     for r in range(6):
         for n in range(31):
