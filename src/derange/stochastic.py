@@ -17,11 +17,15 @@ from its own slice of the stream, and the per-block (count, mean, M2) are
 merged in block order with the Chan-Golub-LeVeque update. A block is
 drawn a few columns (a column is one uniform of each draw) a pass: as
 many as fill _CHUNK values, so one for a full block and thousands for a
-few samples at large r. Each stream allocates one workspace of four
-buffers of at most _CHUNK values, O(_CHUNK) memory whatever the sample
-count and r, and computes every block in place in it: a yielded block and
-its scratch are views that the next block overwrites, so copy one to keep
-it. A request costs time in proportion to samples * r.
+few samples at large r. A draw is Y_r = -log prod_j (1 - U_j), one log
+for each run of at most 19 factors: each factor is exact and at least
+2^-53, so the product of 19 stays a normal float. Each stream allocates
+one workspace of four buffers of at most _CHUNK values, and a fifth for
+the logs' running sum when r > 19, O(_CHUNK) memory whatever the sample
+count and r, each starting on a 64-byte cache line, and computes every
+block in place in it: a yielded block and its scratch are views that the
+next block overwrites, so copy one to keep it. A request costs time in
+proportion to samples * r.
 
 Every estimate is a power of one affine statistic of the draws: D_n^{(r)}(x)
 = E[(1 + x*Y_r)^n] and E[Y_r^k] = rising(r, k) are E[(c + x*Y_r)^k] at
@@ -30,8 +34,8 @@ over a stream writes z = c + x*y over each block and raises it one
 multiply an order, folding each order asked for into its running (mean,
 M2). The powers and the deviations go to the float64 views of the
 stream's counter and uniform buffers, both free once a block's columns
-are summed, so a pass holds the stream's four buffers and no more. The
-bits of an estimate depend on numpy's float64 log1p kernel but on no
+are multiplied, so a pass holds the stream's buffers and no more. The
+bits of an estimate depend on numpy's float64 log kernel but on no
 power kernel. The moment table is the (0, 1) pass over every order
 k = 1.._KMAX, and `mc_moment` indexes it; it is memoized for the last
 stream only: a sweep that walks k innermost draws each r once, and
@@ -63,6 +67,11 @@ _CHUNK = 1 << 14
 # `mc_generalized_D`; the variance of Y_r^k, which holds E[Y_r^2k], blows
 # up with k.
 _KMAX = 8
+# The most factors 1 - U_j one log of their product reads: each is at least
+# 2^-53, so 19 of them keep the product at or above 2^-1007, inside the
+# normal floats (the least is 2^-1022), where 20 could fall below and lose
+# bits.
+_RUN = 19
 
 
 class MomentEstimate(NamedTuple):
@@ -88,14 +97,35 @@ def _mix_inplace(x: np.ndarray, t: np.ndarray) -> None:
     x ^= np.right_shift(x, np.uint64(31), out=t)
 
 
+def _aligned(size: int, dtype) -> np.ndarray:
+    """An uninitialized array of size values of dtype whose data starts on
+    a 64-byte boundary, a cache line: `np.empty` promises only 16 bytes,
+    and mc-sweep's sampler pass took 121-139 ms with every buffer at 0 mod
+    64 against 139-166 ms at 16 mod 64 (BENCH_37.json)."""
+    itemsize = np.dtype(dtype).itemsize
+    raw = np.empty(size * itemsize + 64, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start:start + size * itemsize].view(dtype)
+
+
 def _erlang_blocks(r: int, samples: int, seed: int
                    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Erlang(r) draws in blocks of at most _CHUNK samples, each yielded
     with two scratch buffers of its size: the float64 views of the uniform
-    and the counter buffers, free once the block's columns are summed.
+    and the counter buffers, free once the block's columns are multiplied.
     Block j reads uniforms [j*_CHUNK*r, ...) of the stream, so the blocks
     concatenate to the draws of one sequential walk of it, r uniforms per
     draw.
+
+    A draw is Y_r = -log prod_j (1 - U_j), its r exponentials -log(1 - U_j)
+    taken as one log of their product (Devroye 1986, ch. IX). Each factor
+    1 - U_j = (2^53 - k)*2^-53, with k the top 53 bits of a mix, is exact.
+    The columns are multiplied left to right in runs of at most _RUN, one
+    log a run, and a draw's logs are summed in run order. The integers
+    2^53 - k are multiplied unscaled and a run's product is scaled once by
+    2^(-53*length): the partial products lie in [1, 2^1007] unscaled and
+    in [2^-1007, 1] scaled, both normal, where a power-of-two scale
+    commutes with rounding, so the bits are those of scaling each factor.
 
     Column c of a block holds uniform c of each of its draws. A pass draws
     g = min(_CHUNK // block, r) columns as the rows of a (g, block) array,
@@ -103,20 +133,22 @@ def _erlang_blocks(r: int, samples: int, seed: int
     fill the workspace: row j of the pass at column c holds column c + j,
     whose counters are one constant plus the shared offsets
     j*_GAMMA + d*r*_GAMMA of draw d. The workspace is four buffers of at
-    most _CHUNK values, allocated once per call whatever r, and every block
-    is computed in it in place; each yielded block and scratch is a view
-    the next block overwrites. The r exponentials of a draw are summed
-    column by column, in draw order, which is also numpy's row sum for
-    r < 8."""
+    most _CHUNK values, and a fifth, the running sum of the logs, for
+    r > 19; each is 64-byte aligned and allocated once per call, and every
+    block is computed in it in place; each yielded block and scratch is a
+    view the next block overwrites."""
     block = min(_CHUNK, samples)
     g = min(_CHUNK // block, r)
-    offset = np.arange(block, dtype=np.uint64)
-    offset *= np.uint64(r * _GAMMA & _MASK)
-    offset = np.add.outer(np.arange(g, dtype=np.uint64) * np.uint64(_GAMMA),
-                          offset)
-    x = np.empty(offset.size, dtype=np.uint64)
-    t = np.empty_like(x)
-    y = np.empty(block)
+    offset = _aligned(g * block, np.uint64).reshape(g, block)
+    draw = np.arange(block, dtype=np.uint64)
+    draw *= np.uint64(r * _GAMMA & _MASK)
+    np.add.outer(np.arange(g, dtype=np.uint64) * np.uint64(_GAMMA), draw,
+                 out=offset)
+    del draw  # before the workspace, so the peak is the workspace alone
+    x = _aligned(offset.size, np.uint64)
+    t = _aligned(offset.size, np.uint64)
+    y = _aligned(block, np.float64)
+    logs = _aligned(block, np.float64) if r > _RUN else None
     u = t.view(np.float64)
     v = x.view(np.float64)
     for start in range(0, samples, _CHUNK):
@@ -132,13 +164,23 @@ def _erlang_blocks(r: int, samples: int, seed: int
                    out=xs.reshape(rows, m))
             _mix_inplace(xs, ts)
             xs >>= np.uint64(11)
-            np.copyto(us, xs.view(np.int64))  # exact: xs < 2^53
-            us *= -2.0 ** -53  # -U, exactly
-            if c == 0:  # column 0 starts the block
-                np.log1p(us[:m], out=ys)
-                us = us[m:]
-            for row in np.log1p(us, out=us).reshape(-1, m):
-                ys += row
+            np.subtract(np.uint64(1 << 53), xs, out=xs)  # (1 - U) * 2^53
+            np.copyto(us, xs.view(np.int64))  # exact: xs <= 2^53
+            for j, factor in enumerate(us.reshape(rows, m), c):
+                if j % _RUN == 0:
+                    np.copyto(ys, factor)
+                else:
+                    ys *= factor
+                if j % _RUN == _RUN - 1 or j == r - 1:  # a run ends
+                    ys *= 2.0 ** (-53 * (j % _RUN + 1))
+                    if j == r - 1:
+                        np.log(ys, out=ys)
+                        if j >= _RUN:
+                            ys += logs[:m]
+                    elif j < _RUN:
+                        np.log(ys, out=logs[:m])
+                    else:
+                        logs[:m] += np.log(ys, out=ys)
         yield np.negative(ys, out=ys), u[:m], v[:m]
 
 

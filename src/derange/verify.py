@@ -217,6 +217,16 @@ SUITES = {
 }
 
 
+def _grid_number(point) -> Fraction:
+    """A grid point as an exact Fraction; one that is not a finite number
+    is a domain error."""
+    try:
+        return Fraction(point)
+    except (TypeError, ValueError, OverflowError):
+        raise DerangeDomainError(
+            f"grid point {point!r} is not a number") from None
+
+
 def run_suite(name: str, grid: Optional[Grid] = None) -> List[Cell]:
     """Cells of one suite, or of every suite for "all", on the grid's
     points as Fractions; a run that checks nothing on the grid is an
@@ -228,8 +238,8 @@ def run_suite(name: str, grid: Optional[Grid] = None) -> List[Cell]:
         raise DerangeDomainError("grid needs n_max, r_max >= 0")
     if not grid.points or not grid.deriv_z:
         raise DerangeDomainError("grid needs at least one x and one z point")
-    grid = grid._replace(points=tuple(map(Fraction, grid.points)),
-                         deriv_z=tuple(map(Fraction, grid.deriv_z)))
+    grid = grid._replace(points=tuple(map(_grid_number, grid.points)),
+                         deriv_z=tuple(map(_grid_number, grid.deriv_z)))
     fns = SUITES.values() if name == "all" else [SUITES[name]]
     cells = [cell for fn in fns for cell in fn(grid)]
     if not cells:

@@ -914,14 +914,20 @@ def test_commands_import_only_what_they_run(argv):
     ("import derange", set()),
     ("import derange.stochastic",
      {"derange.exact", "derange.polys", "derange.stochastic"}),
-], ids=["package", "stochastic"])
+    # the set-up imports of the exact and the CLI workloads
+    ("import derange.hankel",
+     {"derange.exact", "derange.polys", "derange.series", "derange.hankel"}),
+    ("import derange.cli", {"derange.cli", "derange.exact", "derange.series"}),
+], ids=["package", "stochastic", "hankel", "cli"])
 def test_the_package_root_loads_no_submodule(statement, loaded):
     """The package root holds only its docstring: importing it loads no
-    submodule, and a submodule loads itself and what it imports, no more."""
+    submodule, and a submodule loads itself and what it imports, no more.
+    numpy is loaded only with the Monte Carlo layer."""
     proc = fresh_process("-X", "importtime", "-c", statement)
     assert proc.returncode == 0
-    assert {m for m in imported_modules(proc)
-            if m.startswith("derange.")} == loaded
+    modules = imported_modules(proc)
+    assert {m for m in modules if m.startswith("derange.")} == loaded
+    assert ("numpy" in modules) == ("derange.stochastic" in loaded)
 
 
 def readme_cli_lines():

@@ -32,6 +32,17 @@ GUARDS = {
     "run_suite": (lambda: verify.run_suite("all", verify.Grid(points=())),
                   "grid needs at least one x and one z point"),
     "run_suite-name": (lambda: verify.run_suite("bogus"), "unknown suite bogus"),
+    # Fraction refuses these with a ValueError, an OverflowError for inf
+    "run_suite-text": (lambda: verify.run_suite("all", verify.Grid(points=("x",))),
+                       "grid point 'x' is not a number"),
+    "run_suite-nan": (
+        lambda: verify.run_suite("all", verify.Grid(points=(float("nan"),))),
+        "grid point nan is not a number"),
+    "run_suite-inf": (
+        lambda: verify.run_suite("all", verify.Grid(points=(float("inf"),))),
+        "grid point inf is not a number"),
+    "run_suite-z": (lambda: verify.run_suite("all", verify.Grid(deriv_z=("z",))),
+                    "grid point 'z' is not a number"),
 }
 
 

@@ -74,11 +74,36 @@ def _uniforms(seed: int, count: int, offset: int = 0) -> np.ndarray:
     return np.multiply(x, 2.0 ** -53, out=t.view(np.float64))
 
 
+# The factors 1 - U_j that one log reads, restated here from their bound:
+# each is at least 2^-53, and 2^(-53*19) = 2^-1007 is a normal float.
+RUN = 19
+
+
 def sample_erlang(r: int, rng: SplitMix64) -> float:
-    """One Erlang(r) draw: sum of r inverse-CDF exponentials -ln(1-U)."""
+    """One Erlang(r) draw, -log of the product of its r factors 1 - U: the
+    running product is flushed to a sum of logs every RUN factors."""
     if r < 1:
         raise DerangeDomainError("need r >= 1")
-    return sum(-math.log1p(-rng.next_float()) for _ in range(r))
+    y, product = 0.0, 1.0
+    for j in range(r):
+        product *= 1 - rng.next_float()
+        if j % RUN == RUN - 1 or j == r - 1:
+            y -= math.log(product)
+            product = 1.0
+    return y
+
+
+def product_draws(factors: np.ndarray) -> np.ndarray:
+    """Row d's draw -log prod_j factors[d, j]: each run of RUN columns is
+    multiplied left to right, from a copy of its first, and the runs' logs
+    are added in column order."""
+    y = np.zeros(len(factors))
+    for first in range(0, factors.shape[1], RUN):
+        product = factors[:, first].copy()
+        for j in range(first + 1, min(first + RUN, factors.shape[1])):
+            product *= factors[:, j]
+        y += np.log(product)
+    return -y
 
 
 class TestSplitMix64:
@@ -129,18 +154,22 @@ def test_sample_erlang_matches_vectorized_stream():
         assert [b.size for b in blocks[:-1]] == [_CHUNK] * (len(blocks) - 1)
         vec = np.concatenate(blocks)
         assert np.allclose(sequential_draws(samples), vec, rtol=0, atol=1e-12)
+    # on both sides of the run boundaries, across one many-column pass
+    for r in (19, 20, 38, 39, 40):
+        rng = SplitMix64(BOUNDARY_SEED)
+        draws = [sample_erlang(r, rng) for _ in range(3)]
+        vec = np.concatenate(blocks_of(r, 3, BOUNDARY_SEED))
+        assert np.allclose(draws, vec, rtol=0, atol=1e-12), r
 
 
 def allocating_blocks(r, samples, seed):
-    """The block pipeline before the in-place kernel: a fresh uniform slice,
-    -log1p(-U) and numpy's row sum for every block."""
+    """The block pipeline without the in-place kernel: a fresh uniform
+    slice for every block, and the product draws of its factors 1 - U
+    (exact: U is a multiple of 2^-53)."""
     for start in range(0, samples, _CHUNK):
         m = min(_CHUNK, samples - start)
         u = _uniforms(seed, m * r, start * r)
-        np.negative(u, out=u)
-        np.log1p(u, out=u)
-        y = u.reshape(m, r).sum(axis=1)
-        yield np.negative(y, out=y)
+        yield product_draws(1 - u.reshape(m, r))
 
 
 def bits(a):
@@ -149,7 +178,8 @@ def bits(a):
 
 @pytest.mark.parametrize("r", range(1, 8))
 def test_block_kernel_is_the_allocating_pipeline_bit_for_bit(r):
-    # numpy's row sum is sequential below 8 terms, the kernel's column order
+    # the kernel multiplies the unscaled integers 2^53 - k and scales each
+    # run once; the reference scales every factor, with the same bits
     for samples in BOUNDARY_SAMPLES:
         new = blocks_of(r, samples, BOUNDARY_SEED)
         old = list(allocating_blocks(r, samples, BOUNDARY_SEED))
@@ -163,13 +193,37 @@ def test_block_kernel_is_the_allocating_pipeline_bit_for_bit(r):
     # a few samples take many columns a pass; the last shape ends on a
     # partial pass of _CHUNK // 5000 = 3 columns
     *[pytest.param(samples, r, id=f"{samples}-{r}")
-      for samples, r in [(2, 3 * _CHUNK), (3, 40), (100, 8), (5000, 7)]]])
+      for samples, r in [(2, 3 * _CHUNK), (3, 40), (100, 8), (5000, 7)]],
+    # a run of RUN factors ends at r = 19 and 38, one more starts at 20 and
+    # 39: on the one-column pass of a full block, and across the rows of
+    # the many-column passes of 2 and 3 samples
+    *[pytest.param(samples, r, id=f"run-{samples}-{r}")
+      for samples in (_CHUNK + 1, 2, 3) for r in (19, 20, 38, 39, 40)]])
 def test_block_kernel_sums_columns_in_draw_order(samples, r):
-    logs = np.log1p(-_uniforms(BOUNDARY_SEED, samples * r)).reshape(samples, r)
-    y = logs[:, 0].copy()
-    for j in range(1, r):
-        y += logs[:, j]
-    assert bits(np.concatenate(blocks_of(r, samples, BOUNDARY_SEED))) == bits(-y)
+    factors = 1 - _uniforms(BOUNDARY_SEED, samples * r).reshape(samples, r)
+    assert bits(np.concatenate(blocks_of(r, samples, BOUNDARY_SEED))) == bits(
+        product_draws(factors))
+
+
+@pytest.mark.parametrize("samples", [3, _CHUNK + 1])
+def test_the_extreme_factors_keep_every_draw_finite(monkeypatch, samples):
+    # every mix all ones makes every U = 1 - 2^-53, the least factor 2^-53,
+    # and every mix 0 makes every U = 0, the factor 1 (the unscaled 2^53):
+    # at r = 40 the draws are 40*53*log 2 and 0; a run of 20 factors would
+    # take the unscaled product to 2^1060, past the largest float
+    for fill, want in [(_MASK, 40 * 53 * math.log(2)), (0, 0.0)]:
+        monkeypatch.setattr(stochastic, "_mix_inplace",
+                            lambda x, t: x.fill(fill))
+        draws = np.concatenate(blocks_of(40, samples, BOUNDARY_SEED))
+        assert draws.size == samples
+        assert np.allclose(draws, want, rtol=1e-15, atol=0), fill
+
+
+@pytest.mark.parametrize("r,samples", [
+    (1, 2), (3, 5000), (3, 2 * _CHUNK + 3), (40, 3), (40, _CHUNK + 1)])
+def test_every_view_of_the_workspace_starts_a_cache_line(r, samples):
+    for views in _erlang_blocks(r, samples, BOUNDARY_SEED):
+        assert [view.ctypes.data % 64 for view in views] == [0, 0, 0]
 
 
 def test_a_few_samples_draw_a_workspace_of_columns_a_pass(monkeypatch):
@@ -211,6 +265,8 @@ def test_the_sampler_workspace_does_not_grow_with_r():
     peak(1)  # numpy's first-call allocations are not the workspace's
     assert peak(1) <= 4 * _CHUNK * 8 + 8192
     assert peak(8) <= peak(1) + 4096
+    # past one run of factors, the running sum of the logs is a fifth
+    assert peak(40) <= peak(1) + _CHUNK * 8 + 4096
 
 
 def test_a_polynomial_pass_holds_the_same_four_buffers():
@@ -309,14 +365,17 @@ GOLDEN_SAMPLES = 3 * _CHUNK + 5
 # times y, in place of one np.power call an order. The polynomial values
 # at (5, 1/2), (7, 1/2) and n = 5..8 at -11/13 were recorded again when
 # the statistic became the n-fold product of 1 + x*y in place of Horner's
-# rule on the expanded coefficients. The bits depend on the
-# SIMD kernel numpy dispatches float64 log1p to, not on the stream alone:
-# at X86_V4 (numpy 2.4.6 on an AVX-512 Xeon), np.log1p differs from
-# math.log1p in 1,249 of the 16,384 elements of the first r = 1 block at
-# seed 42. A multiply is correctly rounded on every kernel, so log1p is
-# the one kernel the bits depend on. A host that dispatches it to another
-# kernel (an older CPU, or NPY_DISABLE_CPU_FEATURES) can move these bits
-# with the sampler unchanged; the assertion names the kernel it ran, and
+# rule on the expanded coefficients, and 21 entries were recorded again,
+# each mean moved by at most 9e-14 of its standard error, when a draw
+# became one log of the product of its factors 1 - U in place of a sum of
+# log1p(-U). The bits depend on the SIMD kernel numpy dispatches float64
+# log to, not on the stream alone: at X86_V4 (numpy 2.4.6 on an AVX-512
+# Xeon), np.log differs from math.log in 58 of the 16,384 elements of the
+# first r = 1 block at seed 42. A multiply is correctly rounded on every
+# kernel, so log is the one kernel the bits depend on. A host that
+# dispatches it to another kernel (an older CPU, or
+# NPY_DISABLE_CPU_FEATURES) can move these bits with the sampler
+# unchanged; the assertion names the kernel it ran, and
 # `python tests/test_stochastic.py` prints both dicts from the current
 # build, and each entry that moved as old -> new.
 GOLDEN_MOMENTS = {  # (r, k)
@@ -330,9 +389,9 @@ GOLDEN_MOMENTS = {  # (r, k)
     (1, 8): ("0x1.4047cb78e2d7cp+16", "0x1.fe791ed6d0246p+14"),
     (2, 1): ("0x1.fcdc584182f8bp+0", "0x1.a02487534dc06p-8"),
     (2, 2): ("0x1.7bb7b6e2a468ep+2", "0x1.514f062d77625p-5"),
-    (2, 3): ("0x1.7a7b921d2524cp+4", "0x1.39b4661b0d968p-2"),
+    (2, 3): ("0x1.7a7b921d2524dp+4", "0x1.39b4661b0d968p-2"),
     (2, 4): ("0x1.da2a2d9981662p+6", "0x1.67bbcff2cd20bp+1"),
-    (2, 5): ("0x1.681f4559cea38p+9", "0x1.e9052592dd6a0p+4"),
+    (2, 5): ("0x1.681f4559cea39p+9", "0x1.e9052592dd6a0p+4"),
     (2, 6): ("0x1.434f0cb72c881p+12", "0x1.73c221db28812p+8"),
     (2, 7): ("0x1.4f695e56e6f1fp+15", "0x1.2e9073d2313c7p+12"),
     (2, 8): ("0x1.88e11f23be8f6p+18", "0x1.00abfdbd143f0p+16"),
@@ -340,56 +399,57 @@ GOLDEN_MOMENTS = {  # (r, k)
     (3, 2): ("0x1.7cdf600494bc2p+3", "0x1.0d6d0ca9a83abp-4"),
     (3, 3): ("0x1.da862c1b53ea0p+5", "0x1.23ecd1b41c4efp-1"),
     (3, 4): ("0x1.62592c832d204p+8", "0x1.676121b48466dp+2"),
-    (3, 5): ("0x1.33fc8d962c0a3p+11", "0x1.f435a27b21108p+5"),
+    (3, 5): ("0x1.33fc8d962c0a2p+11", "0x1.f435a27b21108p+5"),
     (3, 6): ("0x1.30a9b5898be3cp+14", "0x1.7e738e32ae1ccp+9"),
-    (3, 7): ("0x1.50b813e046169p+17", "0x1.380999073cd44p+13"),
+    (3, 7): ("0x1.50b813e04616ap+17", "0x1.380999073cd44p+13"),
     (3, 8): ("0x1.9910baf315b70p+20", "0x1.09d85babeedfcp+17"),
-    (4, 1): ("0x1.fe784e3bb3ca4p+1", "0x1.26fbd75ad08c7p-7"),
-    (4, 2): ("0x1.3e359bea1aff9p+4", "0x1.80402c6dcff83p-4"),
+    (4, 1): ("0x1.fe784e3bb3ca5p+1", "0x1.26fbd75ad08c7p-7"),
+    (4, 2): ("0x1.3e359bea1aff8p+4", "0x1.80402c6dcff83p-4"),
     (4, 3): ("0x1.db9fba44a5b7dp+6", "0x1.e778cfb4751bfp-1"),
-    (4, 4): ("0x1.9e1156ced0ad9p+9", "0x1.55140b252cc51p+3"),
+    (4, 4): ("0x1.9e1156ced0ad8p+9", "0x1.55140b252cc53p+3"),
     (4, 5): ("0x1.9b42e12549e82p+12", "0x1.0aa584391b10bp+7"),
-    (4, 6): ("0x1.ca93584fb039dp+15", "0x1.ca137022c5508p+10"),
-    (4, 7): ("0x1.1b2fd0238ddd8p+19", "0x1.a632c99cd0cebp+14"),
-    (4, 8): ("0x1.7eb5a88acbb4fp+22", "0x1.990eae29317a8p+18"),
-    (5, 1): ("0x1.3efb9d8fd3743p+2", "0x1.487c3b2b088f2p-7"),
+    (4, 6): ("0x1.ca93584fb039cp+15", "0x1.ca137022c5508p+10"),
+    (4, 7): ("0x1.1b2fd0238ddd9p+19", "0x1.a632c99cd0cedp+14"),
+    (4, 8): ("0x1.7eb5a88acbb4fp+22", "0x1.990eae29317a9p+18"),
+    (5, 1): ("0x1.3efb9d8fd3742p+2", "0x1.487c3b2b088f2p-7"),
     (5, 2): ("0x1.dc7f73f9ad3cep+4", "0x1.fc0c626fbf516p-4"),
-    (5, 3): ("0x1.9e6f91b7f91c1p+7", "0x1.6e7752bd593f0p+0"),
+    (5, 3): ("0x1.9e6f91b7f91c2p+7", "0x1.6e7752bd593f0p+0"),
     (5, 4): ("0x1.9acab54d41d24p+10", "0x1.1ae71a81504eap+4"),
     (5, 5): ("0x1.c8747b2d6f15ep+13", "0x1.e02d92bb0cd55p+7"),
-    (5, 6): ("0x1.189b41c3f269dp+17", "0x1.bf7ce69696733p+11"),
+    (5, 6): ("0x1.189b41c3f269cp+17", "0x1.bf7ce69696734p+11"),
     (5, 7): ("0x1.79adf710204bcp+20", "0x1.c48189eb2c481p+15"),
-    (5, 8): ("0x1.13b13aa00b317p+24", "0x1.e897057426f95p+19"),
+    (5, 8): ("0x1.13b13aa00b317p+24", "0x1.e897057426f96p+19"),
 }
 GOLDEN_POLYNOMIAL = {  # (n, x) at r = 3
     (1, F("1/2")): ("0x1.3f14d692a86d3p+1", "0x1.fef8379092443p-9"),
     (2, F("1/2")): ("0x1.bd848694f2cb3p+2", "0x1.88388a9aed718p-6"),
     (3, F("1/2")): ("0x1.5d1d1f7f8bea0p+4", "0x1.096b906ae0779p-3"),
     (4, F("1/2")): ("0x1.328452fad1337p+6", "0x1.76e0aefb38cd7p-1"),
-    (5, F("1/2")): ("0x1.2c183c14e46c2p+8", "0x1.1fada46410029p+2"),
-    (6, F("1/2")): ("0x1.456e4e2f6ef36p+10", "0x1.dfe01e6a34c2dp+4"),
+    (5, F("1/2")): ("0x1.2c183c14e46c3p+8", "0x1.1fada46410029p+2"),
+    (6, F("1/2")): ("0x1.456e4e2f6ef35p+10", "0x1.dfe01e6a34c2cp+4"),
     (7, F("1/2")): ("0x1.83d066892fd01p+12", "0x1.ac59c18ad7453p+7"),
-    (8, F("1/2")): ("0x1.f780ade0ef36ap+14", "0x1.91ed8663ac6d0p+10"),
+    (8, F("1/2")): ("0x1.f780ade0ef369p+14", "0x1.91ed8663ac6cfp+10"),
     (1, F("-11/13")): ("-0x1.86bcaedcb0367p+0", "0x1.b05be03f40afep-8"),
     (2, F("-11/13")): ("0x1.1e05e043631f8p+2", "0x1.1e1bc1a0a2987p-5"),
     (3, F("-11/13")): ("-0x1.0f2d841cafa8ep+4", "0x1.d4deaefd9e1c8p-3"),
     (4, F("-11/13")): ("0x1.3fbacd1264f3bp+6", "0x1.c990f2107104fp+0"),
-    (5, F("-11/13")): ("-0x1.be42916285ebep+8", "0x1.ff3b9773b4b75p+3"),
-    (6, F("-11/13")): ("0x1.65f67cc8a9e37p+11", "0x1.3914bbbc14cacp+7"),
-    (7, F("-11/13")): ("-0x1.424b4526bd49ep+14", "0x1.96d57850b3179p+10"),
-    (8, F("-11/13")): ("0x1.3f318b26b08adp+17", "0x1.129baf944833fp+14"),
+    (5, F("-11/13")): ("-0x1.be42916285ebfp+8", "0x1.ff3b9773b4b75p+3"),
+    (6, F("-11/13")): ("0x1.65f67cc8a9e38p+11", "0x1.3914bbbc14cacp+7"),
+    (7, F("-11/13")): ("-0x1.424b4526bd49ep+14", "0x1.96d57850b3177p+10"),
+    (8, F("-11/13")): ("0x1.3f318b26b08adp+17", "0x1.129baf944833ep+14"),
 }
 
 
 def _dispatch() -> dict:
-    """The CPU target numpy runs float64 log1p on, the one kernel that the
-    goldens depend on: the moments and the polynomial values are products
-    of c + x*y, whose multiplies and adds are correctly rounded."""
+    """The CPU target numpy runs float64 log on, the one kernel that the
+    goldens depend on: the draws are logs of products of exact factors,
+    and the moments and the polynomial values are products of c + x*y,
+    whose multiplies and adds are correctly rounded."""
     try:
         from numpy.lib.introspect import opt_func_info
     except ImportError:  # numpy before 2.0 has no introspection
         return {"numpy": np.__version__}
-    info = opt_func_info(func_name="^log1p$", signature="float64")
+    info = opt_func_info(func_name="^log$", signature="float64")
     return {name: [target["current"] for target in sigs.values()]
             for name, sigs in info.items()}
 
@@ -432,7 +492,7 @@ def golden_changes(old: dict, new: dict) -> list[str]:
 
 def test_golden_estimates():
     # any change to the stream, the block kernel or the merge order moves a
-    # bit; so does another SIMD dispatch of log1p (see GOLDEN_SAMPLES)
+    # bit; so does another SIMD dispatch of log (see GOLDEN_SAMPLES)
     moments, polynomial = golden_estimates()
     dispatch = _dispatch()
     for (r, k), want in GOLDEN_MOMENTS.items():
