@@ -19,13 +19,15 @@ drawn a few columns (a column is one uniform of each draw) a pass: as
 many as fill _CHUNK values, so one for a full block and thousands for a
 few samples at large r. A draw is Y_r = -log prod_j (1 - U_j), one log
 for each run of at most 19 factors: each factor is exact and at least
-2^-53, so the product of 19 stays a normal float. Each stream allocates
-one workspace of four buffers of at most _CHUNK values, and a fifth for
-the logs' running sum when r > 19, O(_CHUNK) memory whatever the sample
-count and r, each starting on a 64-byte cache line, and computes every
-block in place in it: a yielded block and its scratch are views that the
-next block overwrites, so copy one to keep it. A request costs time in
-proportion to samples * r.
+2^-53, so the product of 19 stays a normal float. Every run ends by one
+rule: log its product, add the logs of the runs before it, and keep that
+sum for the next run. Each stream allocates one workspace of four
+buffers of at most _CHUNK values, and a fifth for the logs' running sum
+when r > 19, O(_CHUNK) memory whatever the sample count and r, each
+starting on a 64-byte cache line, and computes every block in place in
+it: a yielded block and its scratch are views that the next block
+overwrites, so copy one to keep it. A request costs time in proportion
+to samples * r.
 
 Every estimate is a power of one affine statistic of the draws: D_n^{(r)}(x)
 = E[(1 + x*Y_r)^n] and E[Y_r^k] = rising(r, k) are E[(c + x*Y_r)^k] at
@@ -120,12 +122,14 @@ def _erlang_blocks(r: int, samples: int, seed: int
     A draw is Y_r = -log prod_j (1 - U_j), its r exponentials -log(1 - U_j)
     taken as one log of their product (Devroye 1986, ch. IX). Each factor
     1 - U_j = (2^53 - k)*2^-53, with k the top 53 bits of a mix, is exact.
-    The columns are multiplied left to right in runs of at most _RUN, one
-    log a run, and a draw's logs are summed in run order. The integers
-    2^53 - k are multiplied unscaled and a run's product is scaled once by
-    2^(-53*length): the partial products lie in [1, 2^1007] unscaled and
-    in [2^-1007, 1] scaled, both normal, where a power-of-two scale
-    commutes with rounding, so the bits are those of scaling each factor.
+    The columns are multiplied left to right in runs of at most _RUN, and
+    every run ends by one rule: scale the product by 2^(-53*length) and
+    log it in place in the block; add the running sum `logs` unless the
+    run is the first; copy the block to `logs` unless it is the last. The
+    integers 2^53 - k are multiplied unscaled: the partial products lie in
+    [1, 2^1007] unscaled and in [2^-1007, 1] scaled, both normal, where a
+    power-of-two scale commutes with rounding, so the bits are those of
+    scaling each factor.
 
     Column c of a block holds uniform c of each of its draws. A pass draws
     g = min(_CHUNK // block, r) columns as the rows of a (g, block) array,
@@ -133,18 +137,15 @@ def _erlang_blocks(r: int, samples: int, seed: int
     fill the workspace: row j of the pass at column c holds column c + j,
     whose counters are one constant plus the shared offsets
     j*_GAMMA + d*r*_GAMMA of draw d. The workspace is four buffers of at
-    most _CHUNK values, and a fifth, the running sum of the logs, for
-    r > 19; each is 64-byte aligned and allocated once per call, and every
-    block is computed in it in place; each yielded block and scratch is a
-    view the next block overwrites."""
+    most _CHUNK values, and `logs` for r > 19, each 64-byte aligned and
+    allocated once per call; every block is computed in it in place, and
+    each yielded block and scratch is a view the next block overwrites."""
     block = min(_CHUNK, samples)
     g = min(_CHUNK // block, r)
     offset = _aligned(g * block, np.uint64).reshape(g, block)
-    draw = np.arange(block, dtype=np.uint64)
-    draw *= np.uint64(r * _GAMMA & _MASK)
-    np.add.outer(np.arange(g, dtype=np.uint64) * np.uint64(_GAMMA), draw,
+    np.add.outer(np.arange(g, dtype=np.uint64) * np.uint64(_GAMMA),
+                 np.arange(block, dtype=np.uint64) * np.uint64(r * _GAMMA & _MASK),
                  out=offset)
-    del draw  # before the workspace, so the peak is the workspace alone
     x = _aligned(offset.size, np.uint64)
     t = _aligned(offset.size, np.uint64)
     y = _aligned(block, np.float64)
@@ -173,14 +174,11 @@ def _erlang_blocks(r: int, samples: int, seed: int
                     ys *= factor
                 if j % _RUN == _RUN - 1 or j == r - 1:  # a run ends
                     ys *= 2.0 ** (-53 * (j % _RUN + 1))
-                    if j == r - 1:
-                        np.log(ys, out=ys)
-                        if j >= _RUN:
-                            ys += logs[:m]
-                    elif j < _RUN:
-                        np.log(ys, out=logs[:m])
-                    else:
-                        logs[:m] += np.log(ys, out=ys)
+                    np.log(ys, out=ys)
+                    if j >= _RUN:
+                        ys += logs[:m]
+                    if j < r - 1:
+                        np.copyto(logs[:m], ys)
         yield np.negative(ys, out=ys), u[:m], v[:m]
 
 

@@ -54,16 +54,18 @@ def suite_recurrences(grid: Grid) -> List[Cell]:
     convolution) for both polynomial families, then each FAMILY_TABLE row
     that no other suite compares with a table-free value against its
     definition from the polynomial families. The shift recurrences are one
-    cell, checked on the coefficient tuples at each grid (n, r) and so for
-    every x, whose actual value names the first five failed checks."""
+    cell, checked on the coefficient tuples and so for every x, at each
+    n <= max(n_max, SERIES_ORDER), the depth that `mgf` reads D_n to, and
+    r <= r_max; its actual value names the first five failed checks."""
     cells = []
-    checked, failures = polys.verify_shift_recurrences(grid.n_max, grid.r_max)
+    depth = max(grid.n_max, SERIES_ORDER)
+    checked, failures = polys.verify_shift_recurrences(depth, grid.r_max)
     actual = f"{len(failures)} failures of {checked}"
     if failures:
         actual += ": " + ", ".join(f"{identity} n={n} r={r}"
                                    for identity, n, r in failures[:5])
     cells.append(Cell(
-        {"identity": "shift-recurrences", "n_max": grid.n_max,
+        {"identity": "shift-recurrences", "n_max": depth,
          "r_max": grid.r_max},
         f"0 failures of {checked}", actual))
     count = grid.n_max + 1

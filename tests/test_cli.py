@@ -763,7 +763,8 @@ def test_mc_draws_one_stream_for_every_order(capsys, monkeypatch, r):
 
 # SHA-256 of stdout in text, json and csv for fixed argv; every run exits
 # 0. The wall_time_s line of a verify JSON report is dropped first, since
-# it is the one value that differs from run to run.
+# it is the one value that differs from run to run. `python
+# tests/test_cli.py` prints the digests of the current build.
 GOLDEN = {
     "seq --family classic --count 8": (
         "330fb268398af212f4d93ff7f44740b74c164ad58fbca6c2a959c086efa29e1f",
@@ -822,9 +823,9 @@ GOLDEN = {
         "d38f01d631c88d8f3c3c66257f5af9f1733ce6c9ad533696494f97055984181b",
         "137f23f3043867782f02639ddc1421d5c02ec5e148ea8a09850643690e161bec"),
     "verify --suite recurrences --nmax 2 --r 1": (
-        "e978da606680c312c24708469ffe855978221ef4a137d562288e3a38d02e1799",
-        "85981b11d29bb4317efc415f8c12c11f4094566d2c5797ba5f3e630754a2ae29",
-        "f31e403deca688883e98a8c5e244a3700ccd355765aeba2cf5d9ceab07df4a58"),
+        "bd1b1d21b4cd9dd17a2317b64fe43ad2cfa82512102d1d79cfeb477811ceeb33",
+        "b1159092dc903cd6dd9877291dce5a764dfceedcbcda01a79b79499095f0e2fc",
+        "5c6b7502469f8047033134d4bc02d36f662d295151c94cbf73e3147a8b93a87b"),
     "verify --suite reflection --nmax 2": (
         "bd7f34564a45d2f269d607f1b105f125959975cb1ae43fbf6bb1470e98ff6316",
         "95bb8a5f1179887b70f254c1b75d35ba522b013ed2ae1b18c746123563275052",
@@ -846,21 +847,51 @@ GOLDEN = {
         "0e5a34a8171b58b6b82a3798615538336422ab1f30dd4be662731f3da8deaf15",
         "f4c6e379c135359d490ea418e6b653a8fb87d464051372e3e1c71b322b29f671"),
     "verify --suite all": (
-        "c8dbd499eecddcff9401b350e37f886fd2a35b9ca57c254b30952698f31a6aea",
-        "0eefdc1fe2a1637ca60d1fd23da95fc6e40208acb421829b433e0a6f8dc8b9e4",
-        "0be3fecd5454d432128f3d6268b274e22e46417753e67ab1acb518a8a232ab68"),
+        "1e5c7b0b0808dbc9eba0444a1ebbc1c469962d2c6232dbeb6276306e7cfa9fed",
+        "7deae0874a7d70894a80a7e488f939fc43346b9a9aba664d59f3827149bd4559",
+        "f74fc3760157a5f8a1209182af1f22d3e7f05b3d67cef03bbb19a8ecd1c8d4a4"),
 }
 FORMATS = ("text", "json", "csv")
 WALL_TIME = re.compile(r',\n  "wall_time_s": [0-9.e+-]+')
 
 
+def report_digest(argv: str, fmt: str) -> str:
+    """The SHA-256 of what `derange argv --format fmt` prints, its
+    wall_time_s line dropped; the command must exit 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([*argv.split(), "--format", fmt])
+    assert code == 0, argv
+    text = WALL_TIME.sub("", out.getvalue())
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def golden_source(digests: dict) -> str:
+    """The GOLDEN dict as this file writes it."""
+    lines = ["GOLDEN = {"]
+    for argv, triple in digests.items():
+        lines.append(f'    "{argv}": (')
+        lines.append(",\n".join(f'        "{d}"' for d in triple) + "),")
+    return "\n".join(lines + ["}"])
+
+
+def golden_changes(old: dict, new: dict) -> list[str]:
+    """One line for each golden digest of old that differs in new."""
+    return [f"{argv} --format {fmt}: {a} -> {b}"
+            for argv in old
+            for fmt, a, b in zip(FORMATS, old[argv], new[argv]) if a != b]
+
+
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("argv", sorted(GOLDEN))
-def test_report_bytes_are_golden(capsys, argv, fmt):
-    code, out = run(capsys, *argv.split(), "--format", fmt)
-    assert code == 0
-    digest = hashlib.sha256(WALL_TIME.sub("", out).encode()).hexdigest()
-    assert digest == GOLDEN[argv][FORMATS.index(fmt)]
+def test_report_bytes_are_golden(argv, fmt):
+    assert report_digest(argv, fmt) == GOLDEN[argv][FORMATS.index(fmt)]
+
+
+def test_the_golden_printer_writes_this_files_dict():
+    # so the script's output can replace GOLDEN as it stands
+    source = Path(__file__).read_text()
+    assert golden_source(GOLDEN) + "\n" in source
 
 
 OUTPUT_ARGV = [
@@ -972,3 +1003,14 @@ def test_cli_still_names_verify_hankel():
     assert cli.verify_hankel is hankel.verify_hankel
     with pytest.raises(AttributeError):
         cli.no_such_name
+
+
+if __name__ == "__main__":
+    # re-record GOLDEN after a report change: paste the output over the
+    # dict (from a checkout, run with PYTHONPATH=src); each digest that
+    # moved goes to stderr as old -> new
+    digests = {argv: tuple(report_digest(argv, fmt) for fmt in FORMATS)
+               for argv in GOLDEN}
+    print(golden_source(digests))
+    for line in golden_changes(GOLDEN, digests):
+        print(line, file=sys.stderr)

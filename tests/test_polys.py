@@ -239,28 +239,49 @@ def test_shift_recurrences_evaluate_nothing(monkeypatch):
 P_COEFFS = (-30, 7, 140, 0, -140, -7, 30)
 
 
-def test_a_mutant_that_vanishes_on_the_grid_fails_the_shift_cell(monkeypatch):
-    # D_6^{(1)} + P agrees with D_6^{(1)} at every grid point, so only the
-    # coefficient check can see it; order_d_poly reads the mutant too
+def _plus_P(monkeypatch, at):
+    """Patch generalized_D_poly, and order_d_poly that reads it, to add P
+    to the coefficients of D_n^{(r)} at (n, r) = at."""
     real = polys.generalized_D_poly
 
     def broken(n, r):
         coeffs = real(n, r)
-        if (n, r) == (6, 1):
-            coeffs = tuple(c + p for c, p in zip(coeffs, P_COEFFS))
+        if (n, r) == at:
+            coeffs = tuple(map(sum, zip(coeffs, P_COEFFS))) + coeffs[7:]
         return coeffs
 
     monkeypatch.setattr(polys, "generalized_D_poly", broken)
+
+
+def test_a_mutant_that_vanishes_on_the_grid_fails_the_shift_cell(monkeypatch):
+    # D_6^{(1)} + P agrees with D_6^{(1)} at every grid point, so only the
+    # coefficient check can see it; order_d_poly reads the mutant too
+    _plus_P(monkeypatch, (6, 1))
     [failed] = [c for c in verify.run_suite("all") if c.verdict != "pass"]
     assert failed.params["identity"] == "shift-recurrences"
     assert failed.actual == (
-        "4 failures of 56: D-shift n=5 r=1, d-shift n=5 r=1, "
+        "4 failures of 168: D-shift n=5 r=1, d-shift n=5 r=1, "
         "D-shift n=6 r=1, d-shift n=6 r=1")
 
 
+def test_a_mutant_above_the_grid_n_fails_the_shift_cell(monkeypatch):
+    # D_10^{(1)} + P: n = 10 is past the default n_max = 6, and `mgf`
+    # evaluates D_10 only at the grid points, where P vanishes; the shift
+    # cell runs to SERIES_ORDER = 20 and compares coefficients
+    _plus_P(monkeypatch, (10, 1))
+    cells = verify.run_suite("all")
+    [failed] = [c for c in cells if c.verdict != "pass"]
+    assert len(cells) == 2133
+    assert failed.params == {"identity": "shift-recurrences", "n_max": "20",
+                             "r_max": "3"}
+    assert failed.actual == (
+        "4 failures of 168: D-shift n=9 r=1, d-shift n=9 r=1, "
+        "D-shift n=10 r=1, d-shift n=10 r=1")
+
+
 def test_the_recurrences_cell_names_its_first_five_failures(monkeypatch):
-    # D_4^{(r)}, and d_4^{(r)} that reverses it, are read by one check
-    # each, at n = 3 (n_max): six failed checks over r = 0, 1, 2
+    # D_4^{(r)}, and d_4^{(r)} that reverses it, are read by two checks
+    # each, at n = 3 and 4: twelve failed checks over r = 0, 1, 2
     real = polys.generalized_D_poly
 
     def broken(n, r):
@@ -270,14 +291,15 @@ def test_the_recurrences_cell_names_its_first_five_failures(monkeypatch):
     monkeypatch.setattr(polys, "generalized_D_poly", broken)
     grid = verify.Grid(n_max=3, r_max=2)
     [failed] = [c for c in verify.suite_recurrences(grid) if c.verdict == "fail"]
-    assert failed.expected == "0 failures of 24"
+    assert failed.expected == "0 failures of 126"
     assert failed.actual == (
-        "6 failures of 24: D-shift n=3 r=0, d-shift n=3 r=0, "
-        "D-shift n=3 r=1, d-shift n=3 r=1, D-shift n=3 r=2")
+        "12 failures of 126: D-shift n=3 r=0, d-shift n=3 r=0, "
+        "D-shift n=4 r=0, d-shift n=4 r=0, D-shift n=3 r=1")
 
 
 def test_the_recurrences_cell_names_a_broken_D_shift(monkeypatch):
-    # D_4^{(1)} is read by one shift check only, at n = 3 (n_max), r = 1
+    # D_4^{(1)} is read by two D-shift checks, at n = 3 and 4, r = 1 (at
+    # n = 4, r = 0 it is multiplied by r)
     real = polys.generalized_D_poly
 
     def broken(n, r):
@@ -291,8 +313,9 @@ def test_the_recurrences_cell_names_a_broken_D_shift(monkeypatch):
     [shift] = [c for c in verify.suite_recurrences(grid)
                if c.params.get("identity") == "shift-recurrences"]
     assert shift.verdict == "fail"
-    assert shift.expected == "0 failures of 24"
-    assert shift.actual == "1 failures of 24: D-shift n=3 r=1"
+    assert shift.expected == "0 failures of 126"
+    assert shift.actual == (
+        "2 failures of 126: D-shift n=3 r=1, D-shift n=4 r=1")
 
 
 @pytest.mark.parametrize("suite", sorted(verify.SUITES))

@@ -196,9 +196,12 @@ def test_block_kernel_is_the_allocating_pipeline_bit_for_bit(r):
       for samples, r in [(2, 3 * _CHUNK), (3, 40), (100, 8), (5000, 7)]],
     # a run of RUN factors ends at r = 19 and 38, one more starts at 20 and
     # 39: on the one-column pass of a full block, and across the rows of
-    # the many-column passes of 2 and 3 samples
+    # the many-column passes of 2 and 3 samples; r = 57 ends a full third
+    # run on its last column, and r = 58 carries the running sum forward
+    # from two middle runs in a row
     *[pytest.param(samples, r, id=f"run-{samples}-{r}")
-      for samples in (_CHUNK + 1, 2, 3) for r in (19, 20, 38, 39, 40)]])
+      for samples in (_CHUNK + 1, 2, 3)
+      for r in (19, 20, 38, 39, 40, 57, 58)]])
 def test_block_kernel_sums_columns_in_draw_order(samples, r):
     factors = 1 - _uniforms(BOUNDARY_SEED, samples * r).reshape(samples, r)
     assert bits(np.concatenate(blocks_of(r, samples, BOUNDARY_SEED))) == bits(
